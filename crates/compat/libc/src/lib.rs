@@ -11,7 +11,8 @@
 //! For the `hb-net` event-driven collector the shim additionally exposes the
 //! Linux readiness API: [`epoll_create1`], [`epoll_ctl`], [`epoll_wait`]
 //! (with the kernel's packed [`epoll_event`] layout) and [`fcntl`] with
-//! `F_GETFL`/`F_SETFL`/[`O_NONBLOCK`], linked from the system C library.
+//! `F_GETFL`/`F_SETFL`/[`O_NONBLOCK`], linked from the system C library, and
+//! [`eventfd`] for cross-thread wake-ups of a thread parked in `epoll_wait`.
 
 #![allow(non_camel_case_types)]
 
@@ -87,6 +88,10 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// `epoll_create1` flag: close the epoll fd on `exec`.
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+/// `eventfd` flag: non-blocking reads and writes.
+pub const EFD_NONBLOCK: c_int = 0o4000;
+/// `eventfd` flag: close the eventfd on `exec`.
+pub const EFD_CLOEXEC: c_int = 0o2000000;
 
 /// One readiness event, in the kernel's wire layout.
 ///
@@ -142,6 +147,12 @@ extern "C" {
         maxevents: c_int,
         timeout: c_int,
     ) -> c_int;
+
+    /// Creates an eventfd counter starting at `initval`; returns its file
+    /// descriptor or -1. A `write` of a native-endian `u64` adds to the
+    /// counter and makes the fd readable; a `read` returns the counter and
+    /// resets it to zero.
+    pub fn eventfd(initval: u32, flags: c_int) -> c_int;
 
     /// Manipulates file-descriptor flags (`F_GETFL`/`F_SETFL`).
     pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
@@ -399,6 +410,41 @@ mod tests {
         assert_eq!(read, 10);
         assert_eq!(&a, b"heart");
         assert_eq!(&b, b"beat!");
+    }
+
+    #[test]
+    fn eventfd_counts_writes_and_resets_on_read() {
+        use std::io::{Read, Write};
+
+        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+        assert!(fd >= 0, "eventfd failed");
+        let mut file = unsafe { std::fs::File::from_raw_fd(fd) };
+        let mut buf = [0u8; 8];
+        // Nothing written yet: a non-blocking read reports WouldBlock.
+        assert_eq!(
+            file.read(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+        unsafe {
+            let epfd = epoll_create1(EPOLL_CLOEXEC);
+            let mut ev = epoll_event {
+                events: EPOLLIN,
+                u64: 7,
+            };
+            assert_eq!(epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &mut ev), 0);
+            let mut out = [epoll_event::default(); 2];
+            let poll = |out: &mut [epoll_event; 2], ms| epoll_wait(epfd, out.as_mut_ptr(), 2, ms);
+            assert_eq!(poll(&mut out, 0), 0, "an idle eventfd is not readable");
+            // Two writes coalesce into one readable counter.
+            file.write_all(&1u64.to_ne_bytes()).unwrap();
+            file.write_all(&1u64.to_ne_bytes()).unwrap();
+            assert_eq!(poll(&mut out, 1000), 1);
+            assert_eq!({ out[0].u64 }, 7);
+            file.read_exact(&mut buf).unwrap();
+            assert_eq!(u64::from_ne_bytes(buf), 2);
+            assert_eq!(poll(&mut out, 0), 0, "a read resets the counter");
+            assert_eq!(close(epfd), 0);
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ use heartbeats::observe::Interest;
 
 use crate::frame::{FrameDecoder, FrameEvent};
 use crate::health::{self, HealthConfig, HealthReport, HistoryRing, HistorySample};
-use crate::reactor::{Handler, ListenerSpec, OutBuf, Reactor, ReactorConfig};
+use crate::reactor::{
+    Handler, ListenerSpec, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig,
+};
 use crate::subscribe::{LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
 use crate::telemetry::{self, Level, PipelineTelemetry, ReactorThreads};
 use crate::upstream::{UpstreamConfig, UpstreamLink, UpstreamRelay, UpstreamStats, UpstreamTap};
@@ -1957,6 +1959,24 @@ impl CollectorState {
                     t.index, t.dispatches
                 ));
             }
+            out.push_str("# HELP hb_reactor_thread_wakeups_total Times another thread woke the I/O thread out of the poller (eventfd wake-ups consumed).\n");
+            out.push_str("# TYPE hb_reactor_thread_wakeups_total counter\n");
+            for t in &threads {
+                out.push_str(&format!(
+                    "hb_reactor_thread_wakeups_total{{thread=\"{}\"}} {}\n",
+                    t.index, t.wakeups
+                ));
+            }
+            out.push_str("# HELP hb_reactor_thread_pumps_total Connection pump calls, by cause: wake (requested after an enqueue) or timer (the timed pass).\n");
+            out.push_str("# TYPE hb_reactor_thread_pumps_total counter\n");
+            for t in &threads {
+                for (cause, pumps) in [("wake", t.pumps_wake), ("timer", t.pumps_timer)] {
+                    out.push_str(&format!(
+                        "hb_reactor_thread_pumps_total{{thread=\"{}\",cause=\"{cause}\"}} {pumps}\n",
+                        t.index
+                    ));
+                }
+            }
             out.push_str("# HELP hb_reactor_thread_utilization Busy fraction of observed time, 0 to 1.\n");
             out.push_str("# TYPE hb_reactor_thread_utilization gauge\n");
             for t in &threads {
@@ -2243,6 +2263,8 @@ struct ProducerHandler {
     /// A relay event was applied this read burst; one coalesced
     /// [`Frame::RelayAck`] goes out when the decode loop drains.
     ack_due: bool,
+    /// This connection's pump handle; a link session binds its outbox to it.
+    pump: Option<PumpHandle>,
 }
 
 impl ProducerHandler {
@@ -2256,6 +2278,7 @@ impl ProducerHandler {
             link: None,
             pending_auth: None,
             ack_due: false,
+            pump: None,
         }
     }
 
@@ -2270,6 +2293,9 @@ impl ProducerHandler {
             last_applied: link.last_applied(),
         }
         .encode_into(out.vec_mut());
+        if let Some(pump) = &self.pump {
+            link.attach_pump(pump.clone());
+        }
         self.link = Some((link, session));
     }
 
@@ -2521,17 +2547,21 @@ impl Handler for ProducerHandler {
         }
     }
 
-    fn wants_pump(&self) -> bool {
-        self.link.is_some()
+    fn on_install(&mut self, pump: PumpHandle) {
+        // No link to re-attach: a link connection never migrates.
+        self.pump = Some(pump);
     }
 
-    fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize) -> bool {
+    fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize, cause: PumpCause) -> bool {
         if let Some((link, _)) = &self.link {
             if self.link_current() {
-                // Retract routes whose entries went inactive without an
-                // explicit unsubscribe (dropped LocalSubscriptions).
-                for sub_id in link.collect_dead_routes() {
-                    link.push_frame(&Frame::Unsubscribe { sub_id });
+                if cause == PumpCause::Timer {
+                    // Retract routes whose entries went inactive without an
+                    // explicit unsubscribe (dropped LocalSubscriptions):
+                    // nothing announces those.
+                    for sub_id in link.collect_dead_routes() {
+                        link.push_frame(&Frame::Unsubscribe { sub_id });
+                    }
                 }
                 link.drain_outbox(out.vec_mut());
             }
@@ -2591,10 +2621,11 @@ const MAX_PENDING_REPLIES: usize =
 struct ObserverHandler {
     state: Arc<CollectorState>,
     buf: Vec<u8>,
-    /// Created on the first [`Frame::Subscribe`]; its presence turns the
-    /// connection pumpable (the reactor then drains pushed events into the
-    /// outbound buffer between readiness events).
+    /// Created on the first [`Frame::Subscribe`] with this connection's
+    /// pump handle: every event enqueued for it asks the reactor to drain
+    /// it into the outbound buffer.
     queue: Option<Arc<SubscriberQueue>>,
+    pump: Option<PumpHandle>,
 }
 
 impl ObserverHandler {
@@ -2603,6 +2634,7 @@ impl ObserverHandler {
             state,
             buf: Vec::new(),
             queue: None,
+            pump: None,
         }
     }
 
@@ -2611,14 +2643,23 @@ impl ObserverHandler {
         let reply = match frame {
             Frame::Subscribe(req) => {
                 let state = &self.state;
+                let pump = &self.pump;
                 let queue = self.queue.get_or_insert_with(|| {
-                    Arc::new(SubscriberQueue::with_telemetry(
-                        state.config.sub_queue_capacity,
-                        state
-                            .config
-                            .telemetry
-                            .then(|| Arc::clone(&state.telemetry.delivery)),
-                    ))
+                    // Enrols the connection in the timed pass: the silence
+                    // sweep must run even if no event is ever enqueued.
+                    if let Some(pump) = pump {
+                        pump.request();
+                    }
+                    Arc::new(
+                        SubscriberQueue::with_telemetry(
+                            state.config.sub_queue_capacity,
+                            state
+                                .config
+                                .telemetry
+                                .then(|| Arc::clone(&state.telemetry.delivery)),
+                        )
+                        .with_pump(pump.clone()),
+                    )
                 });
                 let status = match state.register_subscription(queue, &req) {
                     Ok(_) => SubStatus::Ok,
@@ -2755,25 +2796,30 @@ impl Handler for ObserverHandler {
         self.buf.len() <= limit
     }
 
-    fn wants_pump(&self) -> bool {
-        self.queue.is_some()
+    fn on_install(&mut self, pump: PumpHandle) {
+        // Precedes the first Subscribe, and observers never migrate.
+        self.pump = Some(pump);
     }
 
-    fn on_pump(&mut self, out: &mut OutBuf, pending_out: usize) -> bool {
+    fn on_pump(&mut self, out: &mut OutBuf, pending_out: usize, cause: PumpCause) -> bool {
         let Some(queue) = &self.queue else {
             return true;
         };
         let telemetry = self.state.stage_telemetry();
         let started = telemetry.start();
-        // Silence cannot announce itself through the ingest path; the pump
+        // Silence cannot announce itself through the ingest path; the timed
         // pass drives stall re-assessment for this connection's health
-        // subscriptions (rate-limited per subscription).
-        self.state.sweep_subscriptions(queue);
+        // subscriptions (rate-limited per subscription). What the sweep
+        // enqueues is drained right below.
+        if cause == PumpCause::Timer {
+            self.state.sweep_subscriptions(queue);
+        }
         // Drain queued events into the outbound buffer only while the peer
         // keeps up; otherwise they stay queued and drop-oldest accounting
         // applies at the bounded queue, never at the reactor's slow-consumer
-        // cap. The drain moves shared `Arc<[u8]>` segments — the encoded
-        // frame bytes every other subscriber references — without copying.
+        // cap; the timed pass retries a drain skipped here. The drain moves
+        // shared `Arc<[u8]>` segments — the encoded frame bytes every other
+        // subscriber references — without copying.
         if pending_out < MAX_PENDING_REPLIES {
             queue.drain_into(out, MAX_PENDING_REPLIES - pending_out);
         }

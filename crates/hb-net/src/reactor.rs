@@ -9,9 +9,8 @@
 //!   timer wheel, and connection table; nothing readiness-related is shared
 //!   between threads. Shard 0 additionally owns every listener (the
 //!   **acceptor**) and distributes accepted connections round-robin via
-//!   per-shard handoff queues that each shard drains on its next loop
-//!   iteration (bounded by the poll timeout, far below any protocol
-//!   negotiation deadline).
+//!   per-shard handoff queues; the sender wakes the target shard, which
+//!   installs the connection on its next loop turn.
 //! * **Connection re-homing** — a [`Handler`] may report a preferred
 //!   [`home_shard`](Handler::home_shard) once it learns who the peer is
 //!   (the collector does this at `Hello`, hashing the application name).
@@ -29,12 +28,13 @@
 //!   `EPOLLOUT` interest only while bytes are pending.
 //! * **Timer wheel** — a per-shard hashed wheel evicts connections that have
 //!   been idle longer than the configured timeout.
+//! * **Wake-ups** — each shard registers one `eventfd` in its epoll. A
+//!   connection hand-off, a [`PumpHandle::request`] after bytes were queued
+//!   for one of its connections, and shutdown wake the shard instead of
+//!   waiting for a clock; only a timed pass per poll timeout remains, for
+//!   what cannot announce itself (`docs/ARCHITECTURE.md` § Wake-ups).
 //!
-//! On non-Linux targets (`cfg(not(target_os = "linux"))`) the same loop runs
-//! against a degraded poller that treats every registered socket as possibly
-//! ready after a short sleep, and vectored calls fall back to the portable
-//! `std` equivalents. Linux gets real `epoll`/`readv`/`writev` via the
-//! workspace's `libc` shim.
+//! Linux only (`epoll`, `eventfd`, `readv`, `writev` via the `libc` shim).
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -46,18 +46,123 @@ use std::time::{Duration, Instant};
 
 use crate::telemetry::{Level, ReactorThreads, ThreadStats};
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("hb_net::reactor needs Linux epoll + eventfd (the polling fallback was removed)");
+
 thread_local! {
     /// Index of the reactor shard this thread runs, when it is an I/O
     /// thread. Lets shard-partitioned owners (the collector registry,
     /// per-shard telemetry) pick their partition without passing a shard
     /// index through every callback.
     static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The [`Waker`] of the shard this thread runs (null off-reactor). Shard
+    /// indices repeat across the reactors of one process, so "am I on the
+    /// owning shard?" compares waker identity, not [`current_shard`].
+    static CURRENT_WAKER: Cell<*const Waker> = const { Cell::new(std::ptr::null()) };
 }
 
 /// The reactor shard index of the calling thread, or `None` when the caller
 /// is not a reactor I/O thread (e.g. an embedded producer or a test).
 pub fn current_shard() -> Option<usize> {
     CURRENT_SHARD.with(|cell| cell.get())
+}
+
+/// Token a shard's own eventfd is registered under; listener and connection
+/// tokens count up from zero and never reach it.
+const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Work left for a shard by another thread, or by an earlier phase of its
+/// own loop turn.
+enum Work {
+    /// A connection to install: freshly accepted, or migrating home.
+    Install(Box<Injected>),
+    /// A connection whose [`PumpHandle`] was used.
+    Pump(u64),
+}
+
+/// One shard's inbox and the eventfd that tells it to look. Senders *publish
+/// work, then raise `pending`*; the shard *lowers `pending`, then collects* —
+/// so a sender that finds the flag raised may skip the `write`: either the
+/// shard has not collected yet, or whoever raised the flag is waking it.
+struct Waker {
+    event: sys::EventFd,
+    /// The shard has work it has not looked at: its next `epoll_wait` must
+    /// not sleep. Other threads ensure that with one `write(eventfd)`, the
+    /// shard's own thread by polling with a zero timeout.
+    pending: AtomicBool,
+    inbox: Mutex<Vec<Work>>,
+}
+
+impl Waker {
+    fn new() -> io::Result<Waker> {
+        Ok(Waker {
+            event: sys::EventFd::new()?,
+            pending: AtomicBool::new(false),
+            inbox: Mutex::new(Vec::new()),
+        })
+    }
+
+    // hb-lint: hot-path — runs per event enqueued toward a subscriber; the
+    // inbox and its swap partner keep their capacity.
+    fn send(&self, work: Work) {
+        let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
+        inbox.push(work);
+        drop(inbox);
+        self.wake();
+    }
+
+    /// At most one `write(eventfd)` per loop turn, none from the shard itself.
+    fn wake(&self) {
+        // ordering: AcqRel swap; with the inbox mutex it orders the published work before the shard's collect (docs/ARCHITECTURE.md § Wake-ups)
+        let already = self.pending.swap(true, Ordering::AcqRel);
+        if !already && !CURRENT_WAKER.with(|cell| std::ptr::eq(cell.get(), self)) {
+            self.event.notify();
+        }
+    }
+    // hb-lint: end-hot-path
+}
+
+/// The right to ask one connection's shard for an
+/// [`on_pump`](Handler::on_pump) call, from any thread; clones share one
+/// `armed` flag, so the connection has at most one request outstanding.
+/// Enqueuers *publish (under the queue's lock), then request*; the shard
+/// *disarms, then calls `on_pump`* — an item enqueued while the handle is
+/// armed precedes a drain, one enqueued later re-arms it. A handle outliving
+/// its connection is harmless: tokens are never reused.
+#[derive(Clone)]
+pub struct PumpHandle {
+    waker: Arc<Waker>,
+    token: u64,
+    armed: Arc<AtomicBool>,
+}
+
+impl PumpHandle {
+    // hb-lint: hot-path — one swap per enqueue, one inbox entry per drain.
+    /// Queues one pump of the connection and wakes its shard, unless a
+    /// request is already outstanding.
+    pub fn request(&self) {
+        // ordering: AcqRel swap, one winner per drain; pairs with the Release store in IoThread::pump_conn
+        if !self.armed.swap(true, Ordering::AcqRel) {
+            self.waker.send(Work::Pump(self.token));
+        }
+    }
+    // hb-lint: end-hot-path
+}
+
+impl std::fmt::Debug for PumpHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PumpHandle({})", self.token)
+    }
+}
+
+/// Why the reactor is calling [`on_pump`](Handler::on_pump).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PumpCause {
+    /// The connection's [`PumpHandle`] was used: bytes are waiting.
+    Wake,
+    /// The timed pass, once per poll timeout: the moment to look for what
+    /// cannot announce itself.
+    Timer,
 }
 
 /// One segment of queued outbound bytes: either privately owned or a shared
@@ -279,21 +384,27 @@ pub trait Handler: Send {
         None
     }
 
-    /// True if this connection wants periodic [`on_pump`](Self::on_pump)
-    /// callbacks — the hook push-subscription handlers use to move events
-    /// that originated on *other* connections (producer ingest) into this
-    /// connection's outbound buffer, from which the normal `EPOLLOUT` path
-    /// drains them. Checked on every pump pass, so a handler may become
-    /// pumpable mid-life (e.g. when its first subscription arrives).
-    fn wants_pump(&self) -> bool {
-        false
-    }
+    /// Called each time the connection is installed on a shard (fresh accept
+    /// or migration), before the empty [`on_data`](Self::on_data) call.
+    /// `pump` asks this shard to call [`on_pump`](Self::on_pump) for this
+    /// connection. A handler that delivers bytes originating elsewhere
+    /// (events produced by another connection's ingest, federation control
+    /// frames) hands it to the queue those bytes wait in, whose enqueuers
+    /// [`request`](PumpHandle::request) after publishing; a handle from an
+    /// earlier install is dead after a migration.
+    fn on_install(&mut self, _pump: PumpHandle) {}
 
-    /// Called on every reactor pump pass (at least every poll timeout)
-    /// while [`wants_pump`](Self::wants_pump) is true. `pending_out` is the
-    /// connection's current outbound backlog, so a handler can hold off
-    /// enqueueing more for a slow consumer. Return `false` to close.
-    fn on_pump(&mut self, _out: &mut OutBuf, _pending_out: usize) -> bool {
+    /// Moves externally produced bytes into `out`, from which the normal
+    /// `EPOLLOUT` path ships them. Called with [`PumpCause::Wake`] on the
+    /// loop turn the connection's [`PumpHandle`] was used (only requested
+    /// connections are visited, never the whole table) and with
+    /// [`PumpCause::Timer`] once per poll timeout for every connection
+    /// pumped before — where a handler looks for what cannot announce
+    /// itself (silence, a backlog it held back from a slow peer).
+    /// `pending_out` is the connection's current outbound backlog, so a
+    /// handler can hold off enqueueing more for a slow consumer. Return
+    /// `false` to close.
+    fn on_pump(&mut self, _out: &mut OutBuf, _pending_out: usize, _cause: PumpCause) -> bool {
         true
     }
 
@@ -341,6 +452,10 @@ pub struct ReactorConfig {
     /// (busy/wait ns, loop iterations, dispatches) here at spawn, in thread
     /// index order. `None` (the default) skips the bookkeeping entirely.
     pub thread_stats: Option<Arc<ReactorThreads>>,
+    /// Tests clear this to take the timed pump pass away, so delivery that
+    /// still happens is proven to be wake-driven.
+    #[cfg(test)]
+    pub(crate) timed_pass: bool,
 }
 
 impl Default for ReactorConfig {
@@ -350,6 +465,8 @@ impl Default for ReactorConfig {
             idle_timeout: Duration::from_secs(60),
             max_outbound: 4 << 20,
             thread_stats: None,
+            #[cfg(test)]
+            timed_pass: true,
         }
     }
 }
@@ -357,15 +474,10 @@ impl Default for ReactorConfig {
 /// Number of slots in the idle-eviction timer wheel.
 const WHEEL_SLOTS: usize = 64;
 
-/// Poll timeout: bounds shutdown latency, timer-wheel granularity drift, and
-/// the latency of the acceptor→shard connection handoff.
+/// Poll timeout: timer-wheel granularity drift and the cadence of the timed
+/// pump pass. Hand-off, push delivery and shutdown do not wait for it —
+/// they wake the shard.
 const POLL_TIMEOUT: Duration = Duration::from_millis(20);
-
-/// Minimum spacing between pump passes over the connection table. Bounds
-/// push-event delivery latency from below while keeping a busy ingest loop
-/// (which wakes the poller far more often) from re-scanning every
-/// connection per readiness burst.
-const PUMP_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Bytes read from one connection per readiness event before yielding to
 /// others (fairness bound; level-triggered polling re-notifies).
@@ -391,15 +503,15 @@ struct Injected {
     out: OutBuf,
 }
 
-/// Per-shard handoff queues, indexed by shard.
-type HandoffQueues = Arc<Vec<Mutex<Vec<Injected>>>>;
+/// Every shard's waker, indexed by shard.
+type Wakers = Arc<Vec<Arc<Waker>>>;
 
 /// A fixed pool of I/O shards multiplexing listeners and connections.
 pub struct Reactor {
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     evicted: Arc<AtomicU64>,
-    queues: HandoffQueues,
+    wakers: Wakers,
 }
 
 impl std::fmt::Debug for Reactor {
@@ -431,8 +543,11 @@ impl Reactor {
             .into_iter()
             .map(|spec| (spec.listener, spec.factory))
             .collect();
-        let queues: HandoffQueues =
-            Arc::new((0..io_threads).map(|_| Mutex::new(Vec::new())).collect());
+        let wakers: Wakers = Arc::new(
+            (0..io_threads)
+                .map(|_| Waker::new().map(Arc::new))
+                .collect::<io::Result<_>>()?,
+        );
 
         let mut threads = Vec::with_capacity(io_threads);
         for index in 0..io_threads {
@@ -449,8 +564,7 @@ impl Reactor {
                 let stats = config.thread_stats.as_ref().map(|threads| threads.register());
                 let io_thread = IoThread::build(
                     index,
-                    io_threads,
-                    Arc::clone(&queues),
+                    Arc::clone(&wakers),
                     own,
                     config.clone(),
                     Arc::clone(&stop),
@@ -471,6 +585,7 @@ impl Reactor {
                     // Don't leak the threads already running: stop and join
                     // them before reporting the failure.
                     stop.store(true, Ordering::SeqCst); // ordering: shutdown flag; SeqCst keeps the rare path simple
+                    wakers.iter().for_each(|waker| waker.wake());
                     for handle in threads {
                         let _ = handle.join();
                     }
@@ -482,7 +597,7 @@ impl Reactor {
             stop,
             threads,
             evicted,
-            queues,
+            wakers,
         })
     }
 
@@ -496,22 +611,30 @@ impl Reactor {
         self.evicted.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
-    /// Signals all I/O shards to stop and joins them. The thread count is
-    /// fixed, so this never races connection churn (unlike joining
+    /// Signals all I/O shards to stop, wakes them and joins them. The thread
+    /// count is fixed, so this never races connection churn (unlike joining
     /// per-connection threads).
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst); // ordering: shutdown flag; SeqCst keeps the rare path simple
+        self.wakers.iter().for_each(|waker| waker.wake());
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // A migration can land in a handoff queue after its target shard
-        // drained for the last time; fire the close callbacks now that all
-        // threads are joined.
-        for queue in self.queues.iter() {
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            for mut injected in queue.lock().unwrap().drain(..) {
-                injected.handler.on_close();
-            }
+        // A migration can land in an inbox after its target shard collected
+        // for the last time; fire the close callbacks now that all threads
+        // are joined.
+        for waker in self.wakers.iter() {
+            close_undelivered(waker);
+        }
+    }
+}
+
+/// Fires `on_close` for connections still parked in a shard's inbox.
+fn close_undelivered(waker: &Waker) {
+    let mut inbox = waker.inbox.lock().unwrap_or_else(|e| e.into_inner());
+    for work in inbox.drain(..) {
+        if let Work::Install(mut injected) = work {
+            injected.handler.on_close();
         }
     }
 }
@@ -535,14 +658,20 @@ struct Conn {
     interest: (bool, bool),
     /// Close once the outbound buffer drains.
     closing: bool,
+    /// Set by the connection's first pump; from then on the timed pass
+    /// visits it too.
+    pumpable: bool,
+    /// The `armed` flag of this connection's [`PumpHandle`]s.
+    pump_armed: Arc<AtomicBool>,
     last_active: Instant,
 }
 
 /// One I/O shard: an epoll instance plus the connections it owns.
 struct IoThread {
     shard: usize,
-    nshards: usize,
-    queues: HandoffQueues,
+    wakers: Wakers,
+    /// This shard's own waker (also `wakers[shard]`).
+    waker: Arc<Waker>,
     /// Round-robin cursor for distributing accepted connections (acceptor
     /// shard only).
     next_rr: usize,
@@ -555,9 +684,13 @@ struct IoThread {
     stop: Arc<AtomicBool>,
     evicted: Arc<AtomicU64>,
     scratch: Vec<u8>,
-    last_pump: Instant,
-    /// Reused token buffer for pump passes (no per-pass allocation).
-    pump_scratch: Vec<u64>,
+    /// When the timed pump pass last ran.
+    last_timed: Instant,
+    /// Swap partner of the waker's inbox (no per-turn allocation).
+    inbox_scratch: Vec<Work>,
+    /// Connections that have been pumped at least once: the timed pass
+    /// visits these, never the whole connection table.
+    pumpable: Vec<u64>,
     /// This thread's utilization counters, when the owner asked for them.
     stats: Option<Arc<ThreadStats>>,
 }
@@ -566,11 +699,9 @@ impl IoThread {
     /// Creates the poller and registers the listeners up front, so fd
     /// exhaustion (or any epoll failure) surfaces as a `Reactor::spawn`
     /// error instead of a panic inside an already-running I/O thread.
-    #[allow(clippy::too_many_arguments)]
     fn build(
         shard: usize,
-        nshards: usize,
-        queues: HandoffQueues,
+        wakers: Wakers,
         listeners: Vec<(TcpListener, HandlerFactory)>,
         config: ReactorConfig,
         stop: Arc<AtomicBool>,
@@ -586,11 +717,15 @@ impl IoThread {
         for (index, (listener, _)) in listeners.iter().enumerate() {
             poller.register(sys::raw_fd(listener), index as u64, true, false)?;
         }
+        let Some(waker) = wakers.get(shard).map(Arc::clone) else {
+            return Err(io::Error::other("shard index out of range"));
+        };
+        poller.register(sys::raw_fd(&waker.event.0), WAKE_TOKEN, true, false)?;
         let next_token = listeners.len() as u64;
         Ok(IoThread {
             shard,
-            nshards,
-            queues,
+            wakers,
+            waker,
             next_rr: 0,
             poller,
             listeners,
@@ -601,22 +736,31 @@ impl IoThread {
             stop,
             evicted,
             scratch: vec![0u8; READ_CHUNK],
-            last_pump: Instant::now(),
-            pump_scratch: Vec::new(),
+            last_timed: Instant::now(),
+            inbox_scratch: Vec::new(),
+            pumpable: Vec::new(),
             stats,
         })
     }
 
     fn run(mut self) {
+        CURRENT_WAKER.with(|cell| cell.set(Arc::as_ptr(&self.waker)));
         let listener_count = self.listeners.len() as u64;
         let mut events = Vec::with_capacity(128);
         while !self.stop.load(Ordering::SeqCst) { // ordering: shutdown flag; SeqCst keeps the rare path simple
             events.clear();
+            // Raised without a write(eventfd) by work this thread queued for
+            // itself after its last pump pass: do not sleep on it.
+            let timeout = if self.waker.pending.load(Ordering::Acquire) { // ordering: pairs with the AcqRel swap in Waker::wake
+                Duration::ZERO
+            } else {
+                POLL_TIMEOUT
+            };
             // Three clock reads per iteration split the loop into a parked
             // span (inside the poller) and a busy span (everything else) —
             // at most once per POLL_TIMEOUT when idle.
             let parked_at = self.stats.as_ref().map(|_| Instant::now());
-            let wait_result = self.poller.wait(&mut events, POLL_TIMEOUT);
+            let wait_result = self.poller.wait(&mut events, timeout);
             let busy_at = match (&self.stats, parked_at) {
                 (Some(stats), Some(parked_at)) => {
                     let now = Instant::now();
@@ -631,48 +775,36 @@ impl IoThread {
                 }
                 break; // poller broken; bail out rather than spin
             }
-            self.drain_handoff();
+            let mut dispatched = events.len();
             for event in &events {
-                if event.token < listener_count {
+                if event.token == WAKE_TOKEN {
+                    self.waker.event.drain();
+                    dispatched -= 1;
+                    if let Some(stats) = &self.stats {
+                        stats.add_wakeup();
+                    }
+                } else if event.token < listener_count {
                     self.accept_all(event.token as usize);
                 } else {
                     self.drive(event.token, event.readable, event.writable);
                 }
             }
-            self.pump();
-            self.evict_idle();
+            let now = Instant::now();
+            self.pump(now);
+            self.evict_idle(now);
             if let (Some(stats), Some(busy_at)) = (&self.stats, busy_at) {
                 stats.add_busy(busy_at.elapsed());
-                stats.add_loop(events.len());
+                stats.add_loop(dispatched);
             }
         }
 
         // Orderly teardown: every live connection gets its close callback,
-        // including connections still parked in this shard's handoff queue.
+        // including connections still parked in this shard's inbox.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close(token);
         }
-        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-        for mut injected in self.queues[self.shard].lock().unwrap().drain(..) { // hb-lint: allow(index): shard < queues.len(): one queue per shard by construction
-            injected.handler.on_close();
-        }
-    }
-
-    /// Installs connections other shards handed to this one (fresh accepts
-    /// from the acceptor, migrations toward their home shard).
-    fn drain_handoff(&mut self) {
-        let injected = {
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            let mut queue = self.queues[self.shard].lock().unwrap(); // hb-lint: allow(index): shard < queues.len(): one queue per shard by construction
-            if queue.is_empty() {
-                return;
-            }
-            std::mem::take(&mut *queue)
-        };
-        for conn in injected {
-            self.install(conn);
-        }
+        close_undelivered(&self.waker);
     }
 
     /// Registers a handed-off connection with this shard's poller and gives
@@ -694,12 +826,20 @@ impl IoThread {
             handler.on_close();
             return; // fd table full or similar; drop the socket
         }
+        let pump_armed = Arc::new(AtomicBool::new(false));
+        handler.on_install(PumpHandle {
+            waker: Arc::clone(&self.waker),
+            token,
+            armed: Arc::clone(&pump_armed),
+        });
         let mut conn = Conn {
             stream,
             handler,
             out,
             interest: (true, false),
             closing: false,
+            pumpable: false,
+            pump_armed,
             last_active: Instant::now(),
         };
         if !conn.handler.on_data(&[], &mut conn.out) {
@@ -725,18 +865,18 @@ impl IoThread {
                     }
                     stream.set_nodelay(true).ok();
                     let handler = (self.listeners[index].1)(peer); // hb-lint: allow(index): index < listeners.len(): tokens map to registered listeners
-                    let target = self.next_rr % self.nshards;
+                    let target = self.next_rr % self.wakers.len();
                     self.next_rr = self.next_rr.wrapping_add(1);
                     let injected = Injected {
                         stream,
                         handler,
                         out: OutBuf::new(),
                     };
-                    if target == self.shard {
-                        self.install(injected);
-                    } else {
-                        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-                        self.queues[target].lock().unwrap().push(injected); // hb-lint: allow(index): target < queues.len(): shard_of() reduces modulo the shard count
+                    match self.wakers.get(target) {
+                        Some(waker) if target != self.shard => {
+                            waker.send(Work::Install(Box::new(injected)))
+                        }
+                        _ => self.install(injected),
                     }
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
@@ -770,7 +910,7 @@ impl IoThread {
                                 break;
                             }
                             if let Some(home) = conn.handler.home_shard() {
-                                let target = home % self.nshards;
+                                let target = home % self.wakers.len();
                                 if target != self.shard {
                                     migrate = Some(target);
                                     break;
@@ -805,17 +945,19 @@ impl IoThread {
     }
 
     /// Moves a connection — socket, handler, pending output — to its home
-    /// shard's handoff queue. The timer-wheel token lapses on its own; no
-    /// close callback fires, because the connection lives on.
+    /// shard's inbox and wakes that shard. The timer-wheel token lapses on
+    /// its own; no close callback fires, because the connection lives on.
     fn migrate(&mut self, token: u64, target: usize) {
+        let Some(waker) = self.wakers.get(target) else {
+            return; // unreachable: drive() reduces the target modulo the shard count
+        };
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(sys::raw_fd(&conn.stream));
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            self.queues[target].lock().unwrap().push(Injected { // hb-lint: allow(index): target < queues.len(): shard_of() reduces modulo the shard count
+            waker.send(Work::Install(Box::new(Injected {
                 stream: conn.stream,
                 handler: conn.handler,
                 out: conn.out,
-            });
+            })));
         }
     }
 
@@ -872,42 +1014,71 @@ impl IoThread {
         }
     }
 
-    /// Gives every pump-interested handler a chance to move externally
-    /// produced bytes (push-subscription events) into its outbound buffer,
-    /// then flushes. Rate-limited so a busy ingest loop does not scan the
-    /// connection table on every readiness burst.
-    fn pump(&mut self) {
-        let now = Instant::now();
-        if now.duration_since(self.last_pump) < PUMP_INTERVAL {
-            return;
-        }
-        self.last_pump = now;
-        self.pump_scratch.clear();
-        self.pump_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, conn)| !conn.closing && conn.handler.wants_pump())
-                .map(|(&token, _)| token),
+    /// Serves the inbox (handed-off connections, pump requests) and, once per
+    /// poll timeout, runs the timed pass over the connections that have been
+    /// pumped before.
+    fn pump(&mut self, now: Instant) {
+        // Lower the flag *before* collecting (see `Waker`); what this
+        // thread queues for itself from here on raises it for the next
+        // turn's zero-timeout poll.
+        self.waker.pending.store(false, Ordering::Release); // ordering: pairs with the AcqRel swap in Waker::wake; the inbox mutex taken below orders the collect after it
+        let mut inbox = std::mem::take(&mut self.inbox_scratch);
+        std::mem::swap(
+            &mut *self.waker.inbox.lock().unwrap_or_else(|e| e.into_inner()),
+            &mut inbox,
         );
-        // Tokens were collected above; a handler closed by an earlier pump
-        // in this pass is simply skipped by the map lookup.
-        let tokens = std::mem::take(&mut self.pump_scratch);
-        for &token in &tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let pending = conn.out.pending();
-                if !conn.handler.on_pump(&mut conn.out, pending) {
-                    conn.closing = true;
-                }
-                // Touch the timer wheel only on actual delivery: a static
-                // backlog toward a stuck peer must still idle out once the
-                // keep-alive exemption lapses.
-                if conn.out.pending() > pending {
-                    conn.last_active = Instant::now();
-                }
-                self.flush_conn(token);
+        for work in inbox.drain(..) {
+            match work {
+                Work::Install(injected) => self.install(*injected),
+                Work::Pump(token) => self.pump_conn(token, PumpCause::Wake, now),
             }
         }
-        self.pump_scratch = tokens;
+        self.inbox_scratch = inbox;
+
+        #[cfg(test)]
+        if !self.config.timed_pass {
+            return;
+        }
+        if now.duration_since(self.last_timed) >= POLL_TIMEOUT {
+            self.last_timed = now;
+            let mut pumpable = std::mem::take(&mut self.pumpable);
+            pumpable.retain(|token| self.conns.contains_key(token));
+            for &token in &pumpable {
+                self.pump_conn(token, PumpCause::Timer, now);
+            }
+            self.pumpable = pumpable;
+        }
+    }
+
+    /// One `on_pump` call and the flush that ships what it produced.
+    fn pump_conn(&mut self, token: u64, cause: PumpCause, now: Instant) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // closed since the pump was requested
+        };
+        if conn.closing {
+            return;
+        }
+        if !conn.pumpable {
+            conn.pumpable = true;
+            self.pumpable.push(token);
+        }
+        // Disarm *before* the handler drains: an enqueue racing the drain
+        // re-requests instead of being missed.
+        conn.pump_armed.store(false, Ordering::Release); // ordering: pairs with the AcqRel swap in PumpHandle::request
+        let pending = conn.out.pending();
+        if !conn.handler.on_pump(&mut conn.out, pending, cause) {
+            conn.closing = true;
+        }
+        // Touch the timer wheel only on actual delivery: a static backlog
+        // toward a stuck peer must still idle out once the keep-alive
+        // exemption lapses.
+        if conn.out.pending() > pending {
+            conn.last_active = now;
+        }
+        if let Some(stats) = &self.stats {
+            stats.add_pump(cause);
+        }
+        self.flush_conn(token);
     }
 
     /// Removes a connection, deregistering it and firing `on_close` once.
@@ -920,11 +1091,10 @@ impl IoThread {
 
     /// Advances the timer wheel and evicts connections idle past the
     /// timeout. Active connections found in a fired slot are re-armed.
-    fn evict_idle(&mut self) {
+    fn evict_idle(&mut self, now: Instant) {
         if self.config.idle_timeout.is_zero() {
             return;
         }
-        let now = Instant::now();
         let idle_timeout = self.config.idle_timeout;
         let mut evict = Vec::new();
         self.wheel.advance(now, |token, wheel| {
@@ -1037,13 +1207,13 @@ impl TimerWheel {
     }
 }
 
-/// Linux poller: real `epoll` plus vectored `readv`/`writev` through the
-/// workspace `libc` shim.
-#[cfg(target_os = "linux")]
+/// The syscall surface: `epoll`, `eventfd` and vectored `readv`/`writev`
+/// through the workspace `libc` shim.
 mod sys {
-    use std::io;
+    use std::fs::File;
+    use std::io::{self, Read, Write};
     use std::net::TcpStream;
-    use std::os::fd::AsRawFd;
+    use std::os::fd::{AsRawFd, FromRawFd};
     use std::time::Duration;
 
     use super::MAX_WRITE_IOVECS;
@@ -1150,6 +1320,39 @@ mod sys {
         }
     }
 
+    /// A non-blocking eventfd, owned as a `File` so reads, writes and the
+    /// close on drop go through `std`.
+    #[derive(Debug)]
+    pub struct EventFd(pub File);
+
+    impl EventFd {
+        pub fn new() -> io::Result<EventFd> {
+            // SAFETY: eventfd takes no pointers; a negative return is the only failure mode and is checked below.
+            let fd = unsafe { libc::eventfd(0, libc::EFD_NONBLOCK | libc::EFD_CLOEXEC) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: `fd` was just returned by eventfd and is owned by nothing else, so the File may close it.
+            Ok(EventFd(unsafe { File::from_raw_fd(fd) }))
+        }
+
+        /// Makes the descriptor readable. The only possible failure is a
+        /// saturated counter (`EAGAIN`), which is already readable.
+        pub fn notify(&self) {
+            let _ = (&self.0).write(&1u64.to_ne_bytes());
+        }
+
+        /// Resets the counter so the descriptor stops polling readable;
+        /// returns how many notifications it had absorbed.
+        pub fn drain(&self) -> u64 {
+            let mut count = [0u8; 8];
+            match (&self.0).read(&mut count) {
+                Ok(8) => u64::from_ne_bytes(count),
+                _ => 0,
+            }
+        }
+    }
+
     /// Raw fd of any socket-like object.
     pub fn raw_fd(socket: &impl AsRawFd) -> i32 {
         socket.as_raw_fd()
@@ -1225,97 +1428,6 @@ mod sys {
         Ok(n as usize)
     }
     // hb-lint: end-hot-path
-}
-
-/// Degraded fallback poller for targets without `epoll`: after a short
-/// sleep, every registered descriptor is reported as possibly readable (and
-/// writable if write interest is set). Sockets are non-blocking, so spurious
-/// readiness costs one `WouldBlock` per socket per tick. Vectored I/O falls
-/// back to the portable `std` equivalents.
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    use std::collections::HashMap;
-    use std::io::{self, Read, Write};
-    use std::net::TcpStream;
-    use std::time::Duration;
-
-    use super::MAX_WRITE_IOVECS;
-
-    /// One readiness notification.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Event {
-        pub token: u64,
-        pub readable: bool,
-        pub writable: bool,
-    }
-
-    /// Registration table standing in for an epoll instance.
-    #[derive(Debug, Default)]
-    pub struct Poller {
-        registered: std::cell::RefCell<HashMap<i32, (u64, bool, bool)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller::default())
-        }
-
-        pub fn register(&self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-            self.registered.borrow_mut().insert(fd, (token, readable, writable));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-            self.register(fd, token, readable, writable)
-        }
-
-        pub fn deregister(&self, fd: i32) -> io::Result<()> {
-            self.registered.borrow_mut().remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            std::thread::sleep(timeout.min(Duration::from_millis(2)));
-            for (&_fd, &(token, readable, writable)) in self.registered.borrow().iter() {
-                events.push(Event {
-                    token,
-                    readable,
-                    writable,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// Raw fd surrogate: fallback registrations are keyed per socket object.
-    pub fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
-        socket.as_raw_fd()
-    }
-
-    /// Switches a stream to non-blocking mode (std portable path).
-    pub fn set_nonblocking(stream: &TcpStream) -> io::Result<()> {
-        stream.set_nonblocking(true)
-    }
-
-    /// Portable stand-in for `readv`: one plain read into `scratch`.
-    pub fn read_scattered(stream: &TcpStream, scratch: &mut [u8]) -> io::Result<usize> {
-        (&mut &*stream).read(scratch)
-    }
-
-    /// Portable stand-in for `writev`: `std`'s vectored write.
-    pub fn write_gathered<'a>(
-        stream: &TcpStream,
-        slices: impl Iterator<Item = &'a [u8]>,
-    ) -> io::Result<usize> {
-        let bufs: Vec<io::IoSlice<'_>> = slices
-            .take(MAX_WRITE_IOVECS)
-            .map(io::IoSlice::new)
-            .collect();
-        if bufs.is_empty() {
-            return Ok(0);
-        }
-        (&mut &*stream).write_vectored(&bufs)
-    }
 }
 
 #[cfg(test)]
@@ -1670,99 +1782,365 @@ mod tests {
         );
     }
 
-    /// A handler fed by an external queue through the pump path, with an
-    /// eviction exemption while `keep` is set — the shape of a collector
-    /// observer holding an active subscription.
+    /// Bytes produced outside the connection that delivers them — the
+    /// shape of a subscriber queue.
+    struct Source {
+        bytes: Mutex<Vec<u8>>,
+        pump: Mutex<Option<PumpHandle>>,
+        /// Outbound backlog at which the handler stops draining (a peer
+        /// that is not reading), as the collector's observer handler does.
+        hold_at: usize,
+        /// Set once a pump was refused because of that backlog.
+        held: AtomicBool,
+        /// Eviction exemption, as for an observer with live subscriptions.
+        keep: AtomicBool,
+    }
+
+    impl Source {
+        fn new(hold_at: usize, keep: bool) -> Arc<Source> {
+            Arc::new(Source {
+                bytes: Mutex::new(Vec::new()),
+                pump: Mutex::new(None),
+                hold_at,
+                held: AtomicBool::new(false),
+                keep: AtomicBool::new(keep),
+            })
+        }
+
+        /// Publish, then request: the enqueuer half of the protocol.
+        fn push(&self, bytes: &[u8]) {
+            self.bytes.lock().unwrap().extend_from_slice(bytes);
+            if let Some(pump) = &*self.pump.lock().unwrap() {
+                pump.request();
+            }
+        }
+
+        fn wait_installed(&self) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.pump.lock().unwrap().is_none() {
+                assert!(Instant::now() < deadline, "connection never installed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// Delivers a [`Source`]'s bytes through the pump path. With `feed`
+    /// set, inbound bytes are pushed into that source instead of being
+    /// ignored (an ingest connection fanning out to a subscriber).
     struct Pumped {
-        source: Arc<Mutex<Vec<u8>>>,
-        keep: Arc<AtomicBool>,
+        source: Arc<Source>,
+        feed: Option<Arc<Source>>,
     }
 
     impl Handler for Pumped {
-        fn on_data(&mut self, _input: &[u8], _out: &mut OutBuf) -> bool {
+        fn on_data(&mut self, input: &[u8], _out: &mut OutBuf) -> bool {
+            if let (Some(feed), false) = (&self.feed, input.is_empty()) {
+                feed.push(input);
+            }
             true
         }
 
-        fn wants_pump(&self) -> bool {
-            true
+        fn on_install(&mut self, pump: PumpHandle) {
+            *self.source.pump.lock().unwrap() = Some(pump.clone());
+            pump.request(); // for bytes pushed before the handle was in place
         }
 
-        fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize) -> bool {
-            let mut source = self.source.lock().unwrap();
-            out.extend_from_slice(&source);
-            source.clear();
+        fn on_pump(&mut self, out: &mut OutBuf, pending_out: usize, _cause: PumpCause) -> bool {
+            if pending_out >= self.source.hold_at {
+                self.source.held.store(true, Ordering::Release);
+                return true;
+            }
+            let mut bytes = self.source.bytes.lock().unwrap();
+            out.extend_from_slice(&bytes);
+            bytes.clear();
             true
         }
 
         fn keep_alive(&self) -> bool {
-            self.keep.load(Ordering::Relaxed)
+            self.source.keep.load(Ordering::Relaxed)
         }
+    }
+
+    /// A reactor whose n-th accepted connection is served by `handlers[n]`.
+    fn pumped_reactor(handlers: Vec<Pumped>, config: ReactorConfig) -> (Reactor, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handlers = Mutex::new(handlers.into_iter());
+        let spec = ListenerSpec {
+            listener,
+            factory: Arc::new(move |_| {
+                let handler = handlers.lock().unwrap().next();
+                Box::new(handler.expect("one handler per connection")) as Box<dyn Handler>
+            }),
+        };
+        let reactor = Reactor::spawn(vec![spec], config, Arc::new(AtomicU64::new(0))).unwrap();
+        (reactor, addr)
+    }
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        let timeout = Some(Duration::from_secs(10));
+        stream.set_read_timeout(timeout).unwrap();
+        stream
     }
 
     #[test]
     fn pump_delivers_externally_produced_bytes() {
-        let source = Arc::new(Mutex::new(Vec::new()));
-        let keep = Arc::new(AtomicBool::new(false));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let spec = ListenerSpec {
-            listener,
-            factory: {
-                let source = Arc::clone(&source);
-                let keep = Arc::clone(&keep);
-                Arc::new(move |_| {
-                    Box::new(Pumped {
-                        source: Arc::clone(&source),
-                        keep: Arc::clone(&keep),
-                    }) as Box<dyn Handler>
-                })
-            },
+        let source = Source::new(usize::MAX, false);
+        let pumped = Pumped {
+            source: Arc::clone(&source),
+            feed: None,
         };
-        let _reactor = Reactor::spawn(
-            vec![spec],
-            ReactorConfig::default(),
-            Arc::new(AtomicU64::new(0)),
-        )
-        .unwrap();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // Give the reactor a moment to accept, then inject bytes from
-        // "somewhere else" — no inbound traffic ever arrives on the socket.
-        std::thread::sleep(Duration::from_millis(50));
-        source.lock().unwrap().extend_from_slice(b"pushed!");
+        let (_reactor, addr) = pumped_reactor(vec![pumped], ReactorConfig::default());
+        let mut stream = connect(addr);
+        source.wait_installed();
+        // Bytes from "somewhere else" — no inbound traffic ever arrives on
+        // the socket.
+        source.push(b"pushed!");
         let mut buf = [0u8; 7];
         stream.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pushed!");
     }
 
     #[test]
-    fn keep_alive_connections_survive_idle_eviction_until_released() {
-        let source = Arc::new(Mutex::new(Vec::new()));
-        let keep = Arc::new(AtomicBool::new(true));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let spec = ListenerSpec {
-            listener,
-            factory: {
-                let source = Arc::clone(&source);
-                let keep = Arc::clone(&keep);
-                Arc::new(move |_| {
-                    Box::new(Pumped {
-                        source: Arc::clone(&source),
-                        keep: Arc::clone(&keep),
-                    }) as Box<dyn Handler>
-                })
-            },
+    fn bytes_queued_before_the_owner_attached_are_delivered() {
+        let source = Source::new(usize::MAX, false);
+        // Pushed with no connection to request a pump from: the handler's
+        // own request at install delivers the bytes.
+        source.push(b"early");
+        let pumped = Pumped {
+            source: Arc::clone(&source),
+            feed: None,
         };
-        let reactor = Reactor::spawn(
-            vec![spec],
+        let (_reactor, addr) = pumped_reactor(
+            vec![pumped],
+            ReactorConfig {
+                timed_pass: false,
+                ..ReactorConfig::default()
+            },
+        );
+        let mut stream = connect(addr);
+        let mut buf = [0u8; 5];
+        stream.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"early");
+    }
+
+    #[test]
+    fn enqueue_from_another_shard_wakes_an_idle_shard() {
+        let threads = Arc::new(ReactorThreads::new());
+        let source = Source::new(usize::MAX, false);
+        // Round-robin: the first connection lands on shard 0 and feeds the
+        // source; the second lands on shard 1 and delivers it. Shard 1 sees
+        // no socket traffic at all.
+        let feeder = Pumped {
+            source: Source::new(usize::MAX, false),
+            feed: Some(Arc::clone(&source)),
+        };
+        let subscriber = Pumped {
+            source: Arc::clone(&source),
+            feed: None,
+        };
+        let (_reactor, addr) = pumped_reactor(
+            vec![feeder, subscriber],
+            ReactorConfig {
+                io_threads: 2,
+                thread_stats: Some(Arc::clone(&threads)),
+                // No timed pass: whatever reaches the peer was woken there.
+                timed_pass: false,
+                ..ReactorConfig::default()
+            },
+        );
+        let mut feed = connect(addr);
+        let mut sub = connect(addr);
+        source.wait_installed();
+        let before = threads.snapshot().remove(1);
+
+        feed.write_all(b"fan-out").unwrap();
+        let mut buf = [0u8; 7];
+        sub.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"fan-out");
+
+        let after = threads.snapshot().remove(1);
+        assert!(
+            after.wakeups > before.wakeups,
+            "shard 1 must have been woken through its eventfd: {before:?} -> {after:?}"
+        );
+        assert!(after.pumps_wake > before.pumps_wake, "{after:?}");
+        assert_eq!(after.pumps_timer, 0, "the timed pass was disabled");
+        assert_eq!(
+            after.dispatches, before.dispatches,
+            "shard 1 saw no socket readiness, only the wake-up"
+        );
+    }
+
+    #[test]
+    fn same_shard_requests_write_no_eventfd() {
+        let source = Source::new(usize::MAX, false);
+        // One connection that feeds its own source: every request is made
+        // on the owning shard's thread.
+        let pumped = Pumped {
+            source: Arc::clone(&source),
+            feed: Some(Arc::clone(&source)),
+        };
+        let threads = Arc::new(ReactorThreads::new());
+        let (reactor, addr) = pumped_reactor(
+            vec![pumped],
+            ReactorConfig {
+                io_threads: 1,
+                thread_stats: Some(Arc::clone(&threads)),
+                timed_pass: false,
+                ..ReactorConfig::default()
+            },
+        );
+        let wakeups = || threads.snapshot().remove(0).wakeups;
+        let mut stream = connect(addr);
+        let mut buf = [0u8; 4];
+        for _ in 0..16 {
+            stream.write_all(b"self").unwrap();
+            stream.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"self");
+        }
+        assert_eq!(
+            (wakeups(), reactor.wakers[0].event.drain()),
+            (0, 0),
+            "install, attach and 16 deliveries all ran on the shard itself"
+        );
+        // The control: the same request from outside the shard does write.
+        source.push(b"from");
+        stream.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"from");
+        assert_eq!(wakeups(), 1);
+    }
+
+    #[test]
+    fn requests_coalesce_into_one_wakeup_per_turn() {
+        let waker = Arc::new(Waker::new().unwrap());
+        let pumps = |waker: &Waker| -> Vec<u64> {
+            let inbox = waker.inbox.lock().unwrap();
+            inbox
+                .iter()
+                .map(|work| match work {
+                    Work::Pump(token) => *token,
+                    Work::Install(_) => panic!("nothing was handed off"),
+                })
+                .collect()
+        };
+        for token in 0..100 {
+            waker.send(Work::Pump(token));
+        }
+        // The eventfd counts the writes it absorbed since the last read.
+        assert_eq!(waker.event.drain(), 1, "a raised flag suppresses writes");
+        assert_eq!(pumps(&waker).len(), 100, "no request is dropped");
+        // The shard lowers the flag before collecting; the next request
+        // writes again.
+        waker.pending.store(false, Ordering::Release);
+        waker.send(Work::Pump(100));
+        assert_eq!(waker.event.drain(), 1);
+
+        // One connection, many enqueues: one inbox entry until the shard
+        // disarms the handle for the drain.
+        waker.inbox.lock().unwrap().clear();
+        let pump = PumpHandle {
+            waker: Arc::clone(&waker),
+            token: 7,
+            armed: Arc::new(AtomicBool::new(false)),
+        };
+        for _ in 0..100 {
+            pump.clone().request();
+        }
+        assert_eq!(pumps(&waker), vec![7]);
+        pump.armed.store(false, Ordering::Release);
+        pump.request();
+        pump.request();
+        assert_eq!(pumps(&waker), vec![7, 7]);
+    }
+
+    #[test]
+    fn stuck_peer_neither_spins_the_loop_nor_escapes_idle_eviction() {
+        const CHUNK: usize = 256 * 1024;
+        let threads = Arc::new(ReactorThreads::new());
+        let source = Source::new(CHUNK, false);
+        let pumped = Pumped {
+            source: Arc::clone(&source),
+            feed: None,
+        };
+        let (reactor, addr) = pumped_reactor(
+            vec![pumped],
+            ReactorConfig {
+                io_threads: 1,
+                idle_timeout: Duration::from_millis(300),
+                thread_stats: Some(Arc::clone(&threads)),
+                ..ReactorConfig::default()
+            },
+        );
+        // The peer connects and never reads.
+        let stream = connect(addr);
+        source.wait_installed();
+        let chunk = vec![0x5Au8; CHUNK];
+        let deadline = Instant::now() + Duration::from_secs(30);
+        // Fill the socket buffers until the handler refuses to drain.
+        while !source.held.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "socket never filled up");
+            if source.bytes.lock().unwrap().is_empty() {
+                source.push(&chunk);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // More events for the stuck peer: each costs one refused pump,
+        // none re-queues itself, and the loop goes back to idling at the
+        // poll-timeout cadence.
+        for _ in 0..64 {
+            source.push(&chunk[..1024]);
+        }
+        // Let the refused pumps those requested drain out of the inbox.
+        let mut before = threads.snapshot().remove(0);
+        loop {
+            assert!(Instant::now() < deadline, "pump requests never settled");
+            std::thread::sleep(Duration::from_millis(60));
+            let now = threads.snapshot().remove(0);
+            if now.pumps_wake == before.pumps_wake {
+                before = now;
+                break;
+            }
+            before = now;
+        }
+        let since = Instant::now();
+        std::thread::sleep(Duration::from_millis(200));
+        let after = threads.snapshot().remove(0);
+        let idle_loops = since.elapsed().as_millis() as u64 / POLL_TIMEOUT.as_millis() as u64 + 2;
+        assert_eq!(after.wakeups, before.wakeups, "{before:?} -> {after:?}");
+        assert_eq!(
+            after.pumps_wake, before.pumps_wake,
+            "a refused pump must not re-request itself"
+        );
+        assert!(
+            after.loops - before.loops <= 2 * idle_loops,
+            "loop must idle, not spin: {} turns in {:?}",
+            after.loops - before.loops,
+            since.elapsed()
+        );
+        // Nothing is delivered any more, so the connection idles out.
+        while reactor.evicted_total() == 0 {
+            assert!(Instant::now() < deadline, "stuck peer was never evicted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        drop(stream);
+    }
+
+    #[test]
+    fn keep_alive_connections_survive_idle_eviction_until_released() {
+        let source = Source::new(usize::MAX, true);
+        let pumped = Pumped {
+            source: Arc::clone(&source),
+            feed: None,
+        };
+        let (reactor, addr) = pumped_reactor(
+            vec![pumped],
             ReactorConfig {
                 idle_timeout: Duration::from_millis(150),
                 ..ReactorConfig::default()
             },
-            Arc::new(AtomicU64::new(0)),
-        )
-        .unwrap();
+        );
         let stream = TcpStream::connect(addr).unwrap();
         // Far past the idle timeout: the keep-alive exemption holds.
         std::thread::sleep(Duration::from_millis(600));
@@ -1772,7 +2150,7 @@ mod tests {
             "keep-alive connection must not be evicted while exempt"
         );
         // Release the exemption: eviction resumes on the next wheel pass.
-        keep.store(false, Ordering::Relaxed);
+        source.keep.store(false, Ordering::Relaxed);
         let deadline = Instant::now() + Duration::from_secs(10);
         while reactor.evicted_total() == 0 {
             assert!(
@@ -1782,6 +2160,25 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         drop(stream);
+    }
+
+    #[test]
+    fn shutdown_wakes_parked_shards() {
+        let threads = Arc::new(ReactorThreads::new());
+        let (mut reactor, _addr, _log) = echo_reactor(ReactorConfig {
+            io_threads: 4,
+            thread_stats: Some(Arc::clone(&threads)),
+            ..ReactorConfig::default()
+        });
+        let waker = Arc::clone(&reactor.wakers[3]);
+        reactor.shutdown();
+        // Either the shard consumed the wake-up or it saw the stop flag
+        // first and the write is still in the eventfd.
+        assert_eq!(
+            threads.snapshot().remove(3).wakeups + waker.event.drain(),
+            1,
+            "shutdown must wake each shard, not wait for its poll timeout"
+        );
     }
 
     #[test]

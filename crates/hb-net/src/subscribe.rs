@@ -8,9 +8,10 @@
 //! ingest path asks the registry for the entries matching an application
 //! (one atomic load answers "nobody is subscribed", keeping the
 //! zero-subscriber hot path free), builds the due events under the shard
-//! lock, and enqueues them after it; the reactor's pump pass then drains
-//! each connection's queue into its outbound buffer, from which the normal
-//! `EPOLLOUT` path ships them.
+//! lock, and enqueues them after it; each enqueue asks the subscriber's
+//! reactor shard for a pump ([`PumpHandle::request`], one outstanding
+//! request per connection), which drains the queue into the connection's
+//! outbound buffer, from which the normal `EPOLLOUT` path ships them.
 //!
 //! Backpressure is **drop-oldest with accounting**: a queue at capacity
 //! sheds its oldest event and bumps the subscriber's and the collector's
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::health::HealthStatus;
-use crate::reactor::OutBuf;
+use crate::reactor::{OutBuf, PumpHandle};
 use crate::telemetry::{self, LatencyHisto, Level};
 use crate::wire::{self, EventFrame, EventPayload, Frame, SubscribeReq, SubStatus};
 
@@ -66,6 +67,9 @@ pub struct SubscriberQueue {
     /// over them — each one is a potential gap a reconnecting parent can
     /// no longer be spared.
     replay_dropped: AtomicU64,
+    /// Asks the owning observer connection's reactor shard for a drain when
+    /// an event is enqueued; `None` for in-process subscribers.
+    pump: Option<PumpHandle>,
 }
 
 impl SubscriberQueue {
@@ -85,7 +89,16 @@ impl SubscriberQueue {
             lag,
             replay: Mutex::new(HashMap::new()),
             replay_dropped: AtomicU64::new(0),
+            pump: None,
         }
+    }
+
+    /// Binds the queue to the observer connection that drains it: every
+    /// enqueue requests that connection's pump (coalesced to one outstanding
+    /// request per drain).
+    pub fn with_pump(mut self, pump: Option<PumpHandle>) -> Self {
+        self.pump = pump;
+        self
     }
 
     /// Events shed from this queue because the subscriber was slow.
@@ -717,6 +730,9 @@ impl SubscriptionRegistry {
             self.events_dropped.fetch_add(1, Ordering::Release); // ordering: pairs with the Acquire load in stats so dropped never exceeds enqueued there
         }
         drop(inner);
+        if let Some(pump) = &entry.queue.pump {
+            pump.request();
+        }
         if dropped {
             crate::log!(
                 Level::Trace,
@@ -1147,6 +1163,142 @@ mod tests {
         let before = out.len();
         assert_eq!(queue.drain_to_vec(&mut out, usize::MAX), 4);
         assert!(out.len() > before);
+    }
+
+    /// An observer connection reduced to its pump path: the queue is created
+    /// with the connection's pump handle at install and drained on request.
+    struct QueueDrain(Arc<std::sync::OnceLock<Arc<SubscriberQueue>>>);
+
+    impl crate::reactor::Handler for QueueDrain {
+        fn on_data(&mut self, _input: &[u8], _out: &mut OutBuf) -> bool {
+            true
+        }
+
+        fn on_install(&mut self, pump: PumpHandle) {
+            let queue = SubscriberQueue::new(4096).with_pump(Some(pump));
+            self.0.set(Arc::new(queue)).expect("installed once");
+        }
+
+        fn on_pump(
+            &mut self,
+            out: &mut OutBuf,
+            _pending_out: usize,
+            _cause: crate::reactor::PumpCause,
+        ) -> bool {
+            if let Some(queue) = self.0.get() {
+                queue.drain_into(out, usize::MAX);
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn concurrent_enqueuers_wake_a_parked_shard_without_losing_or_reordering_events() {
+        use crate::reactor::{ListenerSpec, Reactor, ReactorConfig};
+        use crate::telemetry::ReactorThreads;
+        use std::io::Read;
+
+        const ENQUEUERS: u32 = 4;
+        const EVENTS: u64 = 300;
+        let registry = Arc::new(SubscriptionRegistry::new());
+        let installed = Arc::new(std::sync::OnceLock::new());
+        let threads = Arc::new(ReactorThreads::new());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handler_queue = Arc::clone(&installed);
+        let _reactor = Reactor::spawn(
+            vec![ListenerSpec {
+                listener,
+                factory: Arc::new(move |_| {
+                    Box::new(QueueDrain(Arc::clone(&handler_queue)))
+                        as Box<dyn crate::reactor::Handler>
+                }),
+            }],
+            ReactorConfig {
+                io_threads: 1,
+                thread_stats: Some(Arc::clone(&threads)),
+                // The only way an event reaches the socket is a wake-up.
+                timed_pass: false,
+                ..ReactorConfig::default()
+            },
+            Arc::new(AtomicU64::new(0)),
+        )
+        .unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let timeout = Some(Duration::from_secs(10));
+        stream.set_read_timeout(timeout).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let queue = loop {
+            if let Some(queue) = installed.get() {
+                break Arc::clone(queue);
+            }
+            assert!(Instant::now() < deadline, "connection never installed");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let entries: Vec<Arc<SubEntry>> = (0..ENQUEUERS)
+            .map(|id| registry.register(&queue, &req(id, "*", 0b001)).unwrap())
+            .collect();
+
+        // Rounds: every enqueuer delivers its next event as soon as the
+        // reader holds all of the previous round, so each round's enqueues
+        // race each other and the drain the first of them woke — and a
+        // wake-up lost at the end of any round strands that round for good.
+        let received = Arc::new(AtomicU64::new(0));
+        let enqueuers: Vec<_> = entries
+            .into_iter()
+            .map(|entry| {
+                let registry = Arc::clone(&registry);
+                let received = Arc::clone(&received);
+                std::thread::spawn(move || {
+                    for seq in 0..EVENTS {
+                        while received.load(Ordering::Acquire) < seq * ENQUEUERS as u64 {
+                            std::thread::yield_now();
+                        }
+                        registry.deliver(&entry, "a", snapshot_payload(seq));
+                    }
+                })
+            })
+            .collect();
+
+        let mut next_seq = [0u64; ENQUEUERS as usize];
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        let mut held = 0;
+        while held < ENQUEUERS as u64 * EVENTS {
+            let n = stream.read(&mut chunk).expect("lost wake-up: event missing");
+            assert!(n > 0, "reactor closed the connection");
+            bytes.extend_from_slice(&chunk[..n]);
+            let mut at = 0;
+            while let Ok((Frame::Event(event), used)) = Frame::decode(&bytes[at..]) {
+                let EventPayload::Snapshot { total_beats, .. } = event.payload else {
+                    panic!("unexpected payload {:?}", event.payload);
+                };
+                let expected = &mut next_seq[event.sub_id as usize];
+                assert_eq!(
+                    total_beats, *expected,
+                    "sub {} out of order or duplicated",
+                    event.sub_id
+                );
+                *expected += 1;
+                held += 1;
+                at += used;
+            }
+            bytes.drain(..at);
+            received.store(held, Ordering::Release);
+        }
+        for enqueuer in enqueuers {
+            enqueuer.join().unwrap();
+        }
+        assert_eq!(next_seq, [EVENTS; ENQUEUERS as usize]);
+        assert!(bytes.is_empty() && queue.is_empty(), "exactly once");
+        assert_eq!(queue.dropped(), 0);
+        let shard = threads.snapshot().remove(0);
+        assert_eq!(shard.pumps_timer, 0, "the timed pass was disabled");
+        assert!(shard.wakeups >= 1 && shard.pumps_wake >= 1, "{shard:?}");
+        assert!(
+            shard.pumps_wake <= ENQUEUERS as u64 * EVENTS,
+            "at most one pump per enqueue: {shard:?}"
+        );
     }
 
     #[test]

@@ -33,6 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::reactor::PumpCause;
+
 /// Number of buckets in a [`LatencyHisto`]. Bucket `i` counts values whose
 /// bit width is `i` — i.e. the half-open range `[2^(i-1), 2^i)` nanoseconds
 /// (bucket 0 counts zeros) — so the top bucket absorbs everything from
@@ -279,6 +281,9 @@ pub struct ThreadStats {
     wait_ns: AtomicU64,
     loops: AtomicU64,
     dispatches: AtomicU64,
+    wakeups: AtomicU64,
+    pumps_wake: AtomicU64,
+    pumps_timer: AtomicU64,
 }
 
 impl ThreadStats {
@@ -303,6 +308,22 @@ impl ThreadStats {
         self.dispatches
             .fetch_add(dispatched as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
     }
+
+    /// Counts one eventfd wake-up consumed by the thread.
+    #[inline]
+    pub fn add_wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+    }
+
+    /// Counts one `on_pump` call, by what caused it.
+    #[inline]
+    pub fn add_pump(&self, cause: PumpCause) {
+        let counter = match cause {
+            PumpCause::Wake => &self.pumps_wake,
+            PumpCause::Timer => &self.pumps_timer,
+        };
+        counter.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+    }
 }
 
 /// A point-in-time copy of one thread's [`ThreadStats`].
@@ -318,6 +339,13 @@ pub struct ThreadStatsSnapshot {
     pub loops: u64,
     /// Readiness events dispatched to handlers.
     pub dispatches: u64,
+    /// Times another thread woke this one out of the poller (eventfd
+    /// wake-ups consumed; coalesced requests count once).
+    pub wakeups: u64,
+    /// `on_pump` calls made because a connection's pump was requested.
+    pub pumps_wake: u64,
+    /// `on_pump` calls made by the timed pass.
+    pub pumps_timer: u64,
 }
 
 impl ThreadStatsSnapshot {
@@ -370,6 +398,9 @@ impl ReactorThreads {
                 wait_ns: stats.wait_ns.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
                 loops: stats.loops.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
                 dispatches: stats.dispatches.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
+                wakeups: stats.wakeups.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
+                pumps_wake: stats.pumps_wake.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
+                pumps_timer: stats.pumps_timer.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
             })
             .collect()
     }

@@ -56,6 +56,7 @@ use std::time::{Duration, Instant};
 use crate::auth;
 use crate::collector::CollectorState;
 use crate::frame::{FrameDecoder, FrameEvent};
+use crate::reactor::PumpHandle;
 use crate::subscribe::{LocalSubscription, SubEntry};
 use crate::telemetry::{self, Level};
 use crate::wire::{
@@ -307,8 +308,11 @@ pub(crate) struct UpstreamLink {
     /// stale connection's close must not mark a fresh one down.
     session: AtomicU64,
     last_applied: AtomicU64,
-    /// Subscribe/Unsubscribe frames awaiting the link's pump pass.
+    /// Subscribe/Unsubscribe frames awaiting the serving connection's pump.
     outbox: Mutex<Vec<u8>>,
+    /// Requests that pump when a frame is queued; belongs to whichever
+    /// connection serves the current session.
+    pump: Mutex<Option<PumpHandle>>,
     next_downlink: AtomicU32,
     /// Downlink subscription id → its route. Persistent across reconnects
     /// (resume watermarks live here); entries are retired only when their
@@ -340,6 +344,7 @@ impl UpstreamLink {
             session: AtomicU64::new(0),
             last_applied: AtomicU64::new(0),
             outbox: Mutex::new(Vec::new()),
+            pump: Mutex::new(None),
             next_downlink: AtomicU32::new(1),
             routes: Mutex::new(HashMap::new()),
             path: Mutex::new(Vec::new()),
@@ -526,10 +531,21 @@ impl UpstreamLink {
         )
     }
 
-    /// Appends a frame to the link's outbox (drained by the serving
-    /// connection's pump pass).
+    /// Binds the outbox to the connection serving the current session, so
+    /// queued frames wake that connection's shard instead of waiting for
+    /// its timed pass.
+    pub(crate) fn attach_pump(&self, handle: PumpHandle) {
+        *self.pump.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle.clone());
+        handle.request(); // for whatever was queued before the handle was in place
+    }
+
+    /// Appends a frame to the link's outbox and requests the serving
+    /// connection's pump, which drains it.
     pub(crate) fn push_frame(&self, frame: &Frame) {
         frame.encode_into(&mut self.outbox.lock().unwrap_or_else(|e| e.into_inner()));
+        if let Some(pump) = &*self.pump.lock().unwrap_or_else(|e| e.into_inner()) {
+            pump.request();
+        }
     }
 
     /// Moves the queued outbox bytes into `out`.

@@ -136,6 +136,9 @@ fn metrics_heatmap_and_trace_under_64_producer_load() {
     );
     assert!(metrics.contains("hb_reactor_thread_busy_seconds_total{thread=\"0\"}"));
     assert!(metrics.contains("hb_reactor_thread_utilization{thread=\"0\"}"));
+    assert!(metrics.contains("hb_reactor_thread_wakeups_total{thread=\"0\"}"));
+    assert!(metrics.contains("hb_reactor_thread_pumps_total{thread=\"0\",cause=\"wake\"}"));
+    assert!(metrics.contains("hb_reactor_thread_pumps_total{thread=\"0\",cause=\"timer\"}"));
     assert!(metrics.contains("hb_collector_protocol_errors_total 0"));
 
     // HEATMAP: one row per application, bucket count as requested.

@@ -285,8 +285,19 @@ mod tests {
         let (base, coarse, fine) =
             measure_overhead(Kernel::Blackscholes, 200, 20, 100, 1);
         assert!(base > 0.0 && coarse > 0.0 && fine > 0.0);
-        // Fine-grained beats cannot be faster than no beats by more than
-        // measurement noise; sanity-check the ordering loosely.
-        assert!(fine >= base * 0.5);
+        assert!(base.is_finite() && coarse.is_finite() && fine.is_finite());
+        // The three runs differ in how often they beat, which is exact;
+        // how their wall-clock times order on a shared CI core is not.
+        let beats = |beat_every| {
+            run_real(&RealRunConfig {
+                kernel: Kernel::Blackscholes,
+                items: 200,
+                item_size: 20,
+                beat_every,
+                parallel: false,
+            })
+            .beats
+        };
+        assert_eq!((beats(0), beats(100), beats(1)), (0, 2, 200));
     }
 }
