@@ -167,10 +167,10 @@ impl FederationRig {
             "127.0.0.1:0",
             CollectorConfig {
                 io_threads: 1,
-                upstream: Some(UpstreamConfig {
-                    tick: Duration::from_micros(200),
-                    ..UpstreamConfig::new(parent.ingest_addr().to_string(), "bench-leaf")
-                }),
+                upstream: Some(UpstreamConfig::new(
+                    parent.ingest_addr().to_string(),
+                    "bench-leaf",
+                )),
                 ..CollectorConfig::default()
             },
         )

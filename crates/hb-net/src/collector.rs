@@ -117,8 +117,8 @@ pub struct CollectorConfig {
     /// relaxed atomic load and nothing else (pinned by the `telemetry`
     /// bench); the histogram/thread series then export empty.
     pub telemetry: bool,
-    /// When set, this collector also acts as a **federation leaf**: a
-    /// background relay re-exports everything it ingests to the configured
+    /// When set, this collector also acts as a **federation leaf**: an
+    /// uplink connection re-exports everything it ingests to the configured
     /// parent collector, namespaced as `node/app` (see `docs/FEDERATION.md`
     /// and the `hb-collector --upstream/--node-name` flags).
     pub upstream: Option<UpstreamConfig>,
@@ -297,7 +297,7 @@ pub struct CollectorState {
     /// producer-side drops. One relaxed add per batch; benches and tests
     /// spin on this instead of materializing full snapshots.
     beats_accounted: AtomicU64,
-    protocol_errors: AtomicU64,
+    pub(crate) protocol_errors: AtomicU64,
     /// Ingest calls that executed on a reactor shard other than the app's
     /// home shard. Hello-time connection migration keeps steady state at
     /// zero; the soak test asserts it (debug counter, relaxed).
@@ -329,14 +329,14 @@ pub struct CollectorState {
     /// Present when this collector federates upward: the bounded capture
     /// queue every ingested batch is mirrored into (see [`UpstreamTap`]).
     upstream_tap: Option<Arc<UpstreamTap>>,
-    /// Uplink counters shared with the relay thread (leaf side).
+    /// Uplink counters shared with the uplink's handler (leaf side).
     upstream_stats: Option<Arc<UpstreamStats>>,
     /// Parent side: one persistent [`UpstreamLink`] per child node name,
     /// surviving that child's reconnects so `last_applied` sequences keep
     /// retransmissions exactly-once.
     links: Mutex<HashMap<String, Arc<UpstreamLink>>>,
     /// Bumped whenever this collector's downstream path changes (a child
-    /// connects or announces a new path). The relay worker watches it and
+    /// connects or announces a new path). The uplink watches it and
     /// reconnects upward to re-announce the wider path, so loop detection
     /// stays correct as the tree assembles in any order.
     path_epoch: AtomicU64,
@@ -423,7 +423,7 @@ impl CollectorState {
     /// The telemetry instance for the reactor shard the calling thread
     /// serves (instance 0 off reactor threads) — stages record into it
     /// without cross-shard histogram contention.
-    fn stage_telemetry(&self) -> &PipelineTelemetry {
+    pub(crate) fn stage_telemetry(&self) -> &PipelineTelemetry {
         let shard = crate::reactor::current_shard().unwrap_or(0);
         &self.shard_telemetry[shard % self.shard_telemetry.len()]
     }
@@ -1029,6 +1029,9 @@ impl CollectorState {
         // The downstream view widened (or at least changed): our own
         // upward announcement must follow, so the relay re-announces.
         self.path_epoch.fetch_add(1, Ordering::Release); // ordering: Release-bumps the epoch after the uplink path swap; pairs with the Acquire load in path_epoch()
+        if let Some(tap) = &self.upstream_tap {
+            tap.request_pump(); // the uplink's handler compares epochs when pumped
+        }
         for entry in self.subs.all_active() {
             self.propagate_entry_to_link(&entry, &link);
         }
@@ -1036,7 +1039,7 @@ impl CollectorState {
     }
 
     /// The monotone epoch of this collector's downstream path (bumped on
-    /// every child hello). The relay worker reconnects upward when it
+    /// every child hello). The uplink's handler reconnects upward when it
     /// changes, so the announced path vector is never stale.
     pub(crate) fn path_epoch(&self) -> u64 {
         self.path_epoch.load(Ordering::Acquire) // ordering: pairs with the Release bump so a fresh epoch observes the swapped path
@@ -2131,7 +2134,7 @@ pub struct Collector {
     ingest_addr: SocketAddr,
     query_addr: SocketAddr,
     reactor: Reactor,
-    /// The federation uplink relay, when configured ([`CollectorConfig::upstream`]).
+    /// The federation uplink's supervisor, when configured ([`CollectorConfig::upstream`]).
     relay: Option<UpstreamRelay>,
 }
 
@@ -2192,11 +2195,11 @@ impl Collector {
             Arc::clone(&state.evicted_total),
         )?;
 
-        let relay = state
-            .config
-            .upstream
-            .clone()
-            .map(|up| UpstreamRelay::spawn(Arc::clone(&state), up));
+        // The uplink lives on the last shard: shard 0 carries the acceptor.
+        let relay = state.config.upstream.clone().map(|up| {
+            let install = reactor.installer(reactor.io_threads() - 1);
+            UpstreamRelay::spawn(Arc::clone(&state), up, install)
+        });
 
         Ok(Collector {
             state,

@@ -373,7 +373,9 @@ pub trait Handler: Send {
 
     /// Called exactly once when the connection is discarded for any reason
     /// (handler-requested close, peer EOF, I/O error, idle eviction,
-    /// reactor shutdown).
+    /// reactor shutdown, a hand-off that found the reactor stopped), on
+    /// whichever thread discards it. State a handler borrowed from its
+    /// owner (the federation uplink's session) goes back here.
     fn on_close(&mut self) {}
 
     /// The shard this connection would like to live on, once known.
@@ -384,14 +386,16 @@ pub trait Handler: Send {
         None
     }
 
-    /// Called each time the connection is installed on a shard (fresh accept
-    /// or migration), before the empty [`on_data`](Self::on_data) call.
-    /// `pump` asks this shard to call [`on_pump`](Self::on_pump) for this
-    /// connection. A handler that delivers bytes originating elsewhere
-    /// (events produced by another connection's ingest, federation control
-    /// frames) hands it to the queue those bytes wait in, whose enqueuers
-    /// [`request`](PumpHandle::request) after publishing; a handle from an
-    /// earlier install is dead after a migration.
+    /// Called each time the connection is installed on a shard (fresh
+    /// accept, [`Reactor::installer`] hand-off or migration), before the
+    /// empty [`on_data`](Self::on_data) call. `pump` asks this shard to call
+    /// [`on_pump`](Self::on_pump) for this connection. A handler that
+    /// delivers bytes originating elsewhere (events produced by another
+    /// connection's ingest, federation control frames, a leaf's captured
+    /// batches on their way to its parent) hands it to the queues those
+    /// bytes wait in, whose enqueuers [`request`](PumpHandle::request) after
+    /// publishing; a handle from an earlier install is dead after a
+    /// migration.
     fn on_install(&mut self, _pump: PumpHandle) {}
 
     /// Moves externally produced bytes into `out`, from which the normal
@@ -409,9 +413,10 @@ pub trait Handler: Send {
     }
 
     /// True if this connection must never be idle-evicted — e.g. an
-    /// observer holding an active push subscription, which is legitimately
-    /// silent between events. Consulted when the idle timer fires, so the
-    /// exemption follows the subscription's lifetime.
+    /// observer holding an active push subscription or a federation link,
+    /// which are legitimately silent between events. Consulted when the idle
+    /// timer fires, so the exemption follows the subscription's lifetime; a
+    /// connection whose handler asked to close is no longer exempt.
     fn keep_alive(&self) -> bool {
         false
     }
@@ -604,6 +609,26 @@ impl Reactor {
     /// Number of I/O shards actually serving connections.
     pub fn io_threads(&self) -> usize {
         self.threads.len()
+    }
+
+    /// The hand-off for connections the owner opened itself (the federation
+    /// uplink): the returned closure installs a non-blocking `stream` under
+    /// `handler` on shard `shard` (modulo the shard count) the way an
+    /// accepted connection is installed, from any thread. A reactor that is
+    /// shutting down answers with the handler's
+    /// [`on_close`](Handler::on_close), like every other failure to serve it.
+    pub fn installer(&self, shard: usize) -> impl Fn(TcpStream, Box<dyn Handler>) + Send + 'static {
+        let waker = Arc::clone(&self.wakers[shard % self.wakers.len()]); // hb-lint: allow(index): reduced modulo the shard count, which is at least one
+        let stop = Arc::clone(&self.stop);
+        move |stream, handler| {
+            let out = OutBuf::new();
+            waker.send(Work::Install(Box::new(Injected { stream, handler, out })));
+            // Published before the flag is read: a shutdown that began
+            // earlier is swept here, a later one sweeps after its joins.
+            if stop.load(Ordering::SeqCst) { // ordering: shutdown flag; SeqCst orders this read after the publish above against shutdown's store-then-sweep
+                close_undelivered(&waker);
+            }
+        }
     }
 
     /// Connections evicted by the idle timer so far.
@@ -1102,10 +1127,12 @@ impl IoThread {
                 return; // connection already gone; let the timer lapse
             };
             let idle = now.duration_since(conn.last_active);
-            if conn.handler.keep_alive() {
+            if conn.handler.keep_alive() && !conn.closing {
                 // An active push subscription is legitimately silent between
                 // events — exempt it while the subscription lives, but keep
-                // it on the wheel so eviction resumes when it lapses.
+                // it on the wheel so eviction resumes when it lapses. A
+                // closing connection only waits on a peer that may never
+                // drain it.
                 wheel.insert_after(token, idle_timeout);
             } else if idle >= idle_timeout {
                 evict.push(token);
@@ -2157,6 +2184,47 @@ mod tests {
                 Instant::now() < deadline,
                 "released connection must be evicted"
             );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        drop(stream);
+    }
+
+    #[test]
+    fn keep_alive_does_not_pin_a_closing_connection_to_a_stuck_peer() {
+        /// Exempt from eviction; answers its first bytes with more than the
+        /// socket takes and asks to close.
+        struct Parting;
+        impl Handler for Parting {
+            fn on_data(&mut self, input: &[u8], out: &mut OutBuf) -> bool {
+                if input.is_empty() {
+                    return true;
+                }
+                out.extend_from_slice(&vec![0x5Au8; 16 << 20]);
+                false
+            }
+            fn keep_alive(&self) -> bool {
+                true
+            }
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let spec = ListenerSpec {
+            listener,
+            factory: Arc::new(|_| Box::new(Parting) as Box<dyn Handler>),
+        };
+        let config = ReactorConfig {
+            idle_timeout: Duration::from_millis(150),
+            max_outbound: 64 << 20,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::spawn(vec![spec], config, Arc::new(AtomicU64::new(0))).unwrap();
+        // The peer says something and then never reads: the close waits on
+        // a flush that cannot finish.
+        let mut stream = connect(addr);
+        stream.write_all(b"bye").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.evicted_total() == 0 {
+            assert!(Instant::now() < deadline, "closing connection was never evicted");
             std::thread::sleep(Duration::from_millis(10));
         }
         drop(stream);

@@ -67,9 +67,10 @@ pub struct SubscriberQueue {
     /// over them — each one is a potential gap a reconnecting parent can
     /// no longer be spared.
     replay_dropped: AtomicU64,
-    /// Asks the owning observer connection's reactor shard for a drain when
-    /// an event is enqueued; `None` for in-process subscribers.
-    pump: Option<PumpHandle>,
+    /// Asks the reactor shard of the connection that drains this queue (an
+    /// observer's, or the federation uplink's) for a drain when an event is
+    /// enqueued; `None` for in-process subscribers.
+    pump: Mutex<Option<PumpHandle>>,
 }
 
 impl SubscriberQueue {
@@ -89,16 +90,22 @@ impl SubscriberQueue {
             lag,
             replay: Mutex::new(HashMap::new()),
             replay_dropped: AtomicU64::new(0),
-            pump: None,
+            pump: Mutex::new(None),
         }
     }
 
     /// Binds the queue to the observer connection that drains it: every
     /// enqueue requests that connection's pump (coalesced to one outstanding
     /// request per drain).
-    pub fn with_pump(mut self, pump: Option<PumpHandle>) -> Self {
-        self.pump = pump;
+    pub fn with_pump(self, pump: Option<PumpHandle>) -> Self {
+        self.set_pump(pump);
         self
+    }
+
+    /// Rebinds the queue to another draining connection: a propagated
+    /// subscription outlives the uplink sessions that forward it.
+    pub(crate) fn set_pump(&self, pump: Option<PumpHandle>) {
+        *self.pump.lock().unwrap_or_else(|e| e.into_inner()) = pump;
     }
 
     /// Events shed from this queue because the subscriber was slow.
@@ -730,7 +737,7 @@ impl SubscriptionRegistry {
             self.events_dropped.fetch_add(1, Ordering::Release); // ordering: pairs with the Acquire load in stats so dropped never exceeds enqueued there
         }
         drop(inner);
-        if let Some(pump) = &entry.queue.pump {
+        if let Some(pump) = &*entry.queue.pump.lock().unwrap_or_else(|e| e.into_inner()) {
             pump.request();
         }
         if dropped {

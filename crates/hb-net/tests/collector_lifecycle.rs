@@ -12,9 +12,9 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hb_net::{Collector, Frame, Hello};
+use hb_net::{Collector, CollectorConfig, Frame, Hello, UpstreamConfig};
 
 #[test]
 fn start_stop_100x_under_concurrent_connects() {
@@ -66,4 +66,38 @@ fn start_stop_100x_under_concurrent_connects() {
             handle.join().expect("connector thread");
         }
     }
+}
+
+/// A leaf whose parent is unreachable spends its life in the reconnect
+/// backoff; `shutdown` signals the parked supervisor instead of waiting the
+/// backoff out.
+#[test]
+fn shutdown_does_not_wait_out_the_uplink_backoff() {
+    // A port nothing listens on: every connect is refused at once.
+    let parent = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("reserve a port");
+    let mut collector = Collector::with_config(
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+        CollectorConfig {
+            upstream: Some(UpstreamConfig {
+                backoff_min: Duration::from_secs(120),
+                backoff_max: Duration::from_secs(120),
+                ..UpstreamConfig::new(parent.to_string(), "orphan")
+            }),
+            ..CollectorConfig::default()
+        },
+    )
+    .expect("bind leaf");
+    // Long enough for the first refused connect. The node name seeds the
+    // jitter: this node's first wait is 15.6 s of the two-minute bound.
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    collector.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown waited out the backoff: {:?}",
+        started.elapsed()
+    );
 }

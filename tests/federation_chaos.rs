@@ -71,7 +71,6 @@ fn faults(seed: u64, salt: u64) -> FaultConfig {
 
 fn uplink(parent: String, node: &str) -> UpstreamConfig {
     UpstreamConfig {
-        tick: Duration::from_millis(1),
         backoff_min: Duration::from_millis(5),
         backoff_max: Duration::from_millis(80),
         secret: Some(SECRET.into()),

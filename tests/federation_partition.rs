@@ -140,7 +140,6 @@ fn partition_recovery_accounts_loss_exactly() {
         CollectorConfig {
             io_threads: 1,
             upstream: Some(UpstreamConfig {
-                tick: Duration::from_millis(1),
                 tap_capacity: 8,
                 backoff_min: Duration::from_millis(5),
                 backoff_max: Duration::from_millis(80),

@@ -156,7 +156,6 @@ const SOAK_SECRET: &str = "soak-cluster-secret";
 
 fn uplink(parent: String, node: &str) -> UpstreamConfig {
     UpstreamConfig {
-        tick: Duration::from_millis(1),
         backoff_min: Duration::from_millis(5),
         backoff_max: Duration::from_millis(80),
         secret: Some(SOAK_SECRET.into()),

@@ -50,7 +50,6 @@ fn batch(start_seq: u64, count: usize) -> Vec<WireBeat> {
 
 fn uplink(parent: String, node: &str) -> UpstreamConfig {
     UpstreamConfig {
-        tick: Duration::from_millis(1),
         backoff_min: Duration::from_millis(5),
         backoff_max: Duration::from_millis(80),
         ..UpstreamConfig::new(parent, node)
