@@ -28,7 +28,7 @@ const BURST: u64 = 64;
 const CONNECTIONS: usize = 64;
 
 /// A collector plus `CONNECTIONS` connected producers, reused across
-/// iterations (mirrors the rig in `benches/collector.rs`).
+/// iterations.
 struct Rig {
     _collector: Collector,
     state: Arc<CollectorState>,
@@ -54,7 +54,6 @@ impl Rig {
                     ingest.clone(),
                     format!("bench-{i}"),
                     TcpBackendConfig {
-                        flush_interval: Duration::from_millis(1),
                         queue_capacity: 1 << 16,
                         ..TcpBackendConfig::default()
                     },

@@ -8,16 +8,14 @@
 //! backend sheds the *oldest* queued beats, counting every loss — the
 //! freshest telemetry is the most valuable, and the producer never stalls.
 //!
-//! On every (re)connect the flusher sends its hello and then briefly waits
-//! for the collector's [`Frame::HelloAck`]. A version-3 ack switches the
-//! connection to **compact beat framing** (delta/varint records, ~5 bytes
-//! per beat instead of 29); no ack within
-//! [`TcpBackendConfig::negotiate_timeout`] means an old collector, and the
-//! flusher stays on the universally accepted version-2 encoding. The
-//! outcome is visible via [`TcpBackend::negotiated_compact`].
+//! On every (re)connect the flusher sends its hello and waits for the
+//! collector's [`Frame::HelloAck`] — a required handshake, not a
+//! negotiation: no ack, any other frame, or an ack advertising less than
+//! [`wire::VERSION`] is a failed connect (batch shed and counted, reason
+//! logged, retried on the backoff like an unreachable collector).
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,8 +23,16 @@ use std::time::{Duration, Instant};
 
 use heartbeats::{Backend, BackendStats, BeatScope, HeartbeatRecord};
 
+use crate::error::{NetError, Result};
 use crate::frame::{FrameDecoder, FrameWriter};
-use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat, MAX_BATCH_BEATS};
+use crate::telemetry::Level;
+use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
+
+/// How long a fresh connection waits for the collector's hello-ack. There
+/// is no fallback behind the wait, so expiry has to mean a dead or foreign
+/// peer rather than a busy collector: the same order as the socket's write
+/// timeout. It also bounds how long dropping a backend mid-handshake blocks.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for a [`TcpBackend`].
 #[derive(Debug, Clone)]
@@ -36,12 +42,6 @@ pub struct TcpBackendConfig {
     pub queue_capacity: usize,
     /// Maximum records shipped per [`Frame::Beats`].
     pub batch_max: usize,
-    /// Historical idle re-check interval. The flusher is now purely
-    /// notification-driven — every enqueue, target change, and shutdown
-    /// signals it, so an idle flusher parks without timed wakeups and this
-    /// value is no longer read. Retained so existing configurations keep
-    /// compiling.
-    pub flush_interval: Duration,
     /// Delay between reconnection attempts while the collector is down.
     pub reconnect_backoff: Duration,
     /// The rate window advertised in the hello frame so the collector's
@@ -49,21 +49,6 @@ pub struct TcpBackendConfig {
     pub default_window: u32,
     /// Process id advertised in the hello frame.
     pub pid: u32,
-    /// Diagnostic/benchmark mode: ship one [`Frame::Beats`] per beat
-    /// instead of coalescing a whole flush into one frame. The batched path
-    /// (`false`, the default) amortizes the 14-byte header, the CRC pass
-    /// and the syscall over every beat drained per flush.
-    pub frame_per_beat: bool,
-    /// Negotiate compact (version-3, delta/varint) beat framing when the
-    /// collector acknowledges support (the default). `false` pins the
-    /// connection to the fixed-width version-2 encoding — a diagnostic
-    /// escape hatch and the benchmark baseline.
-    pub prefer_compact: bool,
-    /// How long to wait for the collector's [`Frame::HelloAck`] after each
-    /// (re)connect before concluding the peer predates version 3 and
-    /// falling back to version-2 framing. Paid once per connection
-    /// establishment, and only against collectors that never answer.
-    pub negotiate_timeout: Duration,
 }
 
 impl Default for TcpBackendConfig {
@@ -71,13 +56,9 @@ impl Default for TcpBackendConfig {
         TcpBackendConfig {
             queue_capacity: 8192,
             batch_max: 512,
-            flush_interval: Duration::from_millis(5),
             reconnect_backoff: Duration::from_millis(100),
             default_window: heartbeats::DEFAULT_WINDOW as u32,
             pid: std::process::id(),
-            frame_per_beat: false,
-            prefer_compact: true,
-            negotiate_timeout: Duration::from_millis(100),
         }
     }
 }
@@ -101,9 +82,8 @@ struct Shared {
     wake: Condvar,
     dropped: AtomicU64,
     sent: AtomicU64,
+    /// True while the flusher holds a connection whose handshake completed.
     connected: AtomicBool,
-    /// True while the live connection negotiated compact (v3) framing.
-    compact: AtomicBool,
 }
 
 /// A [`Backend`] that ships heartbeats to an `hb-collector` over TCP.
@@ -160,7 +140,9 @@ impl TcpBackend {
     ) -> Self {
         let addr = addr.into();
         let app = wire::sanitize_app_name(&app.into());
-        config.batch_max = config.batch_max.clamp(1, MAX_BATCH_BEATS);
+        // Worst case: a 10-byte `dropped_total` varint, then maximal records.
+        let frame_max = (wire::MAX_PAYLOAD - 10) / wire::MAX_COMPACT_BEAT_LEN;
+        config.batch_max = config.batch_max.clamp(1, frame_max);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
@@ -173,7 +155,6 @@ impl TcpBackend {
             dropped: AtomicU64::new(0),
             sent: AtomicU64::new(0),
             connected: AtomicBool::new(false),
-            compact: AtomicBool::new(false),
         });
         let flusher = {
             let shared = Arc::clone(&shared);
@@ -210,12 +191,12 @@ impl TcpBackend {
         self.shared.connected.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
-    /// Whether the live connection negotiated compact (version-3) beat
-    /// framing. `false` while disconnected, when
-    /// [`TcpBackendConfig::prefer_compact`] is off, or when the collector
-    /// never acknowledged version 3 (an old peer — the v2 fallback).
+    /// Whether the handshake completed on the live connection — the same
+    /// condition as [`is_connected`](Self::is_connected) now that there is
+    /// one wire version and a connection exists only once the collector
+    /// acknowledged it.
     pub fn negotiated_compact(&self) -> bool {
-        self.shared.compact.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
+        self.is_connected()
     }
 
     /// Beats currently waiting in the queue.
@@ -325,7 +306,6 @@ fn collect_work(shared: &Shared, config: &TcpBackendConfig) -> Work {
 
 fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfig) {
     let mut connection: Option<FrameWriter<TcpStream>> = None;
-    let mut compact = false;
     let mut last_attempt: Option<Instant> = None;
     let mut encoder = BatchEncoder::new();
     loop {
@@ -342,10 +322,7 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 .unwrap_or(true);
             if due {
                 last_attempt = Some(Instant::now());
-                (connection, compact) = match try_connect(addr, app, config) {
-                    Some((writer, compact)) => (Some(writer), compact),
-                    None => (None, false),
-                };
+                connection = try_connect(addr, app, config);
                 if connection.is_some() {
                     // Re-announce the goal after every (re)connect.
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -356,35 +333,36 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 shared
                     .connected
                     .store(connection.is_some(), Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-                shared.compact.store(compact, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
             }
         }
 
         let Some(writer) = connection.as_mut() else {
-            // Collector unreachable: shed this batch (counted) and let the
-            // target stay pending for the next successful connect.
+            // Collector unreachable (or it refused the handshake): shed this
+            // batch (counted) and let the target stay pending for the next
+            // successful connect.
             shared
                 .dropped
                 .fetch_add(beats.len() as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+            let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(t) = target {
-                let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                 inner.target = Some(t);
                 inner.target_dirty = true;
             }
-            // Avoid a hot spin while down: nap one backoff unless stopping.
-            let inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if !inner.stop {
-                let _ = shared
-                    .wake
-                    .wait_timeout(inner, config.reconnect_backoff)
-                    .unwrap_or_else(|e| e.into_inner());
+            if inner.stop {
+                // The queue's remainder is accounted below; retrying per
+                // batch could cost one handshake wait each.
+                break;
             }
+            // Avoid a hot spin while down: nap one backoff.
+            let _ = shared
+                .wake
+                .wait_timeout(inner, config.reconnect_backoff)
+                .unwrap_or_else(|e| e.into_inner());
             continue;
         };
 
         let sent_len = beats.len() as u64;
-        let result = ship(writer, &mut encoder, &beats, target, config, shared, compact);
-        match result {
+        match ship(writer, &mut encoder, &beats, target, shared) {
             Ok(()) => {
                 shared.sent.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
             }
@@ -394,7 +372,6 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 shared.dropped.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
                 connection = None;
                 shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-                shared.compact.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
             }
         }
     }
@@ -411,130 +388,102 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
         shared.dropped.fetch_add(remaining, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
     }
     shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-    shared.compact.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
 }
 
-/// Connects, sends the hello, and — when compact framing is preferred —
-/// waits briefly for the collector's [`Frame::HelloAck`]. Returns the
-/// writer plus whether the connection negotiated compact (version-3)
-/// framing.
+/// Connects, sends the hello and completes the handshake. A peer that
+/// accepts but fails the handshake is logged: unlike a refused connection
+/// it looks alive to everything but this check.
 fn try_connect(
     addr: &str,
     app: &str,
     config: &TcpBackendConfig,
-) -> Option<(FrameWriter<TcpStream>, bool)> {
+) -> Option<FrameWriter<TcpStream>> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok();
     stream
         .set_write_timeout(Some(Duration::from_secs(2)))
         .ok();
     let mut writer = FrameWriter::new(stream);
-    writer
+    let handshake = writer
         .write_frame(&Frame::Hello(Hello {
             app: app.to_string(),
             pid: config.pid,
             default_window: config.default_window,
         }))
-        .ok()?;
-    writer.flush().ok()?;
-    let compact = config.prefer_compact && negotiate_compact(writer.get_ref(), config);
-    Some((writer, compact))
+        .and_then(|()| writer.flush())
+        .and_then(|()| await_hello_ack(writer.get_ref()));
+    match handshake {
+        Ok(()) => Some(writer),
+        Err(err) => {
+            crate::log!(
+                Level::Warn,
+                "handshake with collector {addr} failed app={app}: {err}"
+            );
+            None
+        }
+    }
 }
 
-/// Reads the collector's hello acknowledgment off the freshly connected
-/// ingest socket, bounded by [`TcpBackendConfig::negotiate_timeout`]. Old
-/// collectors never write on this socket, so the timeout (or any read
-/// error, EOF, or unexpected frame) means "assume version 2".
-fn negotiate_compact(stream: &TcpStream, config: &TcpBackendConfig) -> bool {
-    let timeout = config.negotiate_timeout.max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(timeout)).is_err() {
-        return false;
-    }
-    let deadline = Instant::now() + timeout;
+/// Reads the collector's [`Frame::HelloAck`] off the freshly connected
+/// ingest socket (the only frame a collector ever writes there), failing
+/// once [`HANDSHAKE_TIMEOUT`] has passed however the bytes trickle in.
+fn await_hello_ack(stream: &TcpStream) -> Result<()> {
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 64];
     let mut reader = stream;
-    let compact = loop {
-        match reader.read(&mut buf) {
-            Ok(0) => break false, // collector hung up
-            Ok(n) => {
-                decoder.push(&buf[..n]);
-                match decoder.next_frame() {
-                    Ok(Some(Frame::HelloAck { max_version })) => {
-                        break max_version >= 3;
-                    }
-                    Ok(Some(_)) => break false, // not a hello-ack: old/odd peer
-                    Ok(None) => {
-                        if Instant::now() >= deadline {
-                            break false;
-                        }
-                    }
-                    Err(_) => break false,
-                }
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {
-                if Instant::now() >= deadline {
-                    break false;
-                }
-            }
-            Err(_) => break false, // timeout (WouldBlock/TimedOut) or dead link
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::from(io::ErrorKind::TimedOut).into());
         }
-    };
-    // The flusher never reads again; restore the blocking default anyway so
-    // the socket's behavior is unsurprising to future code.
-    stream.set_read_timeout(None).ok();
-    compact
+        stream.set_read_timeout(Some(left))?;
+        match reader.read(&mut buf) {
+            Ok(0) => return Err(NetError::UnexpectedEof),
+            Ok(n) => decoder.push(&buf[..n]),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(err.into()),
+        }
+        match decoder.next_frame()? {
+            Some(Frame::HelloAck { max_version }) if max_version >= wire::VERSION => return Ok(()),
+            Some(other) => {
+                return Err(NetError::Unsupported(format!(
+                    "expected a version-{} hello-ack, got {other:?}",
+                    wire::VERSION
+                )))
+            }
+            None => {}
+        }
+    }
 }
 
-/// Ships one drained flush: an optional target frame plus the beats —
-/// coalesced into a single beats frame by the streaming [`BatchEncoder`]
-/// (compact version-3 framing when the connection negotiated it, else the
-/// fixed-width version-2 encoding), or framed one beat at a time when
-/// [`TcpBackendConfig::frame_per_beat`] asks for the diagnostic path.
-#[allow(clippy::too_many_arguments)]
+/// Ships one drained flush: an optional target frame plus the beats,
+/// coalesced into a single beats frame by the streaming [`BatchEncoder`].
 fn ship(
     writer: &mut FrameWriter<TcpStream>,
     encoder: &mut BatchEncoder,
     beats: &[WireBeat],
     target: Option<(f64, f64)>,
-    config: &TcpBackendConfig,
     shared: &Shared,
-    compact: bool,
-) -> crate::error::Result<()> {
-    let begin = |encoder: &mut BatchEncoder, dropped_total: u64| {
-        if compact {
-            encoder.begin_compact(dropped_total);
-        } else {
-            encoder.begin(dropped_total);
-        }
-    };
+) -> Result<()> {
     if let Some((min_bps, max_bps)) = target {
         writer.write_frame(&Frame::Target { min_bps, max_bps })?;
     }
     if !beats.is_empty() {
         let dropped_total = shared.dropped.load(Ordering::Relaxed); // ordering: drop total piggybacks on the batch frame; cross-thread exactness is not required
-        if config.frame_per_beat {
-            for beat in beats {
-                begin(encoder, dropped_total);
-                encoder.push(beat);
+        encoder.begin_compact(dropped_total);
+        for beat in beats {
+            if !encoder.push(beat) {
+                // Backstop behind the `batch_max` clamp: seal and ship the
+                // full frame, then continue in a fresh one — no beat is ever
+                // silently lost to the frame bound.
                 writer.write_encoded(encoder.finish())?;
+                encoder.begin_compact(dropped_total);
+                let pushed = encoder.push(beat);
+                debug_assert!(pushed, "an empty frame must accept a record");
             }
-        } else {
-            begin(encoder, dropped_total);
-            for beat in beats {
-                if !encoder.push(beat) {
-                    // The frame filled mid-flush (only possible when every
-                    // compact record is near its varint worst case): seal
-                    // and ship it, then continue in a fresh frame — no beat
-                    // is ever silently lost to the frame bound.
-                    writer.write_encoded(encoder.finish())?;
-                    begin(encoder, dropped_total);
-                    let pushed = encoder.push(beat);
-                    debug_assert!(pushed, "an empty frame must accept a record");
-                }
-            }
-            writer.write_encoded(encoder.finish())?;
         }
+        writer.write_encoded(encoder.finish())?;
     }
     writer.flush()
 }

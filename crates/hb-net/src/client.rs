@@ -458,11 +458,11 @@ impl RemoteReader {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(REPLY_TIMEOUT)).ok();
         stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
-        // Version negotiation before anything is multiplexed: a collector
-        // that predates the subscription protocol would never acknowledge a
-        // Subscribe frame, so refuse loudly here instead of hanging there.
-        // Pre-subscription collectors answer the VERSION probe with an ERR
-        // line (every line command gets *some* single-line answer).
+        // Version check before anything is multiplexed: a collector on any
+        // other wire version would never acknowledge a Subscribe frame, so
+        // refuse loudly here instead of hanging there. One that predates
+        // the probe answers it with an ERR line (every line command gets
+        // *some* single-line answer).
         (&stream).write_all(b"VERSION\n")?;
         let mut line = Vec::new();
         let mut byte = [0u8; 1];
@@ -489,20 +489,13 @@ impl RemoteReader {
             .trim()
             .strip_prefix("VERSION ")
             .and_then(|v| v.trim().parse::<u8>().ok());
-        match version {
-            Some(v) if v >= 3 => {}
-            Some(v) => {
-                return Err(NetError::Unsupported(format!(
-                    "collector speaks wire version {v}; push subscriptions require version >= 3"
-                )))
-            }
-            None => {
-                return Err(NetError::Unsupported(format!(
-                    "collector does not understand VERSION (answered {:?}); push \
-                     subscriptions require a version >= 3 collector",
-                    text.trim()
-                )))
-            }
+        if version != Some(wire::VERSION) {
+            return Err(NetError::Unsupported(format!(
+                "collector answered the VERSION probe with {:?}; push subscriptions \
+                 require wire version {}",
+                text.trim(),
+                wire::VERSION
+            )));
         }
         stream.set_read_timeout(None).ok();
         let pipe = Arc::new(BytePipe::default());
@@ -543,9 +536,9 @@ impl RemoteReader {
     /// `pattern` selects applications by glob
     /// ([`glob_match`](crate::wire::glob_match): `*` wildcards).
     ///
-    /// Fails with [`NetError::Unsupported`] against a collector whose
-    /// negotiated wire version predates subscriptions (< 3) — detected up
-    /// front, never by hanging on a `Subscribe` no one will acknowledge.
+    /// Fails with [`NetError::Unsupported`] against a collector on any
+    /// other wire version than [`wire::VERSION`] — detected up front, never
+    /// by hanging on a `Subscribe` no one will acknowledge.
     pub fn subscribe(
         self: &Arc<Self>,
         pattern: &str,

@@ -27,9 +27,8 @@
 //! per-frame allocation — and absorbed under a single shard lock resolved
 //! once per connection (an [`AppHandle`] cached at hello time), so observer
 //! queries always see per-application counts at batch granularity. The
-//! collector answers every hello with a [`Frame::HelloAck`] advertising
-//! protocol version 3, which lets capable producers switch to the compact
-//! delta/varint beat framing (~5 bytes per beat instead of 29).
+//! collector answers every hello with a [`Frame::HelloAck`] — the handshake
+//! producers require — and refuses frames of any other wire version.
 //!
 //! Beyond live aggregates, every ingested global beat is also sampled into
 //! a bounded per-application [`HistoryRing`] (preallocated; zero allocation
@@ -2364,9 +2363,8 @@ impl Handler for ProducerHandler {
                             );
                             self.home = Some(self.state.home_reactor_shard(&handle));
                             self.app = Some(handle);
-                            // Advertise our maximum version so capable
-                            // producers switch to compact framing; old ones
-                            // never read the ingest socket and lose nothing.
+                            // The handshake every producer waits for
+                            // before it ships anything else.
                             Frame::HelloAck {
                                 max_version: VERSION,
                             }
@@ -3701,7 +3699,7 @@ mod tests {
         })
         .encode_into(&mut input);
         let mut encoder = crate::wire::BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         encoder.push(&WireBeat {
             record: heartbeats::HeartbeatRecord::new(
                 0,

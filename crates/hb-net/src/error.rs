@@ -9,16 +9,16 @@ use std::io;
 pub enum NetError {
     /// Transport-level I/O failure (connect, read, write).
     Io(io::Error),
-    /// A frame violated the wire protocol (bad magic, version, CRC, length
-    /// or payload contents). Carries a human-readable description.
+    /// A frame violated the wire protocol (bad magic, kind, CRC, length or
+    /// payload contents). Carries a human-readable description.
     Protocol(String),
     /// The peer closed the connection mid-frame.
     UnexpectedEof,
     /// A query-port response could not be interpreted.
     BadResponse(String),
-    /// The peer cannot provide the requested operation — e.g. subscribing
-    /// through a collector that negotiated a wire version older than 3,
-    /// which would never acknowledge a `Subscribe` frame.
+    /// The peer cannot provide the requested operation — above all, it
+    /// speaks another wire version: a frame header not stamped
+    /// `wire::VERSION`, or a collector failing the `VERSION` probe.
     Unsupported(String),
 }
 

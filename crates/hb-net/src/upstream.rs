@@ -2,7 +2,7 @@
 //!
 //! A leaf (or mid-tier) collector configured with an
 //! [`UpstreamConfig`] keeps one connection to the parent's *ingest* port
-//! and speaks the existing wire v3 on it, opening with a
+//! and speaks the same wire protocol on it, opening with a
 //! [`Frame::NodeHello`] instead of a producer hello. The connection is
 //! served on a reactor shard by an `UplinkHandler`, exactly as the parent
 //! serves its end; the `hb-upstream` thread only supervises — it makes the

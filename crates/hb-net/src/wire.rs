@@ -1,5 +1,5 @@
-//! The heartbeat wire protocol: a compact, versioned binary framing for
-//! shipping heartbeat telemetry between processes and machines.
+//! The heartbeat wire protocol: a compact binary framing for shipping
+//! heartbeat telemetry between processes and machines.
 //!
 //! ## Frame layout
 //!
@@ -8,81 +8,64 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x48425754 ("HBWT")
-//! 4       1     version      currently 1
+//! 4       1     version      always VERSION (3)
 //! 5       1     kind         frame type discriminant
 //! 6       4     payload_len  bytes following the header (<= MAX_PAYLOAD)
 //! 10      4     crc32        IEEE CRC-32 of the payload bytes
 //! 14      n     payload
 //! ```
 //!
-//! The magic and version let a receiver reject foreign or future streams
-//! immediately; the length prefix makes framing O(1); the CRC rejects
-//! corruption and desynchronization deterministically. Version-2 beat
-//! records use a fixed 29-byte encoding decodable with plain offset
-//! arithmetic; version-3 **compact** beat records delta/varint-encode the
-//! monotone fields (LEB128 sequence deltas, zigzag timestamp deltas, tag
-//! elided when [`Tag::NONE`], scope packed into a per-record flag byte) so
-//! a steady heartbeat stream costs ~5 bytes per beat instead of 29. Both
-//! encodings decode without per-record allocation through the borrowing
+//! The magic and version let a receiver reject foreign or other-version
+//! streams immediately; the length prefix makes framing O(1); the CRC
+//! rejects corruption and desynchronization deterministically. Beat records
+//! delta/varint-encode the monotone fields (LEB128 sequence deltas, zigzag
+//! timestamp deltas, tag elided when [`Tag::NONE`], scope packed into a
+//! per-record flag byte) so a steady heartbeat stream costs ~5 bytes per
+//! beat, and decode without per-record allocation through the borrowing
 //! [`BeatsView`] iterator.
 //!
-//! ## Versioning
+//! ## One version
 //!
-//! Each frame carries the **lowest** protocol version that defines its kind
-//! ([`wire_version`]): the original producer frames (kinds 1–4) encode as
-//! version 1, the health query frames (kinds 5–8) as version 2, and the
-//! compact-framing extension (kinds 9–10) as version 3. A decoder accepts
-//! any version in `MIN_VERSION..=VERSION` and rejects a kind its claimed
-//! version does not define, so a version-1-only peer keeps interoperating
-//! with everything it understands while newer frames fail fast instead of
-//! being misparsed. Compact framing is *negotiated per connection*: the
-//! collector answers every [`Frame::Hello`] with a [`Frame::HelloAck`]
-//! advertising its maximum version, and a producer only switches to compact
-//! beats after seeing `max_version >= 3` — against an old collector (which
-//! never writes on the ingest socket) the ack never arrives and the
-//! producer stays on the version-2 encoding. See `docs/WIRE.md` for the
-//! byte-level specification with worked examples.
+//! Every frame is stamped [`VERSION`] and [`Frame::decode_header`] refuses
+//! any other version byte with [`NetError::Unsupported`] — there is no
+//! negotiation and no fallback encoding. The collector answers every
+//! [`Frame::Hello`] with a [`Frame::HelloAck`]; a producer that does not
+//! see `max_version >= VERSION` treats the connect as failed (see
+//! [`TcpBackend`](crate::TcpBackend)). Kind 2, the fixed-width beat batch
+//! of protocol versions 1–2, is retired and refused like any unknown kind.
+//! See `docs/WIRE.md` for the byte-level specification with worked examples.
 //!
 //! ## Frame kinds
 //!
-//! Producer → collector (version 1):
+//! Producer ⇄ collector, on the ingest port:
 //!
 //! * [`Frame::Hello`] — sent once per connection: application identity plus
 //!   its default rate window, so the collector can size its server-side
 //!   [`MovingRate`](heartbeats::MovingRate).
+//! * [`Frame::HelloAck`] — the collector's answer: the handshake a producer
+//!   waits for before it ships anything else.
 //! * [`Frame::Beats`] — a batch of heartbeat records plus the producer-side
 //!   drop counter (beats shed under backpressure), so observers can
-//!   distinguish "slow app" from "slow network".
+//!   distinguish "slow app" from "slow network". Streamed without an
+//!   intermediate [`BeatBatch`] by [`BatchEncoder`].
 //! * [`Frame::Target`] — the application changed its declared heart-rate
 //!   goal (`HB_set_target_rate`).
 //! * [`Frame::Bye`] — orderly goodbye; the collector marks the app
 //!   disconnected rather than waiting for staleness.
 //!
-//! Observer ⇄ collector, on the query port (version 2):
+//! Observer ⇄ collector, on the query port:
 //!
 //! * [`Frame::HistoryReq`] / [`Frame::History`] — ask for / return the
 //!   collector's bounded history ring for one application
 //!   ([`HistorySample`] records).
 //! * [`Frame::HealthReq`] / [`Frame::Health`] — ask for / return the
 //!   windowed anomaly classification ([`HealthReport`]).
-//!
-//! Compact framing (version 3):
-//!
-//! * [`Frame::HelloAck`] — collector → producer, in response to a hello:
-//!   advertises the collector's maximum protocol version so the producer
-//!   can switch to compact beats.
-//! * Compact beats (kind 10) — the delta/varint encoding of a beat batch;
-//!   decodes to the same [`Frame::Beats`] as the fixed-width kind, and is
-//!   produced by [`BatchEncoder::begin_compact`].
-//!
-//! Push subscriptions, on the query port (version 3):
-//!
 //! * [`Frame::Subscribe`] / [`Frame::SubAck`] — open a push subscription
 //!   (application glob, interest mask, minimum update interval) /
 //!   acknowledge it.
 //! * [`Frame::Event`] — one pushed observation event (snapshot update,
 //!   health transition, or raw beats), varint/delta encoded with the same
-//!   machinery as compact beat records.
+//!   machinery as beat records.
 //! * [`Frame::Unsubscribe`] — cancel a subscription; acknowledged with a
 //!   [`Frame::SubAck`], after which no events for it follow.
 
@@ -95,11 +78,8 @@ use crate::health::{HealthReason, HealthReport, HealthStatus, HistorySample};
 /// Frame magic: `HBWT` interpreted as a little-endian u32.
 pub const MAGIC: u32 = 0x5457_4248;
 
-/// Current protocol version (compact beat framing + hello acknowledgment).
+/// The protocol version: stamped on every frame, and the only one accepted.
 pub const VERSION: u8 = 3;
-
-/// Oldest protocol version still accepted (the original producer frames).
-pub const MIN_VERSION: u8 = 1;
 
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -107,22 +87,10 @@ pub const HEADER_LEN: usize = 14;
 /// Upper bound on a frame payload; anything larger is a protocol violation.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
-/// Encoded size of one beat record inside a version-2 [`Frame::Beats`]
-/// payload.
-pub const BEAT_LEN: usize = 29;
-
-/// Fixed prefix of a version-2 [`Frame::Beats`] payload (`dropped_total` +
-/// count).
-pub const BATCH_PREFIX_LEN: usize = 12;
-
-/// Most beat records a single version-2 [`Frame::Beats`] can carry within
-/// [`MAX_PAYLOAD`].
-pub const MAX_BATCH_BEATS: usize = (MAX_PAYLOAD - BATCH_PREFIX_LEN) / BEAT_LEN;
-
-/// Worst-case encoded size of one compact (version-3) beat record: flag
-/// byte + 10-byte seq varint + 10-byte timestamp varint + 10-byte tag
-/// varint + 5-byte thread varint. Typical records are 4–7 bytes; the bound
-/// only gates [`BatchEncoder`] capacity checks.
+/// Worst-case encoded size of one beat record: flag byte + 10-byte seq
+/// varint + 10-byte timestamp varint + 10-byte tag varint + 5-byte thread
+/// varint. Typical records are 4–7 bytes; the bound only gates
+/// [`BatchEncoder`] capacity checks.
 pub const MAX_COMPACT_BEAT_LEN: usize = 1 + 10 + 10 + 10 + 5;
 
 /// Maximum application-name length accepted in a hello frame.
@@ -144,7 +112,7 @@ pub const SAMPLE_LEN: usize = 40;
 pub const MAX_HISTORY_SAMPLES: usize = (MAX_PAYLOAD - 15 - MAX_NAME_LEN) / SAMPLE_LEN;
 
 const KIND_HELLO: u8 = 1;
-const KIND_BEATS: u8 = 2;
+// Kind 2 was the fixed-width beat batch of versions 1–2: retired, refused.
 const KIND_TARGET: u8 = 3;
 const KIND_BYE: u8 = 4;
 const KIND_HISTORY_REQ: u8 = 5;
@@ -152,7 +120,7 @@ const KIND_HISTORY: u8 = 6;
 const KIND_HEALTH_REQ: u8 = 7;
 const KIND_HEALTH: u8 = 8;
 const KIND_HELLO_ACK: u8 = 9;
-const KIND_BEATS_COMPACT: u8 = 10;
+const KIND_BEATS: u8 = 10;
 const KIND_SUBSCRIBE: u8 = 11;
 const KIND_SUB_ACK: u8 = 12;
 const KIND_EVENT: u8 = 13;
@@ -174,22 +142,10 @@ pub const MAX_PATH_NODES: usize = 64;
 /// [`Frame::NodeAuth`] handshake (the SHA-256 digest width).
 pub const AUTH_LEN: usize = 32;
 
-/// The lowest protocol version that defines `kind`, which is also the
-/// version stamped into the header when the frame is encoded. `None` if no
-/// supported version defines it.
-pub fn wire_version(kind: u8) -> Option<u8> {
-    match kind {
-        KIND_HELLO..=KIND_BYE => Some(1),
-        KIND_HISTORY_REQ..=KIND_HEALTH => Some(2),
-        KIND_HELLO_ACK..=KIND_NODE_AUTH => Some(3),
-        _ => None,
-    }
-}
-
-/// True if `kind` is one of the beat-batch frame kinds (fixed-width
-/// version-2 or compact version-3) — the frames [`BeatsView`] can walk.
+/// True if `kind` is the beat-batch frame kind — the frame [`BeatsView`]
+/// can walk.
 pub fn is_beats_kind(kind: u8) -> bool {
-    kind == KIND_BEATS || kind == KIND_BEATS_COMPACT
+    kind == KIND_BEATS
 }
 
 /// True if `name` is acceptable as an application name on the wire:
@@ -456,7 +412,7 @@ pub struct EventFrame {
 }
 
 /// The body of an [`EventFrame`]. Numeric fields are varint/delta encoded
-/// with the same machinery as compact (version-3) beat records.
+/// with the same machinery as beat records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventPayload {
     /// A periodic application snapshot (interest bit `1`).
@@ -508,10 +464,8 @@ const EVENT_BEATS: u8 = 3;
 pub enum Frame {
     /// Connection preamble.
     Hello(Hello),
-    /// A batch of heartbeat records. [`encode`](Frame::encode) always emits
-    /// the fixed-width version-2 kind (the universally accepted fallback);
-    /// compact version-3 frames are produced by
-    /// [`BatchEncoder::begin_compact`] and decode to this same variant.
+    /// A batch of heartbeat records, delta/varint encoded. [`BatchEncoder`]
+    /// streams the byte-identical frame without materializing the batch.
     Beats(BeatBatch),
     /// A target heart-rate declaration.
     Target {
@@ -539,11 +493,9 @@ pub enum Frame {
     },
     /// Response to [`Frame::HealthReq`].
     Health(HealthFrame),
-    /// Collector → producer, answering a [`Frame::Hello`]: advertises the
-    /// collector's maximum supported protocol version so the producer can
-    /// switch to compact (version-3) beat framing. Old collectors never
-    /// write on the ingest socket, so a producer that sees no ack keeps the
-    /// version-2 encoding.
+    /// Collector → producer, answering a [`Frame::Hello`]: the required
+    /// handshake. A producer that sees no ack, or one advertising less than
+    /// [`VERSION`], treats the connect as failed.
     HelloAck {
         /// Highest protocol version the collector accepts.
         max_version: u8,
@@ -585,7 +537,8 @@ pub enum Frame {
         /// children (at most [`MAX_PATH_NODES`] entries). The parent
         /// refuses the uplink if its *own* node name appears here — that
         /// is a relay cycle, and accepting it would loop beats forever.
-        /// Absent on the wire (older peers) decodes as empty.
+        /// Mandatory, and `path[0]` must be `node`: an empty path would
+        /// sail past that check, so the decoder rejects it.
         path: Vec<String>,
     },
     /// Parent → child, answering a [`Frame::NodeHello`] when the parent
@@ -624,13 +577,12 @@ pub enum Frame {
     },
 }
 
-/// A borrowed, validated view of one beat-batch payload (fixed-width
-/// version-2 or compact version-3), iterable without materializing a
-/// `Vec<WireBeat>`.
+/// A borrowed, validated view of one beat-batch payload, iterable without
+/// materializing a `Vec<WireBeat>`.
 ///
 /// [`parse`](BeatsView::parse) validates the *entire* payload up front —
-/// record framing, varint bounds, flag bits, scope bytes, exact payload
-/// consumption — so iteration afterwards is infallible and allocation-free.
+/// record framing, varint bounds, flag bits, exact payload consumption —
+/// so iteration afterwards is infallible and allocation-free.
 /// This is the collector reactor's ingest path: frames decode in place in
 /// the receive buffer and stream straight into the registry.
 ///
@@ -657,7 +609,6 @@ pub struct BeatsView<'a> {
     /// The record region of the payload (prefix already consumed).
     records: &'a [u8],
     count: usize,
-    compact: bool,
 }
 
 impl<'a> BeatsView<'a> {
@@ -666,62 +617,29 @@ impl<'a> BeatsView<'a> {
     /// kinds and on any malformed record, so the returned view iterates
     /// infallibly.
     pub fn parse(kind: u8, payload: &'a [u8]) -> Result<BeatsView<'a>> {
-        match kind {
-            KIND_BEATS => {
-                if payload.len() < BATCH_PREFIX_LEN {
-                    return Err(NetError::Protocol("beat batch payload truncated".into()));
-                }
-                let dropped_total = read_u64(payload, 0)?;
-                let count = read_u32(payload, 8)? as usize;
-                let records = &payload[BATCH_PREFIX_LEN..]; // hb-lint: allow(index): payload.len() >= BATCH_PREFIX_LEN checked above
-                if records.len() != count * BEAT_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "beat batch of {count} records should be {} bytes, got {}",
-                        BATCH_PREFIX_LEN + count * BEAT_LEN,
-                        payload.len()
-                    )));
-                }
-                // Validate every scope byte now so iteration cannot fail.
-                for i in 0..count {
-                    let scope = records[i * BEAT_LEN + BEAT_LEN - 1]; // hb-lint: allow(index): records.len() == count * BEAT_LEN checked above
-                    if scope > 1 {
-                        return Err(NetError::Protocol(format!(
-                            "invalid beat scope byte {scope}"
-                        )));
-                    }
-                }
-                Ok(BeatsView {
-                    dropped_total,
-                    records,
-                    count,
-                    compact: false,
-                })
-            }
-            KIND_BEATS_COMPACT => {
-                let (dropped_total, prefix) = get_varint(payload, 0)?;
-                let records = &payload[prefix..]; // hb-lint: allow(index): payload.len() >= prefix checked above
-                // Walk every record once: the count is implicit (the
-                // payload length delimits the batch) and the walk rejects
-                // malformed varints, unknown flags and trailing garbage.
-                let mut state = DeltaState::default();
-                let mut at = 0;
-                let mut count = 0;
-                while at < records.len() {
-                    let (_, next) = decode_compact_beat(records, at, &mut state)?;
-                    at = next;
-                    count += 1;
-                }
-                Ok(BeatsView {
-                    dropped_total,
-                    records,
-                    count,
-                    compact: true,
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "frame kind {other} is not a beat batch"
-            ))),
+        if kind != KIND_BEATS {
+            return Err(NetError::Protocol(format!(
+                "frame kind {kind} is not a beat batch"
+            )));
         }
+        let (dropped_total, prefix) = get_varint(payload, 0)?;
+        let records = &payload[prefix..]; // hb-lint: allow(index): payload.len() >= prefix checked above
+        // Walk every record once: the count is implicit (the payload length
+        // delimits the batch) and the walk rejects malformed varints,
+        // unknown flags and trailing garbage.
+        let mut state = DeltaState::default();
+        let mut at = 0;
+        let mut count = 0;
+        while at < records.len() {
+            let (_, next) = decode_compact_beat(records, at, &mut state)?;
+            at = next;
+            count += 1;
+        }
+        Ok(BeatsView {
+            dropped_total,
+            records,
+            count,
+        })
     }
 
     /// The producer's cumulative drop counter carried by the batch.
@@ -740,11 +658,6 @@ impl<'a> BeatsView<'a> {
         self.count == 0
     }
 
-    /// True if the payload uses the compact (version-3) encoding.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
     /// Iterates the records in place. Infallible: the payload was fully
     /// validated by [`parse`](BeatsView::parse).
     pub fn iter(&self) -> BeatsIter<'a> {
@@ -752,7 +665,6 @@ impl<'a> BeatsView<'a> {
             records: self.records,
             at: 0,
             remaining: self.count,
-            compact: self.compact,
             state: DeltaState::default(),
         }
     }
@@ -773,7 +685,6 @@ pub struct BeatsIter<'a> {
     records: &'a [u8],
     at: usize,
     remaining: usize,
-    compact: bool,
     state: DeltaState,
 }
 
@@ -786,30 +697,12 @@ impl Iterator for BeatsIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        if self.compact {
-            // Validated by BeatsView::parse; a decode error here would be a
-            // logic bug, surfaced by ending the iteration early (the
-            // ExactSizeIterator contract is checked in tests).
-            let (beat, next) = decode_compact_beat(self.records, self.at, &mut self.state).ok()?;
-            self.at = next;
-            Some(beat)
-        } else {
-            let bytes = self.records.get(self.at..self.at + BEAT_LEN)?;
-            self.at += BEAT_LEN;
-            Some(WireBeat {
-                record: HeartbeatRecord::new(
-                    get_u64(bytes, 0)?,
-                    get_u64(bytes, 8)?,
-                    Tag::new(get_u64(bytes, 16)?),
-                    BeatThreadId(get_u32(bytes, 24)?),
-                ),
-                scope: if *bytes.get(28)? == 1 {
-                    BeatScope::Local
-                } else {
-                    BeatScope::Global
-                },
-            })
-        }
+        // Validated by BeatsView::parse; a decode error here would be a
+        // logic bug, surfaced by ending the iteration early (the
+        // ExactSizeIterator contract is checked in tests).
+        let (beat, next) = decode_compact_beat(self.records, self.at, &mut self.state).ok()?;
+        self.at = next;
+        Some(beat)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -911,7 +804,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Per-record flag bits of the compact (version-3) beat encoding.
+/// Per-record flag bits of the beat encoding.
 const FLAG_LOCAL: u8 = 0b01;
 const FLAG_TAGGED: u8 = 0b10;
 const FLAG_KNOWN: u8 = FLAG_LOCAL | FLAG_TAGGED;
@@ -947,6 +840,16 @@ fn encode_compact_beat(buf: &mut Vec<u8>, state: &mut DeltaState, beat: &WireBea
     put_varint(buf, beat.record.thread.index() as u64);
     state.prev_seq = beat.record.seq;
     state.prev_ts = beat.record.timestamp_ns;
+}
+
+/// Appends a beat-batch body — the drop counter, then the records against a
+/// fresh delta state — shared by [`Frame::Beats`] and [`EventPayload::Beats`].
+fn encode_beats_body(buf: &mut Vec<u8>, dropped_total: u64, beats: &[WireBeat]) {
+    put_varint(buf, dropped_total);
+    let mut state = DeltaState::default();
+    for beat in beats {
+        encode_compact_beat(buf, &mut state, beat);
+    }
 }
 
 /// Decodes one compact record at `at`, advancing the delta state and
@@ -998,17 +901,6 @@ fn decode_compact_beat(
         },
         at,
     ))
-}
-
-fn encode_beat(buf: &mut Vec<u8>, beat: &WireBeat) {
-    put_u64(buf, beat.record.seq);
-    put_u64(buf, beat.record.timestamp_ns);
-    put_u64(buf, beat.record.tag.value());
-    put_u32(buf, beat.record.thread.index());
-    buf.push(match beat.scope {
-        BeatScope::Global => 0,
-        BeatScope::Local => 1,
-    });
 }
 
 /// Appends a length-prefixed application name (u16 length + bytes). Names
@@ -1160,11 +1052,7 @@ fn encode_event_payload(buf: &mut Vec<u8>, event: &EventFrame) {
             beats,
         } => {
             debug_assert!(beats.len() <= MAX_EVENT_BEATS, "unchunked beats event");
-            put_varint(buf, *dropped_total);
-            let mut state = DeltaState::default();
-            for beat in beats {
-                encode_compact_beat(buf, &mut state, beat);
-            }
+            encode_beats_body(buf, *dropped_total, beats);
         }
     }
 }
@@ -1202,13 +1090,7 @@ impl Frame {
                 put_u16(buf, name.len() as u16);
                 buf.extend_from_slice(name);
             }
-            Frame::Beats(batch) => {
-                put_u64(buf, batch.dropped_total);
-                put_u32(buf, batch.beats.len() as u32);
-                for beat in &batch.beats {
-                    encode_beat(buf, beat);
-                }
-            }
+            Frame::Beats(batch) => encode_beats_body(buf, batch.dropped_total, &batch.beats),
             Frame::Target { min_bps, max_bps } => {
                 put_u64(buf, min_bps.to_bits());
                 put_u64(buf, max_bps.to_bits());
@@ -1300,12 +1182,7 @@ impl Frame {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let header_at = buf.len();
         put_u32(buf, MAGIC);
-        // Stamp the lowest version that defines the kind, so version-1
-        // peers keep accepting every frame they understand.
-        // Every variant's kind is in the version table; fall back to the
-        // current version rather than panic if a new kind misses a row
-        // (hb-lint's wire-kind check catches the table gap itself).
-        buf.push(wire_version(self.kind()).unwrap_or(VERSION));
+        buf.push(VERSION);
         buf.push(self.kind());
         put_u32(buf, 0); // payload_len, patched below
         put_u32(buf, 0); // crc, patched below
@@ -1338,20 +1215,14 @@ impl Frame {
             return Err(NetError::Protocol(format!("bad magic {magic:#010x}")));
         }
         let version = bytes[4]; // hb-lint: allow(index): bytes.len() >= HEADER_LEN checked at entry
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(NetError::Protocol(format!(
-                "unsupported protocol version {version}"
+        if version != VERSION {
+            return Err(NetError::Unsupported(format!(
+                "peer speaks protocol version {version}, this end only version {VERSION}"
             )));
         }
         let kind = bytes[5]; // hb-lint: allow(index): bytes.len() >= HEADER_LEN checked at entry
-        match wire_version(kind) {
-            None => return Err(NetError::Protocol(format!("unknown frame kind {kind}"))),
-            Some(required) if version < required => {
-                return Err(NetError::Protocol(format!(
-                    "frame kind {kind} requires protocol version {required}, header claims {version}"
-                )));
-            }
-            Some(_) => {}
+        if !matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_NODE_AUTH) {
+            return Err(NetError::Protocol(format!("unknown frame kind {kind}")));
         }
         let payload_len = read_u32(bytes, 6)? as usize;
         if payload_len > MAX_PAYLOAD {
@@ -1420,9 +1291,8 @@ impl Frame {
                     default_window,
                 }))
             }
-            KIND_BEATS | KIND_BEATS_COMPACT => {
-                // Both beat encodings share the validated zero-copy walker;
-                // materialization here is for the blocking FrameReader path
+            KIND_BEATS => {
+                // Materialization here is for the blocking FrameReader path
                 // (the reactor iterates the view directly, never this Vec).
                 let view = BeatsView::parse(kind, payload)?;
                 Ok(Frame::Beats(BeatBatch {
@@ -1532,13 +1402,9 @@ impl Frame {
                         payload.len()
                     )));
                 }
-                let max_version = payload[0]; // hb-lint: allow(index): payload length checked at the top of the arm
-                if max_version < MIN_VERSION {
-                    return Err(NetError::Protocol(format!(
-                        "hello-ack advertises impossible version {max_version}"
-                    )));
-                }
-                Ok(Frame::HelloAck { max_version })
+                Ok(Frame::HelloAck {
+                    max_version: payload[0], // hb-lint: allow(index): payload length checked at the top of the arm
+                })
             }
             KIND_SUBSCRIBE => {
                 if payload.len() < 15 {
@@ -1628,49 +1494,53 @@ impl Frame {
                          whitespace/control/quote/'/'/'*' characters)"
                     )));
                 }
-                // The path vector is a trailing count-prefixed list; its
-                // absence (the pre-loop-detection encoding) means "no
-                // ancestry announced".
-                let mut path = Vec::new();
-                if payload.len() > name_end {
-                    let count = payload[name_end] as usize; // hb-lint: allow(index): name_end < payload.len(): count byte checked above
-                    if count > MAX_PATH_NODES {
+                // The path vector is mandatory and led by the announcing
+                // node: an empty one would sail past the parent's cycle
+                // check (`uplink_would_loop`).
+                let Some(&count) = payload.get(name_end) else {
+                    return Err(NetError::Protocol("node hello carries no path vector".into()));
+                };
+                let count = count as usize;
+                if count > MAX_PATH_NODES {
+                    return Err(NetError::Protocol(format!(
+                        "node path of {count} entries exceeds the {MAX_PATH_NODES}-entry limit"
+                    )));
+                }
+                let mut path = Vec::with_capacity(count);
+                let mut at = name_end + 1;
+                for _ in 0..count {
+                    let Some(&len) = payload.get(at) else {
+                        return Err(NetError::Protocol("node path truncated".into()));
+                    };
+                    let len = len as usize;
+                    if len > MAX_NODE_LEN {
                         return Err(NetError::Protocol(format!(
-                            "node path of {count} entries exceeds the {MAX_PATH_NODES}-entry limit"
+                            "node path entry of {len} bytes exceeds the \
+                             {MAX_NODE_LEN}-byte limit"
                         )));
                     }
-                    let mut at = name_end + 1;
-                    for _ in 0..count {
-                        let Some(&len) = payload.get(at) else {
-                            return Err(NetError::Protocol("node path truncated".into()));
-                        };
-                        let len = len as usize;
-                        if len > MAX_NODE_LEN {
-                            return Err(NetError::Protocol(format!(
-                                "node path entry of {len} bytes exceeds the \
-                                 {MAX_NODE_LEN}-byte limit"
-                            )));
-                        }
-                        let end = at + 1 + len;
-                        if payload.len() < end {
-                            return Err(NetError::Protocol("node path truncated".into()));
-                        }
-                        let entry = std::str::from_utf8(&payload[at + 1..end]) // hb-lint: allow(index): end <= payload.len() checked just above
-                            .map_err(|_| {
-                                NetError::Protocol("node path entry is not UTF-8".into())
-                            })?
-                            .to_string();
-                        if !valid_node_name(&entry) {
-                            return Err(NetError::Protocol(format!(
-                                "invalid node path entry {entry:?}"
-                            )));
-                        }
-                        path.push(entry);
-                        at = end;
+                    let end = at + 1 + len;
+                    if payload.len() < end {
+                        return Err(NetError::Protocol("node path truncated".into()));
                     }
-                    if at != payload.len() {
-                        return Err(NetError::Protocol("node hello trailing bytes".into()));
+                    let entry = std::str::from_utf8(&payload[at + 1..end]) // hb-lint: allow(index): end <= payload.len() checked just above
+                        .map_err(|_| NetError::Protocol("node path entry is not UTF-8".into()))?
+                        .to_string();
+                    if !valid_node_name(&entry) {
+                        return Err(NetError::Protocol(format!(
+                            "invalid node path entry {entry:?}"
+                        )));
                     }
+                    path.push(entry);
+                    at = end;
+                }
+                if at != payload.len() {
+                    return Err(NetError::Protocol("node hello trailing bytes".into()));
+                }
+                if path.first() != Some(&node) {
+                    return Err(NetError::Protocol(format!(
+                        "node path {path:?} does not start with the announcing node {node:?}"
+                    )));
                 }
                 Ok(Frame::NodeHello { node, pid, path })
             }
@@ -1862,17 +1732,14 @@ pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> R
     Ok(())
 }
 
-/// Streaming encoder for one [`Frame::Beats`] batch, in either wire
-/// encoding: [`begin`](Self::begin) starts a fixed-width version-2 frame,
-/// [`begin_compact`](Self::begin_compact) a delta/varint version-3 frame
-/// (used after a [`Frame::HelloAck`] negotiated version ≥ 3).
+/// Streaming encoder for one [`Frame::Beats`] batch.
 ///
 /// The flusher in [`TcpBackend`](crate::TcpBackend) drains its queue once
 /// per flush; materializing a [`BeatBatch`] (a `Vec<WireBeat>`) just to
 /// encode it would copy every record twice. `BatchEncoder` instead appends
 /// beats straight into the frame's wire encoding and patches the header
-/// (count, payload length, CRC) when the batch is sealed — one frame per
-/// flush, zero intermediate structures. The internal buffer is reused across
+/// (payload length, CRC) when the batch is sealed — one frame per flush,
+/// zero intermediate structures. The internal buffer is reused across
 /// batches, so steady-state flushing does not allocate.
 ///
 /// ```
@@ -1880,7 +1747,7 @@ pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> R
 /// use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 ///
 /// let mut encoder = BatchEncoder::new();
-/// encoder.begin(3); // 3 beats shed so far
+/// encoder.begin_compact(3); // 3 beats shed so far
 /// encoder.push(&WireBeat {
 ///     record: HeartbeatRecord::new(0, 1_000, Tag::NONE, BeatThreadId(0)),
 ///     scope: BeatScope::Global,
@@ -1895,7 +1762,6 @@ pub struct BatchEncoder {
     buf: Vec<u8>,
     count: u32,
     open: bool,
-    compact: bool,
     state: DeltaState,
 }
 
@@ -1905,53 +1771,31 @@ impl BatchEncoder {
         BatchEncoder::default()
     }
 
-    /// Starts a new fixed-width (version-2) batch carrying the producer's
-    /// cumulative drop counter. Any previous unfinished batch is discarded.
-    pub fn begin(&mut self, dropped_total: u64) {
-        self.begin_frame(KIND_BEATS, false);
-        put_u64(&mut self.buf, dropped_total);
-        put_u32(&mut self.buf, 0); // count, patched by finish()
-    }
-
-    /// Starts a new compact (version-3, delta/varint) batch. Only use after
-    /// the peer acknowledged protocol version ≥ 3 via [`Frame::HelloAck`];
-    /// older collectors reject the frame kind.
+    /// Starts a new batch carrying the producer's cumulative drop counter.
+    /// Any previous unfinished batch is discarded.
     pub fn begin_compact(&mut self, dropped_total: u64) {
-        self.begin_frame(KIND_BEATS_COMPACT, true);
-        put_varint(&mut self.buf, dropped_total);
-    }
-
-    fn begin_frame(&mut self, kind: u8, compact: bool) {
         self.buf.clear();
         self.count = 0;
         self.open = true;
-        self.compact = compact;
         self.state = DeltaState::default();
         put_u32(&mut self.buf, MAGIC);
-        // Both beat kinds are in the version table; see encode_into.
-        self.buf.push(wire_version(kind).unwrap_or(VERSION));
-        self.buf.push(kind);
+        self.buf.push(VERSION);
+        self.buf.push(KIND_BEATS);
         put_u32(&mut self.buf, 0); // payload_len, patched by finish()
         put_u32(&mut self.buf, 0); // crc, patched by finish()
+        put_varint(&mut self.buf, dropped_total);
     }
 
     /// Appends one beat. Returns `false` (leaving the batch unchanged) once
-    /// the frame is full ([`MAX_BATCH_BEATS`] records for the fixed-width
-    /// encoding, the [`MAX_PAYLOAD`] byte budget for the compact one); seal
-    /// it with [`finish`](Self::finish) and `begin` a new one.
+    /// another worst-case record could overflow the [`MAX_PAYLOAD`] byte
+    /// budget; seal the frame with [`finish`](Self::finish) and begin a new
+    /// one.
     pub fn push(&mut self, beat: &WireBeat) -> bool {
-        debug_assert!(self.open, "push called before begin");
-        if self.compact {
-            if self.buf.len() + MAX_COMPACT_BEAT_LEN > HEADER_LEN + MAX_PAYLOAD {
-                return false;
-            }
-            encode_compact_beat(&mut self.buf, &mut self.state, beat);
-        } else {
-            if self.count as usize >= MAX_BATCH_BEATS {
-                return false;
-            }
-            encode_beat(&mut self.buf, beat);
+        debug_assert!(self.open, "push called before begin_compact");
+        if self.buf.len() + MAX_COMPACT_BEAT_LEN > HEADER_LEN + MAX_PAYLOAD {
+            return false;
         }
+        encode_compact_beat(&mut self.buf, &mut self.state, beat);
         self.count += 1;
         true
     }
@@ -1961,31 +1805,21 @@ impl BatchEncoder {
         self.count as usize
     }
 
-    /// True if no beats have been appended since `begin`.
+    /// True if no beats have been appended since `begin_compact`.
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
 
-    /// True if the current batch uses the compact (version-3) encoding.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
-    /// Seals the batch — patches the record count (fixed-width encoding
-    /// only; the compact encoding's count is implicit in the payload
-    /// length), payload length and CRC — and returns the complete encoded
-    /// frame.
+    /// Seals the batch — patches the payload length and CRC (the record
+    /// count is implicit in the payload length) — and returns the complete
+    /// encoded frame.
     pub fn finish(&mut self) -> &[u8] {
-        debug_assert!(self.open, "finish called before begin");
+        debug_assert!(self.open, "finish called before begin_compact");
         self.open = false;
-        if !self.compact {
-            let count_at = HEADER_LEN + 8;
-            self.buf[count_at..count_at + 4].copy_from_slice(&self.count.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        }
         let payload_len = (self.buf.len() - HEADER_LEN) as u32;
-        let crc = crc32(&self.buf[HEADER_LEN..]); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        self.buf[6..10].copy_from_slice(&payload_len.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        self.buf[10..14].copy_from_slice(&crc.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
+        let crc = crc32(&self.buf[HEADER_LEN..]); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
+        self.buf[6..10].copy_from_slice(&payload_len.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
+        self.buf[10..14].copy_from_slice(&crc.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
         &self.buf
     }
 }
@@ -2084,22 +1918,40 @@ mod tests {
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut bytes = Frame::Bye.encode();
-        bytes[4] = VERSION + 1;
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("version")
-        ));
+        // Older, newer and nonsense versions alike: the typed refusal, for
+        // every kind (a version-1 Hello and a version-2 query included).
+        for frame in [
+            Frame::Bye,
+            Frame::Hello(Hello {
+                app: "legacy".into(),
+                pid: 1,
+                default_window: 20,
+            }),
+            Frame::HealthReq { app: "app".into() },
+        ] {
+            for version in [0, 1, 2, VERSION + 1, u8::MAX] {
+                let mut bytes = frame.encode();
+                assert_eq!(bytes[4], VERSION, "{frame:?}");
+                bytes[4] = version;
+                assert!(
+                    matches!(Frame::decode(&bytes), Err(NetError::Unsupported(_))),
+                    "{frame:?} claiming version {version}"
+                );
+            }
+        }
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut bytes = Frame::Bye.encode();
-        bytes[5] = 200;
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("kind")
-        ));
+        // 2 is the retired fixed-width beat batch; 0 and 20 bracket the range.
+        for kind in [0, 2, KIND_NODE_AUTH + 1, 200] {
+            let mut bytes = Frame::Bye.encode();
+            bytes[5] = kind;
+            assert!(matches!(
+                Frame::decode(&bytes),
+                Err(NetError::Protocol(msg)) if msg.contains("kind")
+            ));
+        }
     }
 
     #[test]
@@ -2139,39 +1991,6 @@ mod tests {
         for cut in [1, HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() - 1] {
             assert!(Frame::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn invalid_scope_byte_is_rejected() {
-        let frame = Frame::Beats(BeatBatch {
-            dropped_total: 0,
-            beats: vec![beat(5, BeatScope::Global)],
-        });
-        let mut bytes = frame.encode();
-        // The scope is the final byte of the only record.
-        let last = bytes.len() - 1;
-        bytes[last] = 7;
-        // Recompute the CRC so scope validation (not the checksum) trips.
-        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
-        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("scope")
-        ));
-    }
-
-    #[test]
-    fn count_length_mismatch_is_rejected() {
-        let frame = Frame::Beats(BeatBatch {
-            dropped_total: 0,
-            beats: vec![beat(1, BeatScope::Global)],
-        });
-        let mut bytes = frame.encode();
-        // Claim two records while carrying one.
-        bytes[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
-        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
-        assert!(Frame::decode(&bytes).is_err());
     }
 
     #[test]
@@ -2229,7 +2048,7 @@ mod tests {
         })
         .encode();
         let mut encoder = BatchEncoder::new();
-        encoder.begin(7);
+        encoder.begin_compact(7);
         for b in &beats {
             assert!(encoder.push(b));
         }
@@ -2240,11 +2059,11 @@ mod tests {
     #[test]
     fn batch_encoder_is_reusable_across_batches() {
         let mut encoder = BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         encoder.push(&beat(1, BeatScope::Global));
         let first = encoder.finish().to_vec();
 
-        encoder.begin(5);
+        encoder.begin_compact(5);
         encoder.push(&beat(2, BeatScope::Global));
         encoder.push(&beat(3, BeatScope::Local));
         let (frame, _) = Frame::decode(encoder.finish()).unwrap();
@@ -2263,7 +2082,7 @@ mod tests {
     #[test]
     fn batch_encoder_empty_batch_is_valid() {
         let mut encoder = BatchEncoder::new();
-        encoder.begin(42);
+        encoder.begin_compact(42);
         assert!(encoder.is_empty());
         let (frame, _) = Frame::decode(encoder.finish()).unwrap();
         assert_eq!(
@@ -2277,16 +2096,19 @@ mod tests {
 
     #[test]
     fn batch_encoder_refuses_overflow() {
+        // Typical 4-byte records: the byte budget, not a record count, is
+        // what fills the frame.
         let mut encoder = BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         let sample = beat(0, BeatScope::Global);
-        for _ in 0..MAX_BATCH_BEATS {
-            assert!(encoder.push(&sample));
-        }
+        while encoder.push(&sample) {}
         assert!(!encoder.push(&sample), "frame at capacity rejects more beats");
-        assert_eq!(encoder.beats(), MAX_BATCH_BEATS);
+        let beats = encoder.beats();
+        assert!(beats > MAX_PAYLOAD / MAX_COMPACT_BEAT_LEN, "{beats} beats");
         // Still decodable at the payload ceiling.
-        assert!(Frame::decode(encoder.finish()).is_ok());
+        let bytes = encoder.finish();
+        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
+        assert!(matches!(Frame::decode(bytes), Ok((Frame::Beats(b), _)) if b.beats.len() == beats));
     }
 
     #[test]
@@ -2348,50 +2170,10 @@ mod tests {
         ];
         for frame in frames {
             let bytes = frame.encode();
-            assert_eq!(bytes[4], 2, "health query frames are version 2");
             let (decoded, used) = Frame::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, frame);
         }
-    }
-
-    #[test]
-    fn v1_frames_still_encode_as_version_1() {
-        // A version-1-only peer must keep accepting producer frames.
-        for frame in [
-            Frame::Hello(Hello {
-                app: "legacy".into(),
-                pid: 1,
-                default_window: 20,
-            }),
-            Frame::Beats(BeatBatch::default()),
-            Frame::Target {
-                min_bps: 1.0,
-                max_bps: 2.0,
-            },
-            Frame::Bye,
-        ] {
-            assert_eq!(frame.encode()[4], 1, "{frame:?}");
-        }
-    }
-
-    #[test]
-    fn v2_kind_in_v1_header_is_rejected() {
-        let mut bytes = Frame::HealthReq { app: "app".into() }.encode();
-        bytes[4] = 1; // claim version 1 for a version-2 kind
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("requires protocol version 2")
-        ));
-    }
-
-    #[test]
-    fn v2_header_accepts_v1_kinds() {
-        // Version upgrades are backward compatible: a v2 header on an old
-        // kind still decodes.
-        let mut bytes = Frame::Bye.encode();
-        bytes[4] = 2;
-        assert_eq!(Frame::decode(&bytes).unwrap().0, Frame::Bye);
     }
 
     #[test]
@@ -2488,7 +2270,7 @@ mod tests {
         }
         assert_eq!(
             hex(&Frame::Bye.encode()),
-            "48 42 57 54 01 04 00 00 00 00 00 00 00 00"
+            "48 42 57 54 03 04 00 00 00 00 00 00 00 00"
         );
         assert_eq!(
             hex(
@@ -2499,12 +2281,12 @@ mod tests {
                 })
                 .encode()
             ),
-            "48 42 57 54 01 01 0d 00 00 00 0d 1b ff c1 \
+            "48 42 57 54 03 01 0d 00 00 00 0d 1b ff c1 \
              07 00 00 00 14 00 00 00 03 00 63 61 6d"
         );
         assert_eq!(
             hex(&Frame::HealthReq { app: "cam".into() }.encode()),
-            "48 42 57 54 02 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
+            "48 42 57 54 03 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
         );
         assert_eq!(
             hex(
@@ -2514,7 +2296,7 @@ mod tests {
                 }
                 .encode()
             ),
-            "48 42 57 54 02 05 09 00 00 00 82 74 2b 8a \
+            "48 42 57 54 03 05 09 00 00 00 82 74 2b 8a \
              02 00 00 00 03 00 63 61 6d"
         );
     }
@@ -2530,26 +2312,26 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Version-3 compact framing
+    // Beat-batch framing
     // ------------------------------------------------------------------
 
-    /// Encodes `batch` with the compact (version-3) encoder.
+    /// Encodes `batch` through the streaming [`BatchEncoder`].
     fn encode_compact(batch: &BeatBatch) -> Vec<u8> {
         let mut encoder = BatchEncoder::new();
         encoder.begin_compact(batch.dropped_total);
         for beat in &batch.beats {
-            assert!(encoder.push(beat), "batch must fit one compact frame");
+            assert!(encoder.push(beat), "batch must fit one frame");
         }
         encoder.finish().to_vec()
     }
 
-    /// Wraps a raw compact-beats payload in a valid frame (header + CRC),
-    /// for malformed-payload tests that must get past the checksum.
+    /// Wraps a raw beats payload in a valid frame (header + CRC), for
+    /// malformed-payload tests that must get past the checksum.
     fn compact_frame(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         put_u32(&mut bytes, MAGIC);
-        bytes.push(3);
-        bytes.push(KIND_BEATS_COMPACT);
+        bytes.push(VERSION);
+        bytes.push(KIND_BEATS);
         put_u32(&mut bytes, payload.len() as u32);
         put_u32(&mut bytes, crate::crc::crc32(payload));
         bytes.extend_from_slice(payload);
@@ -2599,20 +2381,11 @@ mod tests {
     fn hello_ack_roundtrip() {
         let frame = Frame::HelloAck { max_version: VERSION };
         let bytes = frame.encode();
-        assert_eq!(bytes[4], 3, "hello-ack is a version-3 frame");
         let (decoded, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, frame);
-        // A zero version is impossible.
-        let mut bad = Frame::HelloAck { max_version: 0 }.encode();
-        // encode() wrote version 0 into the payload; fix nothing — the
-        // decoder must reject it (the CRC is already consistent).
-        assert!(matches!(
-            Frame::decode(&bad),
-            Err(NetError::Protocol(msg)) if msg.contains("impossible version")
-        ));
-        // Oversized payloads are rejected too.
-        bad = Frame::HelloAck { max_version: 3 }.encode();
+        // Oversized payloads are rejected.
+        let mut bad = Frame::HelloAck { max_version: 3 }.encode();
         bad[6..10].copy_from_slice(&2u32.to_le_bytes());
         bad.push(0);
         assert!(Frame::decode(&bad).is_err());
@@ -2633,21 +2406,9 @@ mod tests {
             ],
         };
         let bytes = encode_compact(&batch);
-        assert_eq!(bytes[4], 3, "compact beats are version-3 frames");
-        assert_eq!(bytes[5], KIND_BEATS_COMPACT);
+        assert_eq!((bytes[4], bytes[5]), (VERSION, KIND_BEATS));
         let (decoded, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!(decoded, Frame::Beats(batch));
-    }
-
-    #[test]
-    fn compact_empty_batch_roundtrips() {
-        let batch = BeatBatch {
-            dropped_total: 7,
-            beats: vec![],
-        };
-        let bytes = encode_compact(&batch);
-        let (decoded, _) = Frame::decode(&bytes).unwrap();
         assert_eq!(decoded, Frame::Beats(batch));
     }
 
@@ -2689,8 +2450,9 @@ mod tests {
 
     /// The acceptance pin: a realistic 64-beat batch — sequence deltas of
     /// 1, ~1 ms timestamp jitter, untagged, single-threaded — must encode
-    /// in v3 to at most 40% of its v2 byte size. (In practice it lands
-    /// near 20%.)
+    /// to at most 40% of what the retired fixed-width encoding (a 12-byte
+    /// prefix plus 29 bytes per record) took. (In practice it lands near
+    /// 20%.)
     #[test]
     fn compact_batch_is_at_most_40_percent_of_v2() {
         let mut ts = 1_700_000_000_000_000_000u64; // a realistic epoch-ns clock
@@ -2710,14 +2472,12 @@ mod tests {
             dropped_total: 0,
             beats,
         };
-        let v2 = Frame::Beats(batch.clone()).encode();
+        let v2_len = HEADER_LEN + 12 + 64 * 29;
         let v3 = encode_compact(&batch);
-        assert_eq!(v2.len(), HEADER_LEN + BATCH_PREFIX_LEN + 64 * BEAT_LEN);
         assert!(
-            v3.len() * 100 <= v2.len() * 40,
-            "v3 batch is {} bytes, v2 is {} — compact must be <= 40%",
+            v3.len() * 100 <= v2_len * 40,
+            "batch is {} bytes, fixed-width was {v2_len} — must be <= 40%",
             v3.len(),
-            v2.len()
         );
         // And it still decodes to the identical batch.
         let (decoded, _) = Frame::decode(&v3).unwrap();
@@ -2725,24 +2485,22 @@ mod tests {
     }
 
     #[test]
-    fn beats_view_matches_materialized_decode_for_both_kinds() {
+    fn beats_view_matches_materialized_decode() {
         let batch = BeatBatch {
             dropped_total: 3,
             beats: (0..50)
                 .map(|i| beat(i, if i % 2 == 0 { BeatScope::Global } else { BeatScope::Local }))
                 .collect(),
         };
-        for bytes in [Frame::Beats(batch.clone()).encode(), encode_compact(&batch)] {
-            let (kind, payload_len, _) = Frame::decode_header(&bytes).unwrap();
-            let view =
-                BeatsView::parse(kind, &bytes[HEADER_LEN..HEADER_LEN + payload_len]).unwrap();
-            assert_eq!(view.dropped_total(), 3);
-            assert_eq!(view.len(), 50);
-            let iter = view.iter();
-            assert_eq!(iter.len(), 50, "ExactSizeIterator agrees with the view");
-            let collected: Vec<WireBeat> = iter.collect();
-            assert_eq!(collected, batch.beats, "view iteration == materialized decode");
-        }
+        let bytes = encode_compact(&batch);
+        let (kind, payload_len, _) = Frame::decode_header(&bytes).unwrap();
+        let view = BeatsView::parse(kind, &bytes[HEADER_LEN..HEADER_LEN + payload_len]).unwrap();
+        assert_eq!(view.dropped_total(), 3);
+        assert_eq!(view.len(), 50);
+        let iter = view.iter();
+        assert_eq!(iter.len(), 50, "ExactSizeIterator agrees with the view");
+        let collected: Vec<WireBeat> = iter.collect();
+        assert_eq!(collected, batch.beats, "view iteration == materialized decode");
     }
 
     #[test]
@@ -2812,19 +2570,8 @@ mod tests {
         assert!(matches!(frame, Frame::Beats(b) if b.beats.len() == i as usize));
     }
 
-    #[test]
-    fn v3_kind_in_v2_header_is_rejected() {
-        let batch = BeatBatch::default();
-        let mut bytes = encode_compact(&batch);
-        bytes[4] = 2; // claim version 2 for a version-3 kind
-        assert!(matches!(
-            Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("requires protocol version 3")
-        ));
-    }
-
     // ------------------------------------------------------------------
-    // Subscription frames (version 3, kinds 11–14)
+    // Subscription frames (kinds 11–14)
     // ------------------------------------------------------------------
 
     #[test]
@@ -2955,7 +2702,6 @@ mod tests {
         ];
         for frame in frames {
             let bytes = frame.encode();
-            assert_eq!(bytes[4], 3, "subscription frames are version 3: {frame:?}");
             let (decoded, used) = Frame::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, frame);
@@ -3119,7 +2865,8 @@ mod tests {
         assert_eq!(SubStatus::from_u8(3), None);
     }
 
-    /// Pins the version-3 worked hex examples in `docs/WIRE.md`.
+    /// Pins the handshake and beat-batch worked hex examples in
+    /// `docs/WIRE.md`.
     #[test]
     fn v3_worked_examples_match_wire_md() {
         fn hex(bytes: &[u8]) -> String {
@@ -3151,7 +2898,7 @@ mod tests {
     }
 
     /// Pins the federation-hardening worked hex in `docs/WIRE.md`: the
-    /// versioned NodeHello path vector, the auth handshake pair (the MAC
+    /// NodeHello path vector, the auth handshake pair (the MAC
     /// cross-checked against an independent HMAC-SHA256 implementation),
     /// and the cursored Subscribe/Event forms.
     #[test]
@@ -3261,7 +3008,6 @@ mod tests {
     #[test]
     fn node_hello_roundtrip_and_rejections() {
         for path in [
-            vec![],
             vec!["leaf-1".to_string()],
             vec!["leaf-1".to_string(), "rack07.eu".to_string(), "x".to_string()],
         ] {
@@ -3271,8 +3017,6 @@ mod tests {
                 path,
             };
             let bytes = frame.encode();
-            // Federation kinds ride the existing v3 wire.
-            assert_eq!(bytes[4], 3);
             let (decoded, used) = Frame::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, frame);
@@ -3281,7 +3025,7 @@ mod tests {
             let frame = Frame::NodeHello {
                 node: bad.into(),
                 pid: 1,
-                path: vec![],
+                path: vec![bad.into()],
             };
             assert!(
                 matches!(Frame::decode(&frame.encode()), Err(NetError::Protocol(_))),
@@ -3290,33 +3034,35 @@ mod tests {
         }
     }
 
+    /// A hello without a path — the pre-loop-detection body that ends after
+    /// the node name, an explicit empty vector, or a path led by another
+    /// node — would make `uplink_would_loop` vacuously false: refused.
     #[test]
-    fn node_hello_legacy_body_decodes_with_empty_path() {
-        // The pre-loop-detection encoding ends right after the node name;
-        // it must keep decoding (path = []) so a mixed-version tree can
-        // still link up.
-        let mut frame = Frame::NodeHello {
+    fn node_hello_without_a_leading_own_name_is_rejected() {
+        let restamp = |frame: &mut Vec<u8>| {
+            let payload_len = (frame.len() - HEADER_LEN) as u32;
+            frame[6..10].copy_from_slice(&payload_len.to_le_bytes());
+            let crc = crc32(&frame[HEADER_LEN..]);
+            frame[10..14].copy_from_slice(&crc.to_le_bytes());
+        };
+        let hello = |path: &[&str]| Frame::NodeHello {
             node: "leaf-1".into(),
             pid: 7,
-            path: vec![],
+            path: path.iter().map(|p| p.to_string()).collect(),
+        };
+        let mut legacy = hello(&[]).encode();
+        legacy.pop(); // strip the path-count byte: the legacy body
+        restamp(&mut legacy);
+        assert!(matches!(
+            Frame::decode(&legacy),
+            Err(NetError::Protocol(msg)) if msg.contains("no path vector")
+        ));
+        for path in [&[][..], &["rack07", "leaf-1"]] {
+            assert!(matches!(
+                Frame::decode(&hello(path).encode()),
+                Err(NetError::Protocol(msg)) if msg.contains("does not start with")
+            ));
         }
-        .encode();
-        // Strip the trailing path-count byte and re-stamp length + CRC.
-        frame.pop();
-        let payload_len = (frame.len() - HEADER_LEN) as u32;
-        frame[6..10].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&frame[HEADER_LEN..]);
-        frame[10..14].copy_from_slice(&crc.to_le_bytes());
-        let (decoded, used) = Frame::decode(&frame).unwrap();
-        assert_eq!(used, frame.len());
-        assert_eq!(
-            decoded,
-            Frame::NodeHello {
-                node: "leaf-1".into(),
-                pid: 7,
-                path: vec![],
-            }
-        );
     }
 
     #[test]
@@ -3326,7 +3072,7 @@ mod tests {
         let frame = Frame::NodeHello {
             node: "leaf-1".into(),
             pid: 1,
-            path: vec!["ok-node".into(), "bad/one".into()],
+            path: vec!["leaf-1".into(), "bad/one".into()],
         };
         assert!(matches!(
             Frame::decode(&frame.encode()),
@@ -3354,7 +3100,6 @@ mod tests {
         let nonce = crate::auth::fresh_nonce();
         let frame = Frame::NodeChallenge { nonce };
         let bytes = frame.encode();
-        assert_eq!(bytes[4], 3);
         let (decoded, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, frame);
@@ -3505,20 +3250,6 @@ mod tests {
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, frame);
         }
-    }
-
-    #[test]
-    fn federation_kinds_are_version_3() {
-        for kind in [
-            KIND_NODE_HELLO,
-            KIND_RELAY_EVENT,
-            KIND_RELAY_ACK,
-            KIND_NODE_CHALLENGE,
-            KIND_NODE_AUTH,
-        ] {
-            assert_eq!(wire_version(kind), Some(3));
-        }
-        assert_eq!(wire_version(KIND_NODE_AUTH + 1), None);
     }
 
     #[test]

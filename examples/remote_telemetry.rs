@@ -38,7 +38,6 @@ impl Service {
                     ingest,
                     name,
                     TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
                         default_window: 20,
                         ..TcpBackendConfig::default()
                     },

@@ -15,7 +15,6 @@ use app_heartbeats::control::{
 };
 use app_heartbeats::net::{
     Collector, CollectorConfig, HealthConfig, HealthStatus, RemoteReader, TcpBackend,
-    TcpBackendConfig,
 };
 
 /// Polls `probe` until it returns `Some` or the timeout elapses.
@@ -49,14 +48,7 @@ fn rig(app: &str, window: Duration) -> (Collector, Arc<TcpBackend>, app_heartbea
         },
     )
     .expect("bind collector");
-    let backend = Arc::new(TcpBackend::with_config(
-        collector.ingest_addr().to_string(),
-        app,
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
-    ));
+    let backend = Arc::new(TcpBackend::new(collector.ingest_addr().to_string(), app));
     let hb = app_heartbeats::heartbeats::HeartbeatBuilder::new(app)
         .backend(Arc::clone(&backend) as Arc<dyn app_heartbeats::heartbeats::Backend>)
         .build()

@@ -33,7 +33,6 @@ fn producer_collector_observer_loopback() {
         collector.ingest_addr().to_string(),
         "pipeline",
         TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
             default_window: 20,
             ..TcpBackendConfig::default()
         },
@@ -170,14 +169,7 @@ fn multiple_apps_share_one_collector() {
             let ingest = ingest.clone();
             let name = name.to_string();
             std::thread::spawn(move || {
-                let backend = Arc::new(TcpBackend::with_config(
-                    ingest,
-                    name.clone(),
-                    TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
-                        ..TcpBackendConfig::default()
-                    },
-                ));
+                let backend = Arc::new(TcpBackend::new(ingest, name.clone()));
                 let hb = HeartbeatBuilder::new(name)
                     .backend(Arc::clone(&backend) as Arc<dyn app_heartbeats::heartbeats::Backend>)
                     .build()

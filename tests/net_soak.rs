@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::{Backend, BeatScope, BeatThreadId, HeartbeatRecord, Tag};
-use app_heartbeats::net::{Collector, CollectorConfig, RemoteReader, TcpBackend, TcpBackendConfig};
+use app_heartbeats::net::{Collector, CollectorConfig, RemoteReader, TcpBackend};
 
 const PRODUCERS: usize = 256;
 const OBSERVERS: usize = 16;
@@ -89,14 +89,7 @@ fn soak_256_producers_16_observers() {
     // 256 producers, each its own TCP connection streaming batched beats.
     let backends: Vec<Arc<TcpBackend>> = (0..PRODUCERS)
         .map(|i| {
-            Arc::new(TcpBackend::with_config(
-                ingest.clone(),
-                format!("soak-{i}"),
-                TcpBackendConfig {
-                    flush_interval: Duration::from_millis(2),
-                    ..TcpBackendConfig::default()
-                },
-            ))
+            Arc::new(TcpBackend::new(ingest.clone(), format!("soak-{i}")))
         })
         .collect();
     for (i, backend) in backends.iter().enumerate() {

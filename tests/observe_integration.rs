@@ -16,7 +16,6 @@ use app_heartbeats::heartbeats::observe::{
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
 use app_heartbeats::net::{
     Collector, CollectorConfig, HealthConfig, NetError, RemoteReader, TcpBackend,
-    TcpBackendConfig,
 };
 
 /// Polls `probe` until it returns `Some` or the timeout elapses.
@@ -57,14 +56,7 @@ fn rig(
         },
     )
     .expect("bind collector");
-    let backend = Arc::new(TcpBackend::with_config(
-        collector.ingest_addr().to_string(),
-        app,
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
-    ));
+    let backend = Arc::new(TcpBackend::new(collector.ingest_addr().to_string(), app));
     let hb = HeartbeatBuilder::new(app)
         .backend(Arc::clone(&backend) as Arc<dyn Backend>)
         .build()
@@ -393,14 +385,7 @@ fn active_subscription_survives_idle_timeout_shorter_than_event_gap() {
 
     // The surviving subscription still works: a producer appears and its
     // first health assessment is pushed on the original connection.
-    let backend = Arc::new(TcpBackend::with_config(
-        collector.ingest_addr().to_string(),
-        "quiet-app",
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
-    ));
+    let backend = Arc::new(TcpBackend::new(collector.ingest_addr().to_string(), "quiet-app"));
     let hb = HeartbeatBuilder::new("quiet-app")
         .backend(Arc::clone(&backend) as Arc<dyn Backend>)
         .build()

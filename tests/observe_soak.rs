@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use app_heartbeats::heartbeats::observe::{Interest, ObserveFilter};
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
 use app_heartbeats::net::{
-    Collector, CollectorConfig, EventPayload, RemoteReader, TcpBackend, TcpBackendConfig,
+    Collector, CollectorConfig, EventPayload, RemoteReader, TcpBackend,
 };
 
 const APPS: usize = 8;
@@ -60,14 +60,7 @@ fn fanout_64_subscribers_8_apps_exact_counts() {
             let app = format!("fan-{i}");
             let ingest = collector.ingest_addr().to_string();
             std::thread::spawn(move || {
-                let backend = Arc::new(TcpBackend::with_config(
-                    ingest,
-                    &app,
-                    TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
-                        ..TcpBackendConfig::default()
-                    },
-                ));
+                let backend = Arc::new(TcpBackend::new(ingest, &app));
                 let hb = HeartbeatBuilder::new(&app)
                     .backend(Arc::clone(&backend) as Arc<dyn Backend>)
                     .build()

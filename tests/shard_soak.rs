@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::{Backend, BeatScope, BeatThreadId, HeartbeatRecord, Tag};
-use app_heartbeats::net::{Collector, CollectorConfig, TcpBackend, TcpBackendConfig};
+use app_heartbeats::net::{Collector, CollectorConfig, TcpBackend};
 
 const PRODUCERS: usize = 1024;
 const WAVES: usize = 8;
@@ -48,14 +48,7 @@ fn soak_1024_producers_across_4_shards() {
     for wave in 0..WAVES {
         let backends: Vec<Arc<TcpBackend>> = (0..WAVE_SIZE)
             .map(|i| {
-                Arc::new(TcpBackend::with_config(
-                    ingest.clone(),
-                    format!("shard-soak-{}", wave * WAVE_SIZE + i),
-                    TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
-                        ..TcpBackendConfig::default()
-                    },
-                ))
+                Arc::new(TcpBackend::new(ingest.clone(), format!("shard-soak-{}", wave * WAVE_SIZE + i)))
             })
             .collect();
         for (i, backend) in backends.iter().enumerate() {
