@@ -8,9 +8,12 @@
 //!
 //! Extraction is lexical: a string literal beginning `hb_` names an
 //! emitted series (label blocks and value formatting are stripped); a
-//! literal beginning `# HELP hb_x` registers help text. Series whose HELP
-//! is rendered by a helper (the histogram renderer) are allowlisted with
-//! that reason rather than special-cased here.
+//! literal beginning `# HELP hb_x` registers help text, and so does a
+//! `"hb_x", "help…"` argument pair — the name immediately followed by a
+//! second string literal. That is the shape every registration takes: a
+//! `family("hb_x", "help")` call on the exposition writer (which
+//! writes that very `# HELP` line), a row of a table that feeds one, the
+//! histogram renderer's `(name, help)` arguments.
 
 use crate::lexer::Lexed;
 use crate::report::{Finding, Rule};
@@ -36,12 +39,15 @@ pub fn check(
             if lx.in_test[lineno] {
                 continue;
             }
-            for lit in &lx.strings[lineno] {
+            for (nth, lit) in lx.strings[lineno].iter().enumerate() {
                 if let Some(rest) = lit.strip_prefix("# HELP ") {
                     if let Some(name) = metric_name(rest) {
                         helped.push(name);
                     }
                 } else if let Some(name) = metric_name(lit) {
+                    if nth == 0 && help_literal_follows(lx, lineno) {
+                        helped.push(name.clone());
+                    }
                     emitted
                         .entry(name)
                         .or_insert_with(|| (rel.clone(), lineno, src_idx));
@@ -105,6 +111,26 @@ pub fn check(
             }
         }
     }
+}
+
+/// Is the first string literal on `lineno` immediately followed by a second
+/// string-literal argument (`"hb_x", "help…"`)? The second literal may sit
+/// on the next code line, where rustfmt puts wrapped arguments.
+fn help_literal_follows(lx: &Lexed, lineno: usize) -> bool {
+    // Literal contents are blanked in `code`: the first two quotes delimit
+    // the first literal.
+    let mut quotes = lx.code[lineno].match_indices('"').map(|(at, _)| at);
+    let (Some(_open), Some(close)) = (quotes.next(), quotes.next()) else {
+        return false;
+    };
+    let Some(rest) = lx.code[lineno][close + 1..].trim_start().strip_prefix(',') else {
+        return false;
+    };
+    std::iter::once(rest)
+        .chain(lx.code[lineno + 1..].iter().map(String::as_str))
+        .map(str::trim_start)
+        .find(|code| !code.is_empty())
+        .is_some_and(|code| code.starts_with('"'))
 }
 
 /// Leading `hb_[a-z0-9_]+` of a literal, if the literal starts with one.
@@ -174,7 +200,7 @@ mod tests {
 
     fn run(src: &str, md: &str) -> Vec<Finding> {
         let lx = Lexed::lex(src);
-        let sources = vec![("collector.rs".to_string(), &lx)];
+        let sources = vec![("query.rs".to_string(), &lx)];
         let mut sup = Suppressor::default();
         let mut findings = Vec::new();
         check(&sources, md, &mut sup, &mut findings);
@@ -188,6 +214,32 @@ mod tests {
             out.push_str(\"hb_app_rate_bps 1\\n\");\n}\n";
         let md = "| `hb_app_rate_bps` | gauge | beat rate |\n";
         assert!(run(src, md).is_empty());
+    }
+
+    #[test]
+    fn name_help_argument_pair_registers_help_like_a_help_literal() {
+        let md = "| `hb_app_rate_bps` | gauge |\n| `hb_app_alive` | gauge |\n";
+        let src = "fn f(x: &mut X) {\n\
+            x.family(\"hb_app_rate_bps\", \"Beat rate.\");\n\
+            x.sample(\"hb_app_rate_bps\", &[], 1);\n\
+            x.family(\n\
+                \"hb_app_alive\",\n\
+                \"Alive.\",\n\
+            );\n\
+            x.sample(\"hb_app_alive\", &[(\"app\", &app)], 1);\n}\n";
+        assert!(run(src, md).is_empty());
+        // So does a row of a table that feeds `family`.
+        let src = "const T: [(&str, &str); 2] = [\n\
+            (\"hb_app_rate_bps\", \"Beat rate.\"),\n\
+            (\"hb_app_alive\", \"Alive.\"),\n];\n";
+        assert!(run(src, md).is_empty());
+        // A sample registers nothing, whatever literals follow its name.
+        let src = "fn f(x: &mut X) { x.sample(\"hb_app_alive\", &[(\"app\", &a)], \"1\"); }\n";
+        let f = run(src, md);
+        assert!(
+            f.iter().any(|x| x.message.contains("# HELP hb_app_alive")),
+            "{f:?}"
+        );
     }
 
     #[test]

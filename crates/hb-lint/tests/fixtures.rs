@@ -50,7 +50,7 @@ fn bad_fixture_trips_every_rule() {
         "{rendered}"
     );
     assert!(
-        rendered.contains("crates/hb-net/src/collector.rs:"),
+        rendered.contains("crates/hb-net/src/query.rs:"),
         "{rendered}"
     );
 }

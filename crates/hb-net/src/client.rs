@@ -1,11 +1,14 @@
 //! Observer-side client for the collector's query port.
 //!
-//! [`RemoteReader`] speaks the line protocol (`LIST`/`GET`/`METRICS`), the
-//! binary health queries ([`history`](RemoteReader::history) /
-//! [`health`](RemoteReader::health)), and the **push-subscription plane**
-//! ([`subscribe`](RemoteReader::subscribe) → [`Subscription`]) over one
-//! persistent connection; [`RemoteApp`] narrows it to a single application
-//! and implements [`heartbeats::Observe`] — so a `control::RateMonitor` or
+//! [`RemoteReader`] asks every question as a binary query frame — one
+//! round trip per call, decoded straight into the typed reply the collector
+//! built (the line protocol on the same port is that reply *rendered* for
+//! humans and `nc`; of it this client speaks only the one-line `VERSION`
+//! and `PING` probes, which must work against any collector) — and carries
+//! the **push-subscription plane** ([`subscribe`](RemoteReader::subscribe)
+//! → [`Subscription`]) over the same persistent connection; [`RemoteApp`]
+//! narrows it to a single application and implements
+//! [`heartbeats::Observe`] — so a `control::RateMonitor` or
 //! `control::ControlLoop` (whose `RateSource`/`HealthSource` traits have
 //! blanket impls for every `Observe`) drives adaptation from a collector
 //! exactly the way it drives from an in-process
@@ -18,10 +21,11 @@
 //! Queries are strict request/response, but an active subscription makes
 //! the collector write [`Frame::Event`]s at its own pace, interleaved with
 //! query replies on the same socket. The first `subscribe` therefore
-//! upgrades the connection: a demux thread owns the read side, routes
-//! events to their [`Subscription`] queues, and forwards everything else
-//! into a pipe the synchronous query path reads — so polls and pushes
-//! coexist on one connection without ever blocking each other.
+//! upgrades the connection: a demux thread owns the read side and decodes
+//! every frame exactly once, routing events to their [`Subscription`]
+//! queues and handing every other frame, already decoded, to the
+//! synchronous query path waiting for it — so polls and pushes coexist on
+//! one connection without ever blocking each other.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -39,12 +43,13 @@ use crate::collector::AppSnapshot;
 use crate::error::{NetError, Result};
 use crate::frame::FrameReader;
 use crate::health::{HealthReport, HealthStatus};
+use crate::query::CollectorStats;
 use crate::telemetry::{self, HistoSnapshot, LatencyHisto};
 use crate::wire::{self, EventFrame, EventPayload, Frame, HistoryChunk, SubStatus, SubscribeReq};
 
 /// How long a synchronous query waits for its reply before treating the
-/// connection as dead (both the direct socket timeout and the demux pipe's
-/// wait bound).
+/// connection as dead (both the direct socket timeout and the demux reply
+/// queue's wait bound).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Client-side bound on one subscription's undelivered events; beyond it
@@ -53,12 +58,12 @@ const SUB_QUEUE_CAPACITY: usize = 8192;
 
 /// A read-only client of a collector's query port.
 ///
-/// One `RemoteReader` holds one persistent connection; every query —
-/// line-based ([`apps`](RemoteReader::apps), [`snapshot`](RemoteReader::snapshot),
-/// [`metrics`](RemoteReader::metrics), [`stats`](RemoteReader::stats)) or
-/// binary ([`history`](RemoteReader::history), [`health`](RemoteReader::health))
-/// — is one round trip on it, reconnecting transparently if the collector
-/// restarts. [`subscribe`](RemoteReader::subscribe) opens a push
+/// One `RemoteReader` holds one persistent connection; every query
+/// ([`apps`](RemoteReader::apps), [`snapshot`](RemoteReader::snapshot),
+/// [`history`](RemoteReader::history), [`health`](RemoteReader::health),
+/// [`stats`](RemoteReader::stats), [`metrics`](RemoteReader::metrics)) is
+/// one binary round trip on it, reconnecting transparently if the
+/// collector restarts. [`subscribe`](RemoteReader::subscribe) opens a push
 /// subscription multiplexed over the same connection.
 ///
 /// ```
@@ -77,104 +82,65 @@ const SUB_QUEUE_CAPACITY: usize = 8192;
 pub struct RemoteReader {
     addr: String,
     conn: Mutex<Option<Conn>>,
-    /// The live demux, once a subscription upgraded the connection.
-    demux: Mutex<Option<Arc<DemuxShared>>>,
     next_sub: AtomicU32,
 }
 
-/// One client connection: a buffered reply source plus the write half.
-/// In direct mode the source *is* the socket; in demux mode it is the pipe
-/// the demux thread forwards non-event traffic into.
+/// One client connection: the write half plus where its replies arrive.
 #[derive(Debug)]
 struct Conn {
-    reader: BufReader<ReplySource>,
     writer: TcpStream,
-    /// Set in demux mode, so a failed query can tear the demux down with it
-    /// (its subscriptions then close instead of silently starving).
-    demux: Option<Arc<DemuxShared>>,
+    replies: Replies,
 }
 
 /// Where synchronous query replies come from.
 #[derive(Debug)]
-enum ReplySource {
-    Direct(TcpStream),
-    Pipe(Arc<BytePipe>),
+enum Replies {
+    /// Direct mode: read off the socket by the querying thread itself.
+    Direct(FrameReader<BufReader<TcpStream>>),
+    /// Demux mode: decoded by the demux thread and queued for the caller.
+    /// Holding the handle lets a failed query tear the demux down with it
+    /// (its subscriptions then close instead of silently starving).
+    Demux(Arc<DemuxShared>),
 }
 
-impl Read for ReplySource {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ReplySource::Direct(stream) => stream.read(buf),
-            ReplySource::Pipe(pipe) => pipe.read_bytes(buf),
+impl Conn {
+    /// The next reply frame, waiting at most [`REPLY_TIMEOUT`] for it.
+    fn next_frame(&mut self) -> Result<Frame> {
+        match &mut self.replies {
+            Replies::Direct(frames) => frames.read_frame()?.ok_or(NetError::UnexpectedEof),
+            Replies::Demux(demux) => demux.next_reply(),
         }
     }
-}
 
-/// A byte pipe between the demux thread and the synchronous query path:
-/// blocking reads with a bounded wait, explicit end-of-stream.
-#[derive(Debug, Default)]
-struct BytePipe {
-    state: Mutex<PipeState>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    eof: bool,
-}
-
-impl BytePipe {
-    fn push(&self, bytes: &[u8]) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.buf.extend(bytes);
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.eof = true;
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Blocking read with the reply timeout: `Ok(0)` is end-of-stream, a
-    /// timeout surfaces as `TimedOut` (the query path then reconnects).
-    fn read_bytes(&self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !state.buf.is_empty() {
-                let n = buf.len().min(state.buf.len());
-                for (slot, byte) in buf.iter_mut().zip(state.buf.drain(..n)) {
-                    *slot = byte;
-                }
-                return Ok(n);
+    /// One request/response on the connection in `slot`. A failure closes
+    /// it — in demux mode its subscriptions too: they must not starve
+    /// silently behind a dead socket.
+    fn round_trip<T>(
+        slot: &mut Option<Conn>,
+        request: &[u8],
+        read: impl Fn(&mut Conn) -> Result<T>,
+    ) -> Result<T> {
+        let conn = slot.as_mut().ok_or(NetError::UnexpectedEof)?;
+        let outcome = conn
+            .writer
+            .write_all(request)
+            .map_err(NetError::from)
+            .and_then(|()| read(conn));
+        if outcome.is_err() {
+            if let Some(Replies::Demux(demux)) = slot.take().map(|conn| conn.replies) {
+                demux.shutdown();
             }
-            if state.eof {
-                return Ok(0);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "reply timed out",
-                ));
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
         }
+        outcome
     }
 }
 
 /// State shared between the demux thread, the reader, and subscriptions.
 #[derive(Debug)]
 struct DemuxShared {
-    pipe: Arc<BytePipe>,
+    /// Decoded non-event frames awaiting the synchronous query path.
+    replies: Mutex<VecDeque<Frame>>,
+    reply_ready: Condvar,
     subs: Mutex<HashMap<u32, Arc<SubShared>>>,
     alive: AtomicBool,
     /// Write half kept for teardown (`shutdown` unblocks the demux read).
@@ -187,7 +153,8 @@ impl DemuxShared {
     }
 
     /// Tears the demuxed connection down: the socket shutdown unblocks the
-    /// demux thread, which then closes the pipe and every subscription.
+    /// demux thread, which then wakes any waiting query and closes every
+    /// subscription.
     fn shutdown(&self) {
         self.alive.store(false, Ordering::Release); // ordering: publishes the dead state to is_alive()'s Acquire load
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -201,9 +168,48 @@ impl DemuxShared {
         // Unknown ids: the subscription lapsed while events were in flight.
     }
 
+    /// Blocks for the next reply frame: `UnexpectedEof` once the connection
+    /// died, `TimedOut` after [`REPLY_TIMEOUT`] (the query path then
+    /// reconnects).
+    fn next_reply(&self) -> Result<Frame> {
+        let deadline = Instant::now() + REPLY_TIMEOUT;
+        let mut replies = self.replies.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(frame) = replies.pop_front() {
+                return Ok(frame);
+            }
+            if !self.is_alive() {
+                return Err(NetError::UnexpectedEof);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(
+                    std::io::Error::new(std::io::ErrorKind::TimedOut, "reply timed out").into(),
+                );
+            }
+            let (guard, _) = self
+                .reply_ready
+                .wait_timeout(replies, deadline - now)
+                .unwrap_or_else(|e| e.into_inner());
+            replies = guard;
+        }
+    }
+
+    fn push_reply(&self, frame: Frame) {
+        self.replies
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push_back(frame);
+        self.reply_ready.notify_all();
+    }
+
     fn close_all(&self) {
+        // Under the reply lock, so a waiting query cannot check `alive` and
+        // then sleep through this wake-up.
+        let replies = self.replies.lock().unwrap_or_else(|e| e.into_inner());
         self.alive.store(false, Ordering::Release); // ordering: publishes the dead state to is_alive()'s Acquire load
-        self.pipe.close();
+        drop(replies);
+        self.reply_ready.notify_all();
         let mut subs = self.subs.lock().unwrap_or_else(|e| e.into_inner());
         for sub in subs.values() {
             sub.close();
@@ -281,63 +287,18 @@ impl SubShared {
     }
 }
 
-/// The demux thread: owns the socket's read side, routes events to their
-/// subscriptions, forwards all other traffic (query replies, acks) into the
-/// pipe the synchronous path reads.
-fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
+/// The demux thread: owns the socket's read side, decodes every frame once,
+/// routes events to their subscriptions and hands all other frames (query
+/// replies, acks) to the synchronous path. A corrupt stream ends it: there
+/// is no resynchronization.
+fn demux_loop(stream: TcpStream, shared: Arc<DemuxShared>) {
     // Blocking reads: teardown goes through DemuxShared::shutdown.
     stream.set_read_timeout(None).ok();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
-    let mut scratch = vec![0u8; 64 * 1024];
-    'conn: loop {
-        loop {
-            if start == buf.len() {
-                buf.clear();
-                start = 0;
-            } else if start >= 64 * 1024 {
-                buf.drain(..start);
-                start = 0;
-            }
-            let avail = &buf[start..];
-            if avail.is_empty() {
-                break;
-            }
-            let magic = wire::MAGIC.to_le_bytes();
-            let prefix = avail.len().min(magic.len());
-            if avail[..prefix] == magic[..prefix] {
-                if avail.len() < wire::HEADER_LEN {
-                    break;
-                }
-                let Ok((kind, payload_len, crc)) = Frame::decode_header(avail) else {
-                    break 'conn; // corrupt stream: no resynchronization
-                };
-                let total = wire::HEADER_LEN + payload_len;
-                if avail.len() < total {
-                    break;
-                }
-                match Frame::decode_payload(kind, &avail[wire::HEADER_LEN..total], crc) {
-                    Ok(Frame::Event(event)) => shared.route(event),
-                    Ok(_) => shared.pipe.push(&avail[..total]),
-                    Err(_) => break 'conn,
-                }
-                start += total;
-            } else {
-                let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
-                    if avail.len() > 64 * 1024 {
-                        break 'conn; // unterminated garbage
-                    }
-                    break;
-                };
-                shared.pipe.push(&avail[..=nl]);
-                start += nl + 1;
-            }
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+    let mut frames = FrameReader::new(BufReader::with_capacity(64 * 1024, stream));
+    while let Ok(Some(frame)) = frames.read_frame() {
+        match frame {
+            Frame::Event(event) => shared.route(event),
+            reply => shared.push_reply(reply),
         }
     }
     shared.close_all();
@@ -350,7 +311,6 @@ impl RemoteReader {
         let reader = RemoteReader {
             addr: addr.into(),
             conn: Mutex::new(None),
-            demux: Mutex::new(None),
             next_sub: AtomicU32::new(1),
         };
         let conn = reader.open()?;
@@ -358,149 +318,96 @@ impl RemoteReader {
         Ok(reader)
     }
 
-    fn open(&self) -> Result<Conn> {
+    /// A fresh socket to the collector, with the reply timeouts set.
+    fn dial(&self) -> Result<TcpStream> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(REPLY_TIMEOUT)).ok();
         stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
-        let reader = BufReader::new(ReplySource::Direct(stream.try_clone()?));
+        Ok(stream)
+    }
+
+    fn open(&self) -> Result<Conn> {
+        let stream = self.dial()?;
         Ok(Conn {
-            reader,
+            replies: Replies::Direct(FrameReader::new(BufReader::new(stream.try_clone()?))),
             writer: stream,
-            demux: None,
         })
     }
 
-    /// Sends `request` bytes (a query line or an encoded query frame) and
-    /// collects the response with `read`, reconnecting once if the cached
-    /// connection has gone stale. A failure on a demux-upgraded connection
-    /// tears the demux down too, closing its subscriptions — they must not
-    /// starve silently behind a dead socket.
-    fn exchange<T>(
-        &self,
-        request: &[u8],
-        read: impl Fn(&mut BufReader<ReplySource>) -> Result<T>,
-    ) -> Result<T> {
-        let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        for attempt in 0..2 {
-            if guard.is_none() {
-                *guard = Some(self.open()?);
-            }
-            let conn = guard.as_mut().expect("connection just established");
-            let outcome = conn
-                .writer
-                .write_all(request)
-                .map_err(NetError::from)
-                .and_then(|()| read(&mut conn.reader));
-            match outcome {
-                Ok(value) => return Ok(value),
-                Err(err) => {
-                    if let Some(demux) = conn.demux.take() {
-                        demux.shutdown();
-                    }
-                    *guard = None; // drop the stale connection
-                    if attempt == 1 {
-                        return Err(err);
-                    }
-                }
-            }
+    /// Dials a fresh connection and asks it one single-line text command,
+    /// returning the connection and the trimmed answer. The client speaks
+    /// text only here, for the two questions that must work against *any*
+    /// collector because text is version-independent: `VERSION` before a
+    /// single frame is exchanged, and `PING`.
+    fn ask_line(&self, command: &str) -> Result<(TcpStream, String)> {
+        let stream = self.dial()?;
+        (&stream).write_all(format!("{command}\n").as_bytes())?;
+        let mut line = String::new();
+        if BufReader::new(&stream).take(256).read_line(&mut line)? == 0 {
+            return Err(NetError::UnexpectedEof);
         }
-        unreachable!("loop returns on success or second failure")
+        Ok((stream, line.trim().to_string()))
     }
 
-    /// Like [`exchange`](Self::exchange), but pinned to a specific demuxed
-    /// connection and never retried: subscription control (`Subscribe` /
-    /// `Unsubscribe`) must not be replayed onto a reconnected plain socket
-    /// — the collector would then push events into a reply stream with no
-    /// demux thread to split them out, corrupting every later query.
-    fn exchange_on_demux<T>(
-        &self,
-        demux: &Arc<DemuxShared>,
-        request: &[u8],
-        read: impl Fn(&mut BufReader<ReplySource>) -> Result<T>,
-    ) -> Result<T> {
+    /// Sends one query frame and collects the response with `read`,
+    /// reconnecting once if the cached connection has gone stale.
+    fn exchange<T>(&self, request: &Frame, read: impl Fn(&mut Conn) -> Result<T>) -> Result<T> {
+        let request = request.encode();
         let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let conn = guard
-            .as_mut()
-            .filter(|conn| {
-                conn.demux
-                    .as_ref()
-                    .is_some_and(|bound| Arc::ptr_eq(bound, demux))
-            })
-            .ok_or_else(|| {
-                NetError::Protocol("subscription connection was replaced mid-request".into())
-            })?;
-        let outcome = conn
-            .writer
-            .write_all(request)
-            .map_err(NetError::from)
-            .and_then(|()| read(&mut conn.reader));
-        if outcome.is_err() {
-            if let Some(demux) = conn.demux.take() {
-                demux.shutdown();
+        if guard.is_some() {
+            if let Ok(value) = Conn::round_trip(&mut guard, &request, &read) {
+                return Ok(value);
             }
-            *guard = None;
         }
-        outcome
+        *guard = Some(self.open()?);
+        Conn::round_trip(&mut guard, &request, &read)
+    }
+
+    /// One control round trip (`Subscribe` / `Unsubscribe` → its ack),
+    /// pinned to a specific demuxed connection and never retried:
+    /// subscription control must not be replayed onto a reconnected plain
+    /// socket — the collector would then push events into a reply stream
+    /// with no demux thread to split them out, corrupting every later query.
+    fn control_on_demux(&self, demux: &Arc<DemuxShared>, request: &Frame) -> Result<Frame> {
+        let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
+        let bound = matches!(guard.as_ref().map(|conn| &conn.replies),
+            Some(Replies::Demux(current)) if Arc::ptr_eq(current, demux));
+        if !bound {
+            return Err(NetError::Protocol(
+                "subscription connection was replaced mid-request".into(),
+            ));
+        }
+        Conn::round_trip(&mut guard, &request.encode(), Conn::next_frame)
     }
 
     /// Upgrades the connection to demux mode (idempotent): probes the
     /// collector's protocol version, spawns the demux thread, and switches
-    /// the synchronous path onto the forwarding pipe.
+    /// the synchronous path onto its reply queue. Queries wait out the
+    /// upgrade: it holds the connection lock.
     fn ensure_demux(&self) -> Result<Arc<DemuxShared>> {
-        let mut demux_guard = self.demux.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(demux) = demux_guard.as_ref() {
+        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(Replies::Demux(demux)) = conn.as_ref().map(|conn| &conn.replies) {
             if demux.is_alive() {
                 return Ok(Arc::clone(demux));
             }
         }
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(REPLY_TIMEOUT)).ok();
-        stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
         // Version check before anything is multiplexed: a collector on any
         // other wire version would never acknowledge a Subscribe frame, so
-        // refuse loudly here instead of hanging there. One that predates
-        // the probe answers it with an ERR line (every line command gets
-        // *some* single-line answer).
-        (&stream).write_all(b"VERSION\n")?;
-        let mut line = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            match (&stream).read(&mut byte) {
-                Ok(0) => return Err(NetError::UnexpectedEof),
-                Ok(_) => {
-                    if byte[0] == b'\n' {
-                        break;
-                    }
-                    line.push(byte[0]);
-                    if line.len() > 256 {
-                        return Err(NetError::BadResponse(
-                            "oversized VERSION reply".into(),
-                        ));
-                    }
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(NetError::Io(err)),
-            }
-        }
-        let text = String::from_utf8_lossy(&line);
-        let version = text
-            .trim()
-            .strip_prefix("VERSION ")
-            .and_then(|v| v.trim().parse::<u8>().ok());
-        if version != Some(wire::VERSION) {
+        // refuse loudly here instead of hanging there.
+        let (stream, answer) = self.ask_line("VERSION")?;
+        let version = answer.strip_prefix("VERSION ").map(str::trim);
+        if version.and_then(|v| v.parse().ok()) != Some(wire::VERSION) {
             return Err(NetError::Unsupported(format!(
-                "collector answered the VERSION probe with {:?}; push subscriptions \
+                "collector answered the VERSION probe with {answer:?}; push subscriptions \
                  require wire version {}",
-                text.trim(),
                 wire::VERSION
             )));
         }
         stream.set_read_timeout(None).ok();
-        let pipe = Arc::new(BytePipe::default());
         let shared = Arc::new(DemuxShared {
-            pipe: Arc::clone(&pipe),
+            replies: Mutex::new(VecDeque::new()),
+            reply_ready: Condvar::new(),
             subs: Mutex::new(HashMap::new()),
             alive: AtomicBool::new(true),
             stream: stream.try_clone()?,
@@ -515,14 +422,10 @@ impl RemoteReader {
         }
         // Switch the synchronous path onto the demuxed connection — one
         // socket now serves interleaved polls and pushes.
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
         *conn = Some(Conn {
-            reader: BufReader::new(ReplySource::Pipe(pipe)),
             writer: stream,
-            demux: Some(Arc::clone(&shared)),
+            replies: Replies::Demux(Arc::clone(&shared)),
         });
-        drop(conn);
-        *demux_guard = Some(Arc::clone(&shared));
         Ok(shared)
     }
 
@@ -568,146 +471,132 @@ impl RemoteReader {
             interests: filter.interests.bits(),
             min_interval_ns: filter.min_interval.as_nanos().min(u64::MAX as u128) as u64,
             resume_from: 0,
-        })
-        .encode();
-        let ack = self.exchange_on_demux(&demux, &request, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
         });
-        let cleanup = |demux: &DemuxShared| {
+        let outcome = match self.control_on_demux(&demux, &request) {
+            Ok(Frame::SubAck {
+                sub_id: acked,
+                status,
+            }) if acked == sub_id => match status {
+                SubStatus::Ok => Ok(()),
+                SubStatus::InvalidFilter => Err(NetError::Protocol(format!(
+                    "collector rejected subscription filter (pattern {pattern:?})"
+                ))),
+                SubStatus::TooManySubscriptions => Err(NetError::Unsupported(
+                    "collector's per-connection subscription bound reached".into(),
+                )),
+            },
+            Ok(other) => Err(unexpected("a subscription ack", &other)),
+            Err(err) => Err(err),
+        };
+        if outcome.is_err() {
             demux
                 .subs
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&sub_id);
-        };
-        match ack {
-            Ok(Frame::SubAck {
-                sub_id: acked,
-                status,
-            }) if acked == sub_id => match status {
-                SubStatus::Ok => Ok(Subscription {
-                    reader: Arc::clone(self),
-                    demux,
-                    shared,
-                    sub_id,
-                    done: false,
-                }),
-                SubStatus::InvalidFilter => {
-                    cleanup(&demux);
-                    Err(NetError::Protocol(format!(
-                        "collector rejected subscription filter (pattern {pattern:?})"
-                    )))
-                }
-                SubStatus::TooManySubscriptions => {
-                    cleanup(&demux);
-                    Err(NetError::Unsupported(
-                        "collector's per-connection subscription bound reached".into(),
-                    ))
-                }
-            },
-            Ok(other) => {
-                cleanup(&demux);
-                Err(NetError::BadResponse(format!(
-                    "expected a subscription ack, got {other:?}"
-                )))
-            }
-            Err(err) => {
-                cleanup(&demux);
-                Err(err)
-            }
         }
+        outcome.map(|()| Subscription {
+            reader: Arc::clone(self),
+            demux,
+            shared,
+            sub_id,
+            done: false,
+        })
     }
 
-    /// Sends one binary query frame and reads one frame back, over the same
-    /// persistent connection the line queries use (the collector
-    /// disambiguates by the frame magic).
+    /// One query round trip: sends `request`, returns the single frame that
+    /// answers it.
     fn query_frame(&self, request: &Frame) -> Result<Frame> {
-        let bytes = request.encode();
-        self.exchange(&bytes, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
+        self.exchange(request, Conn::next_frame)
+    }
+
+    /// One query round trip whose reply may span several frames: `take`
+    /// folds each into the result and reports whether it was the last.
+    fn query_chunked<T: Default>(
+        &self,
+        request: &Frame,
+        take: impl Fn(&mut T, Frame) -> Result<bool>,
+    ) -> Result<T> {
+        self.exchange(request, |conn| {
+            let mut whole = T::default();
+            while !take(&mut whole, conn.next_frame()?)? {}
+            Ok(whole)
         })
     }
 
     /// Names of all applications the collector knows about.
     pub fn apps(&self) -> Result<Vec<String>> {
-        self.exchange(b"LIST\n", |conn| {
-            let header = read_line(conn)?;
-            let count: usize = header
-                .strip_prefix("APPS ")
-                .and_then(|n| n.trim().parse().ok())
-                .ok_or_else(|| NetError::BadResponse(header.clone()))?;
-            let mut names = Vec::with_capacity(count);
-            for _ in 0..count {
-                names.push(read_line(conn)?.trim().to_string());
-            }
-            expect_end(conn)?;
-            Ok(names)
-        })
-    }
-
-    /// Snapshot of one application, or `None` if the collector has never
-    /// seen it.
-    pub fn snapshot(&self, app: &str) -> Result<Option<AppSnapshot>> {
-        let command = format!("GET {app}\n");
-        self.exchange(command.as_bytes(), |conn| {
-            let line = read_line(conn)?;
-            if line.starts_with("ERR unknown app") {
-                return Ok(None);
-            }
-            parse_snapshot(line.trim()).map(Some)
-        })
-    }
-
-    /// The Prometheus text export.
-    pub fn metrics(&self) -> Result<String> {
-        self.exchange(b"METRICS\n", |conn| {
-            let mut text = String::new();
-            loop {
-                let line = read_line(conn)?;
-                if line.trim() == "END" {
-                    return Ok(text);
+        self.query_chunked(
+            &Frame::ListReq,
+            |all: &mut Vec<String>, frame| match frame {
+                Frame::List { last, names } => {
+                    all.extend(names);
+                    Ok(last)
                 }
-                text.push_str(&line);
-            }
-        })
+                other => Err(unexpected("a list frame", &other)),
+            },
+        )
     }
 
-    /// Collector-wide counters (`STATS`): connection, frame and error
-    /// totals plus the size of the reactor's I/O thread pool.
+    /// Snapshot of one application — every field an in-process
+    /// [`CollectorState::snapshot`](crate::CollectorState::snapshot) carries
+    /// — or `None` if the collector has never seen it (wire-invalid names
+    /// included: no collector can know one, so they are answered locally).
+    pub fn snapshot(&self, app: &str) -> Result<Option<AppSnapshot>> {
+        if !wire::valid_app_name(app) {
+            return Ok(None);
+        }
+        match self.query_frame(&Frame::SnapshotReq {
+            app: app.to_string(),
+        })? {
+            Frame::Snapshot(snapshot) => Ok(snapshot),
+            other => Err(unexpected("a snapshot frame", &other)),
+        }
+    }
+
+    /// The Prometheus text export, reassembled from as many
+    /// [`Frame::Metrics`] chunks as the collector needed.
+    pub fn metrics(&self) -> Result<String> {
+        self.query_chunked(
+            &Frame::MetricsReq,
+            |export: &mut String, frame| match frame {
+                Frame::Metrics { last, text } => {
+                    export.push_str(&text);
+                    Ok(last)
+                }
+                other => Err(unexpected("a metrics frame", &other)),
+            },
+        )
+    }
+
+    /// Collector-wide counters: connection, frame and error totals plus the
+    /// size of the reactor's I/O thread pool.
     pub fn stats(&self) -> Result<CollectorStats> {
-        self.exchange(b"STATS\n", |conn| {
-            let line = read_line(conn)?;
-            parse_stats(line.trim())
-        })
+        match self.query_frame(&Frame::StatsReq)? {
+            Frame::Stats(stats) => Ok(stats),
+            other => Err(unexpected("a stats frame", &other)),
+        }
     }
 
-    /// Round-trip liveness probe of the collector itself.
+    /// Round-trip liveness probe of the collector itself: `PING` on a fresh
+    /// connection must answer `PONG`. Asked as text, so a collector on a
+    /// wire version this reader could not query still counts as alive.
     pub fn ping(&self) -> Result<()> {
-        self.exchange(b"PING\n", |conn| {
-            let line = read_line(conn)?;
-            if line.trim() == "PONG" {
-                Ok(())
-            } else {
-                Err(NetError::BadResponse(line))
-            }
-        })
+        match self.ask_line("PING")?.1.as_str() {
+            "PONG" => Ok(()),
+            answer => Err(NetError::BadResponse(answer.to_string())),
+        }
     }
 
     /// The collector's retained history for `app`: the most recent `limit`
     /// samples (`0` = all retained), chronological, with the total ever
     /// ingested. `None` if the collector has never seen the application —
     /// including any name the wire rules forbid, which no collector can
-    /// know (answered locally, like [`snapshot`](Self::snapshot) answers
-    /// unknown apps, instead of sending a frame the collector would reject).
-    ///
-    /// Goes over the wire as a binary [`Frame::HistoryReq`] — one round
-    /// trip regardless of how many samples come back.
+    /// know (answered locally instead of sending a frame the collector
+    /// would reject). One round trip regardless of how many samples come
+    /// back.
     pub fn history(&self, app: &str, limit: u32) -> Result<Option<HistoryChunk>> {
-        if !crate::wire::valid_app_name(app) {
+        if !wire::valid_app_name(app) {
             return Ok(None);
         }
         match self.query_frame(&Frame::HistoryReq {
@@ -715,9 +604,7 @@ impl RemoteReader {
             limit,
         })? {
             Frame::History(chunk) => Ok(chunk.known.then_some(chunk)),
-            other => Err(NetError::BadResponse(format!(
-                "expected a history frame, got {other:?}"
-            ))),
+            other => Err(unexpected("a history frame", &other)),
         }
     }
 
@@ -726,16 +613,14 @@ impl RemoteReader {
     /// the application (wire-invalid names included, as with
     /// [`history`](Self::history)).
     pub fn health(&self, app: &str) -> Result<Option<HealthReport>> {
-        if !crate::wire::valid_app_name(app) {
+        if !wire::valid_app_name(app) {
             return Ok(None);
         }
         match self.query_frame(&Frame::HealthReq {
             app: app.to_string(),
         })? {
             Frame::Health(health) => Ok(health.known.then_some(health.report)),
-            other => Err(NetError::BadResponse(format!(
-                "expected a health frame, got {other:?}"
-            ))),
+            other => Err(unexpected("a health frame", &other)),
         }
     }
 
@@ -848,17 +733,10 @@ impl Subscription {
         }
         let request = Frame::Unsubscribe {
             sub_id: self.sub_id,
-        }
-        .encode();
-        match self.reader.exchange_on_demux(&self.demux, &request, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
-        })? {
+        };
+        match self.reader.control_on_demux(&self.demux, &request)? {
             Frame::SubAck { .. } => Ok(()),
-            other => Err(NetError::BadResponse(format!(
-                "expected an unsubscribe ack, got {other:?}"
-            ))),
+            other => Err(unexpected("an unsubscribe ack", &other)),
         }
     }
 }
@@ -885,185 +763,9 @@ impl Drop for Subscription {
     }
 }
 
-fn read_line(conn: &mut BufReader<ReplySource>) -> Result<String> {
-    let mut line = String::new();
-    let n = conn.read_line(&mut line)?;
-    if n == 0 {
-        return Err(NetError::UnexpectedEof);
-    }
-    Ok(line)
-}
-
-fn expect_end(conn: &mut BufReader<ReplySource>) -> Result<()> {
-    let line = read_line(conn)?;
-    if line.trim() == "END" {
-        Ok(())
-    } else {
-        Err(NetError::BadResponse(line))
-    }
-}
-
-/// Parses the single-line `GET` response produced by
-/// [`format_snapshot`](crate::collector::format_snapshot).
-pub fn parse_snapshot(line: &str) -> Result<AppSnapshot> {
-    let bad = |why: &str| NetError::BadResponse(format!("{why}: {line}"));
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("APP") {
-        return Err(bad("missing APP prefix"));
-    }
-    let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    for part in parts {
-        let (key, value) = part.split_once('=').ok_or_else(|| bad("field without ="))?;
-        fields.insert(key, value);
-    }
-    let field = |key: &str| fields.get(key).copied().ok_or_else(|| bad(key));
-    let num = |key: &str| -> Result<u64> {
-        field(key)?.parse().map_err(|_| bad(key))
-    };
-    let target = match field("target")? {
-        "na" => None,
-        pair => {
-            let (min, max) = pair.split_once(',').ok_or_else(|| bad("target"))?;
-            Some((
-                min.parse().map_err(|_| bad("target min"))?,
-                max.parse().map_err(|_| bad("target max"))?,
-            ))
-        }
-    };
-    let optional = |key: &str| -> Result<Option<u64>> {
-        match field(key)? {
-            "na" => Ok(None),
-            v => v.parse().map(Some).map_err(|_| bad(key)),
-        }
-    };
-    let rate_bps = match field("rate")? {
-        "na" => None,
-        v => Some(v.parse().map_err(|_| bad("rate"))?),
-    };
-    Ok(AppSnapshot {
-        app: field("name")?.to_string(),
-        pid: num("pid")? as u32,
-        window: num("window")? as u32,
-        total_beats: num("total")?,
-        local_beats: num("local")?,
-        rate_bps,
-        mean_interval_ns: None, // not carried on the wire; query METRICS
-        target,
-        producer_dropped: num("dropped")?,
-        last_timestamp_ns: optional("last_ns")?,
-        connections: num("connections")? as u32,
-        alive: field("alive")? == "1",
-    })
-}
-
-/// Collector-wide counters, as served by the `STATS` query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectorStats {
-    /// Applications currently registered.
-    pub apps: u64,
-    /// Producer connections accepted since the collector started.
-    pub connections: u64,
-    /// Frames ingested since start.
-    pub frames: u64,
-    /// Producer connections dropped for protocol violations.
-    pub protocol_errors: u64,
-    /// Size of the reactor's fixed I/O thread pool.
-    pub io_threads: u64,
-    /// Connections evicted by the idle timer.
-    pub evicted: u64,
-    /// Observer requests answered (query lines + binary query frames;
-    /// subscription control and pushed events not included).
-    pub queries: u64,
-    /// Push subscriptions currently registered.
-    pub subscriptions: u64,
-    /// Events enqueued toward subscribers since start.
-    pub events: u64,
-    /// Events shed because a subscriber queue was full.
-    pub events_dropped: u64,
-    /// Collector uptime in seconds.
-    pub uptime_s: f64,
-    /// Reactor shards the collector resolved at startup (0 when talking to
-    /// a pre-sharding collector that does not report the field).
-    pub shards: u64,
-    /// Beats ingested on a shard other than the application's home shard —
-    /// a debug counter that should stay at zero.
-    pub cross_shard: u64,
-    /// Federation child links this collector has ever seen (parent tiers;
-    /// 0 when talking to a pre-federation or leaf collector).
-    pub origins: u64,
-    /// Federation child links currently connected.
-    pub origins_up: u64,
-    /// 1 while this collector's own uplink to its parent is established
-    /// (leaf/mid tiers; 0 when the collector has no upstream).
-    pub upstream_connected: u64,
-    /// Beats this collector forwarded to its parent.
-    pub upstream_forwarded: u64,
-    /// Beats shed from the upstream tap (exactly accounted upward).
-    pub upstream_dropped: u64,
-    /// Uplink re-establishments after the first connect.
-    pub upstream_reconnects: u64,
-}
-
-/// Parses the single-line `STATS` response.
-pub fn parse_stats(line: &str) -> Result<CollectorStats> {
-    let bad = |why: &str| NetError::BadResponse(format!("{why}: {line}"));
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("COLLECTOR") {
-        return Err(bad("missing COLLECTOR prefix"));
-    }
-    // Collect `key=value` tokens; anything else (a bare word, some future
-    // marker) is skipped so newer collectors can extend the line without
-    // breaking older readers. Unknown keys land in the map and are simply
-    // never looked up.
-    let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    for part in parts {
-        if let Some((key, value)) = part.split_once('=') {
-            fields.insert(key, value);
-        }
-    }
-    let num = |key: &str| -> Result<u64> {
-        fields
-            .get(key)
-            .copied()
-            .ok_or_else(|| bad(key))?
-            .parse()
-            .map_err(|_| bad(key))
-    };
-    // Subscription-era fields default to zero so lines from older
-    // collectors still parse.
-    let opt = |key: &str| -> u64 {
-        fields
-            .get(key)
-            .copied()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    Ok(CollectorStats {
-        apps: num("apps")?,
-        connections: num("connections")?,
-        frames: num("frames")?,
-        protocol_errors: num("errors")?,
-        io_threads: num("io_threads")?,
-        evicted: num("evicted")?,
-        queries: opt("queries"),
-        subscriptions: opt("subs"),
-        events: opt("events"),
-        events_dropped: opt("events_dropped"),
-        shards: opt("shards"),
-        cross_shard: opt("cross_shard"),
-        origins: opt("origins"),
-        origins_up: opt("origins_up"),
-        upstream_connected: opt("upstream_connected"),
-        upstream_forwarded: opt("upstream_forwarded"),
-        upstream_dropped: opt("upstream_dropped"),
-        upstream_reconnects: opt("upstream_reconnects"),
-        uptime_s: fields
-            .get("uptime_s")
-            .copied()
-            .ok_or_else(|| bad("uptime_s"))?
-            .parse()
-            .map_err(|_| bad("uptime_s"))?,
-    })
+/// The error for a reply of the wrong kind.
+fn unexpected(wanted: &str, got: &Frame) -> NetError {
+    NetError::BadResponse(format!("expected {wanted}, got {got:?}"))
 }
 
 /// One application as seen through a collector — an
@@ -1250,107 +952,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_line_roundtrip() {
-        let snap = AppSnapshot {
-            app: "x264".into(),
-            pid: 41,
-            window: 20,
-            total_beats: 500,
-            local_beats: 3,
-            rate_bps: Some(29.970029970029973),
-            mean_interval_ns: None,
-            target: Some((30.0, 35.0)),
-            producer_dropped: 12,
-            last_timestamp_ns: Some(123_456_789),
-            connections: 1,
-            alive: true,
-        };
-        let line = crate::collector::format_snapshot(&snap);
-        let parsed = parse_snapshot(&line).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn snapshot_line_with_missing_data() {
-        let snap = AppSnapshot {
-            app: "fresh".into(),
-            pid: 0,
-            window: 2,
-            total_beats: 0,
-            local_beats: 0,
-            rate_bps: None,
-            mean_interval_ns: None,
-            target: None,
-            producer_dropped: 0,
-            last_timestamp_ns: None,
-            connections: 0,
-            alive: false,
-        };
-        let line = crate::collector::format_snapshot(&snap);
-        let parsed = parse_snapshot(&line).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn malformed_snapshot_lines_are_rejected() {
-        for line in [
-            "",
-            "NOTAPP name=x",
-            "APP name=x pid=notanumber total=1 local=0 rate=na target=na dropped=0 last_ns=na window=2 connections=0 alive=0",
-            "APP name=x",
-        ] {
-            assert!(parse_snapshot(line).is_err(), "line: {line:?}");
-        }
-    }
-
-    #[test]
-    fn stats_line_roundtrip() {
-        let line = "COLLECTOR apps=3 connections=280 frames=9000 errors=1 io_threads=2 evicted=5 uptime_s=12.500";
-        let stats = parse_stats(line).unwrap();
-        assert_eq!(stats.apps, 3);
-        assert_eq!(stats.connections, 280);
-        assert_eq!(stats.frames, 9000);
-        assert_eq!(stats.protocol_errors, 1);
-        assert_eq!(stats.io_threads, 2);
-        assert_eq!(stats.evicted, 5);
-        assert!((stats.uptime_s - 12.5).abs() < 1e-9);
-        // Fields this collector vintage does not emit default to zero.
-        assert_eq!(stats.shards, 0);
-        assert_eq!(stats.cross_shard, 0);
-    }
-
-    #[test]
-    fn stats_parser_tolerates_future_format_extensions() {
-        // A collector two releases from now appends fields this reader has
-        // never heard of — and even a bare flag token. Required fields must
-        // still parse; everything unknown is ignored.
-        let line = "COLLECTOR apps=1 connections=2 frames=3 errors=0 io_threads=4 \
-                    evicted=0 queries=1 subs=0 events=0 events_dropped=0 \
-                    uptime_s=1.5 shards=4 cross_shard=0 numa_nodes=2 \
-                    io_uring=1 experimental_flag";
-        let stats = parse_stats(line).unwrap();
-        assert_eq!(stats.apps, 1);
-        assert_eq!(stats.connections, 2);
-        assert_eq!(stats.frames, 3);
-        assert_eq!(stats.io_threads, 4);
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.cross_shard, 0);
-        assert!((stats.uptime_s - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn malformed_stats_lines_are_rejected() {
-        for line in [
-            "",
-            "NOTCOLLECTOR apps=1",
-            "COLLECTOR apps=x connections=1 frames=1 errors=0 io_threads=2 evicted=0 uptime_s=1",
-            "COLLECTOR apps=1",
-        ] {
-            assert!(parse_stats(line).is_err(), "line: {line:?}");
-        }
-    }
-
-    #[test]
     fn wire_invalid_names_answer_none_locally() {
         // No collector could ever know a wire-invalid name (the decoder
         // rejects it), so the client answers None without a round trip —
@@ -1358,6 +959,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let reader = RemoteReader::connect(listener.local_addr().unwrap().to_string()).unwrap();
         for bad in ["two words", "", "quo\"te", "line\nbreak"] {
+            assert!(reader.snapshot(bad).unwrap().is_none(), "{bad:?}");
             assert!(reader.history(bad, 0).unwrap().is_none(), "{bad:?}");
             assert!(reader.health(bad).unwrap().is_none(), "{bad:?}");
         }

@@ -1,7 +1,9 @@
 //! The heartbeat collector daemon: accepts many concurrent producer
 //! connections, maintains a sharded per-application registry of server-side
-//! rates and goals, and serves observers over a line-based query port
-//! (including a Prometheus-style text export).
+//! rates and goals, and serves observers over a query port — answering each
+//! question once through the query plane ([`crate::query`]), which renders
+//! the typed reply as binary frames for [`RemoteReader`](crate::RemoteReader)
+//! or as a line protocol (Prometheus-style text export included) for humans.
 //!
 //! The collector is the network realization of the paper's "external
 //! observer": applications keep calling `HB_heartbeat` as always, a
@@ -35,9 +37,7 @@
 //! on the hot path), which feeds the windowed anomaly detector of
 //! [`crate::health`]: observers can ask not just "how fast is this app now"
 //! but "was it `healthy | degraded | stalled` over the last window" — via
-//! the `HISTORY`/`HEALTH` line commands, binary
-//! [`Frame::HistoryReq`]/[`Frame::HealthReq`] queries, or the
-//! `hb_app_health` Prometheus gauge.
+//! the `HISTORY`/`HEALTH` queries or the `hb_app_health` Prometheus gauge.
 //!
 //! Observers need not poll at all: a [`Frame::Subscribe`] on the query
 //! port opens a **push subscription** (application glob, interest mask,
@@ -52,7 +52,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{self, Write};
+use std::io;
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,15 +66,16 @@ use heartbeats::observe::Interest;
 
 use crate::frame::{FrameDecoder, FrameEvent};
 use crate::health::{self, HealthConfig, HealthReport, HistoryRing, HistorySample};
+use crate::query::{self, Query};
 use crate::reactor::{
     Handler, ListenerSpec, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig,
 };
 use crate::subscribe::{LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
-use crate::telemetry::{self, Level, PipelineTelemetry, ReactorThreads};
+use crate::telemetry::{Level, PipelineTelemetry, ReactorThreads};
 use crate::upstream::{UpstreamConfig, UpstreamLink, UpstreamRelay, UpstreamStats, UpstreamTap};
 use crate::wire::{
-    EventFrame, EventPayload, Frame, HealthFrame, HistoryChunk, SubStatus, SubscribeReq, WireBeat,
-    MAX_HISTORY_SAMPLES, MAX_NAME_LEN, VERSION,
+    EventFrame, EventPayload, Frame, SubStatus, SubscribeReq, WireBeat, MAX_HISTORY_SAMPLES,
+    MAX_NAME_LEN, VERSION,
 };
 
 /// Tuning knobs for a [`Collector`].
@@ -285,7 +286,7 @@ struct ShardCounters {
 pub struct CollectorState {
     shards: Vec<Mutex<HashMap<String, AppEntry>>>,
     config: CollectorConfig,
-    started: Instant,
+    pub(crate) started: Instant,
     /// Resolved reactor shard count ([`CollectorConfig::io_threads`], with
     /// `0` resolved to the available parallelism). An app whose registry
     /// partition is `p` is served by reactor shard `p % reactor_shards`.
@@ -306,7 +307,8 @@ pub struct CollectorState {
     /// Observer requests answered (query lines + binary query frames).
     /// Subscription control frames and pushed events are *not* requests —
     /// the push plane exists precisely so this counter can stay flat.
-    queries_total: AtomicU64,
+    /// Bumped by [`crate::query::answer`] alone.
+    pub(crate) queries_total: AtomicU64,
     /// Shared with the reactor's timer wheel, which bumps it on eviction.
     evicted_total: Arc<AtomicU64>,
     /// Push-subscription registry and fan-out queues.
@@ -321,7 +323,7 @@ pub struct CollectorState {
     /// instance contention-free; renders merge the snapshots
     /// ([`crate::telemetry::HistoSnapshot::merge`] is associative). All
     /// instances share one delivery-lag histogram.
-    shard_telemetry: Vec<Arc<PipelineTelemetry>>,
+    pub(crate) shard_telemetry: Vec<Arc<PipelineTelemetry>>,
     /// Per-reactor-thread utilization counters, registered by the reactor
     /// at spawn when telemetry is on (empty for embedded registries).
     reactor_threads: Arc<ReactorThreads>,
@@ -1387,7 +1389,7 @@ impl CollectorState {
         accounted
     }
 
-    fn target(&self, app: &str, min_bps: f64, max_bps: f64) {
+    pub(crate) fn target(&self, app: &str, min_bps: f64, max_bps: f64) {
         let mut shard = self.shard(app).lock().unwrap_or_else(|e| e.into_inner());
         let config = &self.config;
         let entry = shard
@@ -1491,6 +1493,17 @@ impl CollectorState {
         names
     }
 
+    /// Registered applications per reactor shard: an application is homed
+    /// on the shard its registry partition folds onto.
+    pub(crate) fn apps_per_reactor_shard(&self) -> Vec<u64> {
+        let mut apps = vec![0u64; self.reactor_shards];
+        for (partition, shard) in self.shards.iter().enumerate() {
+            apps[partition % self.reactor_shards] +=
+                shard.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
+        }
+        apps
+    }
+
     /// Total producer connections accepted since start.
     pub fn connections_total(&self) -> u64 {
         self.connections_total.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
@@ -1540,513 +1553,6 @@ impl CollectorState {
     pub fn io_threads(&self) -> usize {
         self.reactor_shards
     }
-
-    /// One consistent reading of every collector-wide counter, taken for a
-    /// whole `STATS` or `/metrics` render. The event pair comes from
-    /// [`SubscriptionRegistry::event_counters`], so a scrape racing an
-    /// ingest can never report more drops than enqueues.
-    pub fn counters(&self) -> CollectorCounters {
-        let (events_total, events_dropped_total) = self.subs.event_counters();
-        CollectorCounters {
-            connections_total: self.connections_total(),
-            frames_total: self.frames_total(),
-            protocol_errors: self.protocol_errors(),
-            queries_total: self.queries_total(),
-            evicted_total: self.evicted_total(),
-            subscriptions: self.subs.active(),
-            events_total,
-            events_dropped_total,
-            uptime: self.started.elapsed(),
-        }
-    }
-
-    /// Escapes a string for use as a Prometheus label value. Registry keys
-    /// are already sanitized at ingest, so this is a second fence — it
-    /// keeps the export well-formed even if a future path lets a raw name
-    /// through.
-    fn escape_label(value: &str) -> std::borrow::Cow<'_, str> {
-        if !value.contains(['\\', '"', '\n']) {
-            return std::borrow::Cow::Borrowed(value);
-        }
-        let mut escaped = String::with_capacity(value.len() + 4);
-        for c in value.chars() {
-            match c {
-                '\\' => escaped.push_str("\\\\"),
-                '"' => escaped.push_str("\\\""),
-                '\n' => escaped.push_str("\\n"),
-                other => escaped.push(other),
-            }
-        }
-        std::borrow::Cow::Owned(escaped)
-    }
-
-    /// Renders the registry as Prometheus text-format metrics: per-app
-    /// gauges, collector-wide counters, per-pipeline-stage latency
-    /// histograms and per-reactor-thread utilization (see
-    /// `docs/TELEMETRY.md` for the full series catalogue).
-    pub fn prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("# HELP hb_app_rate_bps Windowed heartbeat rate, beats per second.\n");
-        out.push_str("# TYPE hb_app_rate_bps gauge\n");
-        out.push_str("# HELP hb_app_beats_total Global beats ingested for the application.\n");
-        out.push_str("# TYPE hb_app_beats_total counter\n");
-        out.push_str("# HELP hb_app_target_min_bps Declared target rate floor.\n");
-        out.push_str("# TYPE hb_app_target_min_bps gauge\n");
-        out.push_str("# HELP hb_app_target_max_bps Declared target rate ceiling.\n");
-        out.push_str("# TYPE hb_app_target_max_bps gauge\n");
-        out.push_str(
-            "# HELP hb_app_producer_dropped_total Beats shed producer-side before reaching the collector.\n",
-        );
-        out.push_str("# TYPE hb_app_producer_dropped_total counter\n");
-        out.push_str("# HELP hb_app_alive 1 while the application beat within the staleness window.\n");
-        out.push_str("# TYPE hb_app_alive gauge\n");
-        for snap in self.snapshots() {
-            let app = Self::escape_label(&snap.app);
-            if let Some(rate) = snap.rate_bps {
-                out.push_str(&format!("hb_app_rate_bps{{app=\"{app}\"}} {rate}\n"));
-            }
-            out.push_str(&format!(
-                "hb_app_beats_total{{app=\"{app}\"}} {}\n",
-                snap.total_beats
-            ));
-            if let Some((min, max)) = snap.target {
-                out.push_str(&format!("hb_app_target_min_bps{{app=\"{app}\"}} {min}\n"));
-                out.push_str(&format!("hb_app_target_max_bps{{app=\"{app}\"}} {max}\n"));
-            }
-            out.push_str(&format!(
-                "hb_app_producer_dropped_total{{app=\"{app}\"}} {}\n",
-                snap.producer_dropped
-            ));
-            out.push_str(&format!(
-                "hb_app_alive{{app=\"{app}\"}} {}\n",
-                u8::from(snap.alive)
-            ));
-        }
-        // Health gauge: 0 = nosignal, 1 = stalled, 2 = degraded,
-        // 3 = healthy (the stable HealthStatus encoding; higher is better).
-        out.push_str(
-            "# HELP hb_app_health Windowed health class: 0 nosignal, 1 stalled, 2 degraded, 3 healthy.\n",
-        );
-        out.push_str("# TYPE hb_app_health gauge\n");
-        for (app, report) in self.healths() {
-            out.push_str(&format!(
-                "hb_app_health{{app=\"{}\"}} {}\n",
-                Self::escape_label(&app),
-                report.status.as_u8()
-            ));
-        }
-        let counters = self.counters();
-        out.push_str("# HELP hb_collector_connections_total Producer connections accepted since start.\n");
-        out.push_str("# TYPE hb_collector_connections_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_connections_total {}\n",
-            counters.connections_total
-        ));
-        out.push_str("# HELP hb_collector_frames_total Frames ingested since start.\n");
-        out.push_str("# TYPE hb_collector_frames_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_frames_total {}\n",
-            counters.frames_total
-        ));
-        out.push_str("# HELP hb_collector_protocol_errors_total Connections dropped for protocol violations.\n");
-        out.push_str("# TYPE hb_collector_protocol_errors_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_protocol_errors_total {}\n",
-            counters.protocol_errors
-        ));
-        out.push_str("# HELP hb_collector_io_threads Reactor I/O shards serving all sockets (resolved count).\n");
-        out.push_str("# TYPE hb_collector_io_threads gauge\n");
-        out.push_str(&format!("hb_collector_io_threads {}\n", self.io_threads()));
-        out.push_str("# HELP hb_collector_cross_shard_ingest_total Ingest calls that ran off the app's home reactor shard (steady state: 0).\n");
-        out.push_str("# TYPE hb_collector_cross_shard_ingest_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_cross_shard_ingest_total {}\n",
-            self.cross_shard_ingest()
-        ));
-        // Per-reactor-shard attribution: sums equal the aggregate counters.
-        let shard_counters = self.shard_counters();
-        let mut shard_apps = vec![0u64; self.reactor_shards];
-        for (partition, shard) in self.shards.iter().enumerate() {
-            let apps = shard.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
-            shard_apps[partition % self.reactor_shards] += apps;
-        }
-        out.push_str("# HELP hb_collector_shard_connections Producer connections attributed per reactor shard.\n");
-        out.push_str("# TYPE hb_collector_shard_connections gauge\n");
-        for (shard, (connections, _)) in shard_counters.iter().enumerate() {
-            out.push_str(&format!(
-                "hb_collector_shard_connections{{shard=\"{shard}\"}} {connections}\n"
-            ));
-        }
-        out.push_str("# HELP hb_collector_shard_frames Frames decoded per reactor shard.\n");
-        out.push_str("# TYPE hb_collector_shard_frames gauge\n");
-        for (shard, (_, frames)) in shard_counters.iter().enumerate() {
-            out.push_str(&format!(
-                "hb_collector_shard_frames{{shard=\"{shard}\"}} {frames}\n"
-            ));
-        }
-        out.push_str("# HELP hb_collector_shard_apps Applications homed per reactor shard.\n");
-        out.push_str("# TYPE hb_collector_shard_apps gauge\n");
-        for (shard, apps) in shard_apps.iter().enumerate() {
-            out.push_str(&format!(
-                "hb_collector_shard_apps{{shard=\"{shard}\"}} {apps}\n"
-            ));
-        }
-        out.push_str("# HELP hb_collector_apps Applications currently registered.\n");
-        out.push_str("# TYPE hb_collector_apps gauge\n");
-        out.push_str(&format!(
-            "hb_collector_apps {}\n",
-            shard_apps.iter().sum::<u64>()
-        ));
-        out.push_str("# HELP hb_collector_idle_evicted_total Connections evicted by the idle timer.\n");
-        out.push_str("# TYPE hb_collector_idle_evicted_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_idle_evicted_total {}\n",
-            counters.evicted_total
-        ));
-        out.push_str("# HELP hb_collector_queries_total Observer requests answered.\n");
-        out.push_str("# TYPE hb_collector_queries_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_queries_total {}\n",
-            counters.queries_total
-        ));
-        out.push_str("# HELP hb_collector_subscriptions Push subscriptions currently registered.\n");
-        out.push_str("# TYPE hb_collector_subscriptions gauge\n");
-        out.push_str(&format!(
-            "hb_collector_subscriptions {}\n",
-            counters.subscriptions
-        ));
-        out.push_str("# HELP hb_collector_events_total Events enqueued toward subscribers.\n");
-        out.push_str("# TYPE hb_collector_events_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_events_total {}\n",
-            counters.events_total
-        ));
-        out.push_str("# HELP hb_collector_events_dropped_total Events shed because a subscriber queue was full.\n");
-        out.push_str("# TYPE hb_collector_events_dropped_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_events_dropped_total {}\n",
-            counters.events_dropped_total
-        ));
-        out.push_str("# HELP hb_collector_uptime_seconds Seconds since the collector started.\n");
-        out.push_str("# TYPE hb_collector_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "hb_collector_uptime_seconds {:.3}\n",
-            counters.uptime.as_secs_f64()
-        ));
-        // Leaf side of a federation tree: the uplink relay's counters.
-        if let Some(stats) = &self.upstream_stats {
-            out.push_str("# HELP hb_collector_upstream_connected 1 while the uplink to the parent collector is established.\n");
-            out.push_str("# TYPE hb_collector_upstream_connected gauge\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_connected {}\n",
-                u8::from(stats.connected())
-            ));
-            out.push_str("# HELP hb_collector_upstream_forwarded_beats_total Beats forwarded to the parent (first transmissions).\n");
-            out.push_str("# TYPE hb_collector_upstream_forwarded_beats_total counter\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_forwarded_beats_total {}\n",
-                stats.forwarded_beats()
-            ));
-            out.push_str("# HELP hb_collector_upstream_dropped_beats_total Beats shed from the upstream tap while the parent was unreachable or slow.\n");
-            out.push_str("# TYPE hb_collector_upstream_dropped_beats_total counter\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_dropped_beats_total {}\n",
-                self.upstream_tap
-                    .as_ref()
-                    .map_or(0, |tap| tap.dropped_beats())
-            ));
-            out.push_str("# HELP hb_collector_upstream_forwarded_events_total Propagated-subscription events forwarded to the parent.\n");
-            out.push_str("# TYPE hb_collector_upstream_forwarded_events_total counter\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_forwarded_events_total {}\n",
-                stats.forwarded_events()
-            ));
-            out.push_str("# HELP hb_collector_upstream_reconnects_total Uplink re-establishments after the first connect.\n");
-            out.push_str("# TYPE hb_collector_upstream_reconnects_total counter\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_reconnects_total {}\n",
-                stats.reconnects()
-            ));
-            out.push_str("# HELP hb_collector_upstream_retransmits_total Rollup events re-sent after a reconnect.\n");
-            out.push_str("# TYPE hb_collector_upstream_retransmits_total counter\n");
-            out.push_str(&format!(
-                "hb_collector_upstream_retransmits_total {}\n",
-                stats.retransmits()
-            ));
-        }
-        // Uplink admission control: refusals by reason. Rendered always
-        // (both labels, even at zero) so dashboards and the chaos tests can
-        // rely on the series existing before the first refusal.
-        let (rejected_loop, rejected_auth) = self.uplink_rejections();
-        out.push_str("# HELP hb_collector_uplink_rejected_total Child NodeHellos refused, by reason (loop = relay cycle in the announced path, auth = failed challenge).\n");
-        out.push_str("# TYPE hb_collector_uplink_rejected_total counter\n");
-        out.push_str(&format!(
-            "hb_collector_uplink_rejected_total{{reason=\"loop\"}} {rejected_loop}\n"
-        ));
-        out.push_str(&format!(
-            "hb_collector_uplink_rejected_total{{reason=\"auth\"}} {rejected_auth}\n"
-        ));
-        // Parent side: per-child-link counters and per-origin cluster
-        // rollups (apps, beats, health class counts).
-        let origins = self.origins();
-        if !origins.is_empty() {
-            out.push_str("# HELP hb_origin_connected 1 while the child node's relay link is established.\n");
-            out.push_str("# TYPE hb_origin_connected gauge\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_connected{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    u8::from(o.connected)
-                ));
-            }
-            out.push_str("# HELP hb_origin_last_applied_seq Highest rollup sequence applied from the child (exactly-once watermark).\n");
-            out.push_str("# TYPE hb_origin_last_applied_seq gauge\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_last_applied_seq{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.last_applied
-                ));
-            }
-            out.push_str("# HELP hb_origin_relayed_beats_total Beats absorbed from the child's rollup events.\n");
-            out.push_str("# TYPE hb_origin_relayed_beats_total counter\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_relayed_beats_total{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.relayed_beats
-                ));
-            }
-            out.push_str("# HELP hb_origin_relayed_events_total Subscription events forwarded by the child and delivered here.\n");
-            out.push_str("# TYPE hb_origin_relayed_events_total counter\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_relayed_events_total{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.relayed_events
-                ));
-            }
-            out.push_str("# HELP hb_origin_duplicate_events_total Retransmitted rollup events skipped as already applied.\n");
-            out.push_str("# TYPE hb_origin_duplicate_events_total counter\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_duplicate_events_total{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.duplicate_events
-                ));
-            }
-            out.push_str("# HELP hb_origin_event_stream_duplicates_total Cursored subscription events dropped as resume-replay overlaps.\n");
-            out.push_str("# TYPE hb_origin_event_stream_duplicates_total counter\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_event_stream_duplicates_total{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.event_stream_duplicates
-                ));
-            }
-            out.push_str("# HELP hb_origin_event_stream_gaps_total Event cursors skipped on the child's streams (replay ring overflow) — accounted loss.\n");
-            out.push_str("# TYPE hb_origin_event_stream_gaps_total counter\n");
-            for o in &origins {
-                out.push_str(&format!(
-                    "hb_origin_event_stream_gaps_total{{origin=\"{}\"}} {}\n",
-                    Self::escape_label(&o.node),
-                    o.event_stream_gaps
-                ));
-            }
-            out.push_str("# HELP hb_origin_apps Applications registered under the origin's namespace.\n");
-            out.push_str("# TYPE hb_origin_apps gauge\n");
-            out.push_str("# HELP hb_origin_beats_total Beats absorbed across the origin's applications.\n");
-            out.push_str("# TYPE hb_origin_beats_total counter\n");
-            out.push_str("# HELP hb_origin_health_apps Origin apps per health class (cluster health rollup).\n");
-            out.push_str("# TYPE hb_origin_health_apps gauge\n");
-            const CLASSES: [&str; 4] = ["nosignal", "stalled", "degraded", "healthy"];
-            for rollup in self.origin_rollups() {
-                let origin = Self::escape_label(&rollup.node).into_owned();
-                out.push_str(&format!(
-                    "hb_origin_apps{{origin=\"{origin}\"}} {}\n",
-                    rollup.apps
-                ));
-                out.push_str(&format!(
-                    "hb_origin_beats_total{{origin=\"{origin}\"}} {}\n",
-                    rollup.beats_total
-                ));
-                for (class, count) in CLASSES.iter().zip(rollup.health_counts) {
-                    out.push_str(&format!(
-                        "hb_origin_health_apps{{origin=\"{origin}\",status=\"{class}\"}} {count}\n"
-                    ));
-                }
-            }
-        }
-        // Pipeline latency histograms (empty until the matching stage has
-        // run with telemetry on). Each stage merges its per-reactor-shard
-        // snapshots (the merge is saturating and associative, so the
-        // collapsed view is exactly what one shared histogram would hold);
-        // the delivery-lag histogram is a single instance shared by every
-        // shard, rendered once.
-        type StagePick = fn(&PipelineTelemetry) -> &crate::telemetry::LatencyHisto;
-        let stages: [(StagePick, &str, &str); 5] = [
-            (
-                |t| &t.decode,
-                "hb_collector_decode_latency_seconds",
-                "Incremental frame decode latency per yielded frame.",
-            ),
-            (
-                |t| &t.ingest,
-                "hb_collector_ingest_latency_seconds",
-                "Registry ingest latency per absorbed batch (shard lock held).",
-            ),
-            (
-                |t| &t.fanout,
-                "hb_collector_fanout_latency_seconds",
-                "Subscription fan-out latency per batch with watchers (encode + enqueue).",
-            ),
-            (
-                |t| &t.pump,
-                "hb_collector_pump_latency_seconds",
-                "Observer pump pass latency (silence sweep + queue drain).",
-            ),
-            (
-                |t| &t.query,
-                "hb_collector_query_latency_seconds",
-                "Query handling latency per request (line commands and binary queries).",
-            ),
-        ];
-        for (pick, name, help) in stages {
-            let mut merged = pick(&self.shard_telemetry[0]).snapshot();
-            for shard in &self.shard_telemetry[1..] {
-                merged.merge(&pick(shard).snapshot());
-            }
-            merged.render_prometheus(&mut out, name, help);
-        }
-        self.telemetry.delivery.snapshot().render_prometheus(
-            &mut out,
-            "hb_collector_delivery_lag_seconds",
-            "Event delivery lag: enqueue to drain into the subscriber's outbound buffer.",
-        );
-        // Per-reactor-thread utilization: aggregates hide one hot thread;
-        // per-thread series do not.
-        let threads = self.reactor_threads.snapshot();
-        if !threads.is_empty() {
-            out.push_str("# HELP hb_reactor_thread_busy_seconds_total Seconds the I/O thread spent working.\n");
-            out.push_str("# TYPE hb_reactor_thread_busy_seconds_total counter\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_busy_seconds_total{{thread=\"{}\"}} {}\n",
-                    t.index,
-                    t.busy_ns as f64 / 1e9
-                ));
-            }
-            out.push_str("# HELP hb_reactor_thread_wait_seconds_total Seconds the I/O thread spent parked in the poller.\n");
-            out.push_str("# TYPE hb_reactor_thread_wait_seconds_total counter\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_wait_seconds_total{{thread=\"{}\"}} {}\n",
-                    t.index,
-                    t.wait_ns as f64 / 1e9
-                ));
-            }
-            out.push_str("# HELP hb_reactor_thread_loops_total Readiness-loop iterations.\n");
-            out.push_str("# TYPE hb_reactor_thread_loops_total counter\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_loops_total{{thread=\"{}\"}} {}\n",
-                    t.index, t.loops
-                ));
-            }
-            out.push_str("# HELP hb_reactor_thread_dispatches_total Readiness events dispatched to handlers.\n");
-            out.push_str("# TYPE hb_reactor_thread_dispatches_total counter\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_dispatches_total{{thread=\"{}\"}} {}\n",
-                    t.index, t.dispatches
-                ));
-            }
-            out.push_str("# HELP hb_reactor_thread_wakeups_total Times another thread woke the I/O thread out of the poller (eventfd wake-ups consumed).\n");
-            out.push_str("# TYPE hb_reactor_thread_wakeups_total counter\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_wakeups_total{{thread=\"{}\"}} {}\n",
-                    t.index, t.wakeups
-                ));
-            }
-            out.push_str("# HELP hb_reactor_thread_pumps_total Connection pump calls, by cause: wake (requested after an enqueue) or timer (the timed pass).\n");
-            out.push_str("# TYPE hb_reactor_thread_pumps_total counter\n");
-            for t in &threads {
-                for (cause, pumps) in [("wake", t.pumps_wake), ("timer", t.pumps_timer)] {
-                    out.push_str(&format!(
-                        "hb_reactor_thread_pumps_total{{thread=\"{}\",cause=\"{cause}\"}} {pumps}\n",
-                        t.index
-                    ));
-                }
-            }
-            out.push_str("# HELP hb_reactor_thread_utilization Busy fraction of observed time, 0 to 1.\n");
-            out.push_str("# TYPE hb_reactor_thread_utilization gauge\n");
-            for t in &threads {
-                out.push_str(&format!(
-                    "hb_reactor_thread_utilization{{thread=\"{}\"}} {:.6}\n",
-                    t.index,
-                    t.utilization()
-                ));
-            }
-        }
-        out
-    }
-
-    /// An app × time-bucket beat-rate matrix rendered from the history
-    /// rings — the CloudHeatMap view of the fleet. Each application's
-    /// window is anchored at its **own newest sample** (producer clocks are
-    /// not comparable across hosts): bucket `buckets-1` is the `width`
-    /// ending at that sample, bucket `buckets-2` the `width` before it, and
-    /// so on. Returns `(app, rates)` sorted by name; `rates[i]` is in
-    /// beats/second, `0.0` where the ring holds no samples that old.
-    pub fn heatmap(&self, buckets: usize, width: Duration) -> Vec<(String, Vec<f64>)> {
-        let buckets = buckets.clamp(1, 64);
-        let width_ns = width.as_nanos().clamp(1, u64::MAX as u128) as u64;
-        let mut rows = Vec::new();
-        for app in self.app_names() {
-            let Some((_, samples)) = self.history(&app, 0) else {
-                continue;
-            };
-            let mut counts = vec![0u64; buckets];
-            if let Some(newest) = samples.iter().map(|s| s.timestamp_ns).max() {
-                for sample in &samples {
-                    let age = newest - sample.timestamp_ns;
-                    let back = (age / width_ns) as usize;
-                    if back < buckets {
-                        counts[buckets - 1 - back] += 1;
-                    }
-                }
-            }
-            let width_s = width_ns as f64 / 1e9;
-            rows.push((app, counts.into_iter().map(|c| c as f64 / width_s).collect()));
-        }
-        rows
-    }
-}
-
-/// A consistent point-in-time reading of the collector-wide counters,
-/// produced by [`CollectorState::counters`] and consumed whole by `STATS`
-/// and the Prometheus export.
-#[derive(Debug, Clone)]
-pub struct CollectorCounters {
-    /// Producer connections accepted since start.
-    pub connections_total: u64,
-    /// Frames ingested since start.
-    pub frames_total: u64,
-    /// Connections dropped for protocol violations.
-    pub protocol_errors: u64,
-    /// Observer requests answered.
-    pub queries_total: u64,
-    /// Connections evicted by the idle timer.
-    pub evicted_total: u64,
-    /// Push subscriptions currently registered.
-    pub subscriptions: usize,
-    /// Events enqueued toward subscribers (always >= the drop count below).
-    pub events_total: u64,
-    /// Events shed because a subscriber queue was full.
-    pub events_dropped_total: u64,
-    /// Time since the collector started.
-    pub uptime: Duration,
 }
 
 /// Parent-side view of one federation child link (see
@@ -2602,10 +2108,14 @@ const MAX_QUERY_LINE: usize = 64 * 1024;
 /// queries. The blocking engine was naturally bounded by the peer's read
 /// rate; the reactor buffers replies, so a client flooding `METRICS\n`
 /// lines without reading could otherwise balloon the outbound buffer within
-/// a single read burst. Beyond the cap the connection is dropped. Sized to
-/// hold at least two maximal binary `History` replies plus line chatter, so
-/// a legitimate client pipelining a few full-ring queries is never cut off
-/// (the reactor's own `max_outbound` still bounds a truly unread backlog).
+/// a single read burst. A further query arriving while more than the cap is
+/// still pending drops the connection. Sized to hold at least two maximal
+/// binary `History` replies plus line chatter, so a legitimate client
+/// pipelining a few full-ring queries is never cut off. It does not bound
+/// one reply — a chunked `Metrics` export may exceed it — only what may be
+/// pending when the next question is taken up (the reactor's own
+/// `max_outbound` still bounds a truly unread backlog, and so the largest
+/// single reply).
 const MAX_PENDING_REPLIES: usize =
     2 * (crate::wire::MAX_PAYLOAD + crate::wire::HEADER_LEN) + MAX_QUERY_LINE;
 
@@ -2613,12 +2123,12 @@ const MAX_PENDING_REPLIES: usize =
 ///
 /// The query port speaks two protocols on the same socket, disambiguated by
 /// the first bytes of every message: a message starting with the frame
-/// magic (`HBWT`) is a binary wire-protocol query
-/// ([`Frame::HistoryReq`] / [`Frame::HealthReq`], answered with
-/// [`Frame::History`] / [`Frame::Health`]); anything else is a
-/// newline-terminated line command (`HELP` lists them). The two may be
-/// freely interleaved on one connection — [`RemoteReader`](crate::RemoteReader)
-/// does exactly that.
+/// magic (`HBWT`) is a binary wire-protocol frame — a query
+/// ([`Query::from_frame`]) or subscription control; anything else is a
+/// newline-terminated line command ([`query::parse_line`]; `HELP` lists
+/// them). Either way the question is answered by [`query::answer`] and only
+/// the rendering differs. The two may be freely interleaved on one
+/// connection.
 struct ObserverHandler {
     state: Arc<CollectorState>,
     buf: Vec<u8>,
@@ -2639,7 +2149,8 @@ impl ObserverHandler {
         }
     }
 
-    /// Answers one binary query frame. Returns `false` to close.
+    /// Answers one binary frame: subscription control here, queries through
+    /// the query plane. Returns `false` to close.
     fn handle_frame(&mut self, frame: Frame, out: &mut OutBuf) -> bool {
         let reply = match frame {
             Frame::Subscribe(req) => {
@@ -2688,44 +2199,13 @@ impl ObserverHandler {
                     status: SubStatus::Ok,
                 }
             }
-            Frame::HistoryReq { app, limit } => {
-                let telemetry = self.state.stage_telemetry();
-                let started = telemetry.start();
-                self.state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                let found = self.state.history(&app, limit as usize);
-                let known = found.is_some();
-                let (total, mut samples) = found.unwrap_or_default();
-                // Rings are clamped to MAX_HISTORY_SAMPLES at creation, so
-                // this is a pure backstop against a future unclamped path.
-                if samples.len() > MAX_HISTORY_SAMPLES {
-                    samples.drain(..samples.len() - MAX_HISTORY_SAMPLES);
-                }
-                let reply = Frame::History(HistoryChunk {
-                    app,
-                    known,
-                    total,
-                    samples,
-                });
-                telemetry.observe(&telemetry.query, started);
-                reply
+            // Every other frame is a query, or (producer frames, unsolicited
+            // responses) does not belong on the query port.
+            other => {
+                return Query::from_frame(other).is_some_and(|query| {
+                    query::answer(&self.state, query).encode_into(out.vec_mut())
+                })
             }
-            Frame::HealthReq { app } => {
-                let telemetry = self.state.stage_telemetry();
-                let started = telemetry.start();
-                self.state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                let report = self.state.health(&app);
-                let known = report.is_some();
-                let reply = Frame::Health(HealthFrame {
-                    app,
-                    known,
-                    report: report.unwrap_or_else(HealthReport::no_signal),
-                });
-                telemetry.observe(&telemetry.query, started);
-                reply
-            }
-            // Producer frames (and unsolicited responses) do not belong on
-            // the query port.
-            _ => return false,
         };
         reply.encode_into(out.vec_mut());
         true
@@ -2737,12 +2217,14 @@ impl Handler for ObserverHandler {
         self.buf.extend_from_slice(input);
         let mut consumed = 0;
         loop {
-            if out.pending() > MAX_PENDING_REPLIES {
-                return false; // pipelining flood: answers outpace the reads
-            }
             let avail = &self.buf[consumed..]; // hb-lint: allow(index): consumed counts whole frames already parsed out of buf
             if avail.is_empty() {
                 break;
+            }
+            // Checked before the next question, not after the last answer:
+            // one reply may be any size the reactor will carry.
+            if out.pending() > MAX_PENDING_REPLIES {
+                return false; // pipelining flood: answers outpace the reads
             }
             // Disambiguate the next message: binary frames start with the
             // 4-byte magic; no line command does (line commands are ASCII
@@ -2759,23 +2241,19 @@ impl Handler for ObserverHandler {
                 if avail.len() < crate::wire::HEADER_LEN + payload_len {
                     break; // incomplete frame; wait for more
                 }
-                match Frame::decode(avail) {
-                    Ok((frame, used)) => {
-                        if !self.handle_frame(frame, out) {
-                            return false;
-                        }
-                        consumed += used;
-                    }
-                    Err(_) => return false,
+                let Ok((frame, used)) = Frame::decode(avail) else {
+                    return false;
+                };
+                if !self.handle_frame(frame, out) {
+                    return false;
                 }
+                consumed += used;
             } else {
                 let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
                     break;
                 };
                 let text = String::from_utf8_lossy(&avail[..nl]); // hb-lint: allow(index): nl came from a find() on avail
-                // Writing to an OutBuf cannot fail; treat the impossible
-                // as QUIT.
-                let keep_open = handle_query(text.trim(), &self.state, out).unwrap_or(false);
+                let keep_open = query::serve_line(&self.state, text.trim(), out.vec_mut());
                 consumed += nl + 1;
                 if !keep_open {
                     return false;
@@ -2841,291 +2319,6 @@ impl Handler for ObserverHandler {
     fn on_close(&mut self) {
         if let Some(queue) = self.queue.take() {
             self.state.drop_queue_subscriptions(&queue);
-        }
-    }
-}
-
-/// Formats one application snapshot as the single-line `GET` response.
-pub fn format_snapshot(snap: &AppSnapshot) -> String {
-    let rate = snap
-        .rate_bps
-        .map(|r| r.to_string())
-        .unwrap_or_else(|| "na".into());
-    let target = snap
-        .target
-        .map(|(min, max)| format!("{min},{max}"))
-        .unwrap_or_else(|| "na".into());
-    let last = snap
-        .last_timestamp_ns
-        .map(|t| t.to_string())
-        .unwrap_or_else(|| "na".into());
-    format!(
-        "APP name={} pid={} total={} local={} rate={} target={} dropped={} last_ns={} window={} connections={} alive={}",
-        snap.app,
-        snap.pid,
-        snap.total_beats,
-        snap.local_beats,
-        rate,
-        target,
-        snap.producer_dropped,
-        last,
-        snap.window,
-        snap.connections,
-        u8::from(snap.alive),
-    )
-}
-
-/// Formats one health report as the single-line `HEALTH` response.
-pub fn format_health(app: &str, report: &HealthReport) -> String {
-    let reasons = if report.reasons.is_empty() {
-        "none".to_string()
-    } else {
-        report
-            .reasons
-            .iter()
-            .map(|r| r.as_str())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_else(|| "na".into());
-    format!(
-        "HEALTH app={app} status={} reasons={reasons} beats={} rate={} jitter={} \
-         missing={} duplicated={} reordered={} silent_ms={}",
-        report.status,
-        report.window_beats,
-        opt(report.window_rate_bps),
-        opt(report.jitter_cv),
-        report.missing,
-        report.duplicated,
-        report.reordered,
-        report.silent_ns / 1_000_000,
-    )
-}
-
-/// Formats one history sample as an `S` line of the `HISTORY` response.
-fn format_sample(sample: &HistorySample) -> String {
-    let rate = sample
-        .rate_bps
-        .map(|r| r.to_string())
-        .unwrap_or_else(|| "na".into());
-    format!(
-        "S seq={} ts={} tag={} interval={} rate={rate}",
-        sample.seq, sample.timestamp_ns, sample.tag, sample.interval_ns,
-    )
-}
-
-/// The `HELP` response: every query-port command, one per line.
-const HELP_TEXT: &str = "\
-HELP                 this command list
-PING                 liveness probe; answers PONG
-VERSION              the collector's wire-protocol version (VERSION <n>)
-LIST                 application names (APPS <n>, one name per line, END)
-GET <app>            one-line snapshot of an application
-HISTORY <app> [n]    recent beat samples, newest n (default all retained), END-terminated
-HEALTH [app]         windowed health classification; without <app>, all applications, END-terminated
-METRICS              Prometheus text export, END-terminated
-STATS                one-line collector-wide counters
-HEATMAP [b] [w_ms]   app x time-bucket beat-rate matrix from the history rings (default 8 buckets x 1000 ms), END-terminated
-TRACE [n]            newest n in-process journal entries (default 64), END-terminated
-QUIT                 close the connection
-binary               wire-protocol query frames (magic HBWT) are answered in kind; Subscribe opens a push subscription; see docs/WIRE.md";
-
-/// Executes one query command; returns `false` when the connection should
-/// close.
-fn handle_query(line: &str, state: &CollectorState, out: &mut impl Write) -> io::Result<bool> {
-    let telemetry = state.stage_telemetry();
-    let started = telemetry.start();
-    let keep_open = handle_query_inner(line, state, out);
-    telemetry.observe(&telemetry.query, started);
-    keep_open
-}
-
-/// The un-instrumented body of [`handle_query`].
-fn handle_query_inner(
-    line: &str,
-    state: &CollectorState,
-    out: &mut impl Write,
-) -> io::Result<bool> {
-    let mut parts = line.split_whitespace();
-    let command = parts.next();
-    // VERSION is subscription negotiation, not an observation poll; it must
-    // not disturb the "zero requests while pushed" accounting.
-    if command.is_some() && command != Some("VERSION") {
-        state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-    match command {
-        None => Ok(true), // blank line
-        Some("PING") => {
-            writeln!(out, "PONG")?;
-            Ok(true)
-        }
-        Some("VERSION") => {
-            // Lets observers negotiate before subscribing: collectors that
-            // predate this command answer `ERR unknown command`, telling the
-            // client not to send a Subscribe it would never ack.
-            writeln!(out, "VERSION {}", VERSION)?;
-            Ok(true)
-        }
-        Some("HELP") => {
-            writeln!(out, "{HELP_TEXT}")?;
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("HISTORY") => {
-            let app = parts.next();
-            let limit = parts.next().and_then(|n| n.parse::<usize>().ok());
-            match (app, limit) {
-                (Some(app), limit) => {
-                    match state.history(app, limit.unwrap_or(0)) {
-                        Some((total, samples)) => {
-                            writeln!(
-                                out,
-                                "HISTORY app={app} total={total} count={}",
-                                samples.len()
-                            )?;
-                            for sample in &samples {
-                                writeln!(out, "{}", format_sample(sample))?;
-                            }
-                            writeln!(out, "END")?;
-                        }
-                        None => writeln!(out, "ERR unknown app")?,
-                    }
-                    Ok(true)
-                }
-                (None, _) => {
-                    writeln!(out, "ERR usage: HISTORY <app> [limit]")?;
-                    Ok(true)
-                }
-            }
-        }
-        Some("HEALTH") => {
-            match parts.next() {
-                Some(app) => match state.health(app) {
-                    Some(report) => writeln!(out, "{}", format_health(app, &report))?,
-                    None => writeln!(out, "ERR unknown app")?,
-                },
-                None => {
-                    for (app, report) in state.healths() {
-                        writeln!(out, "{}", format_health(&app, &report))?;
-                    }
-                    writeln!(out, "END")?;
-                }
-            }
-            Ok(true)
-        }
-        Some("LIST") => {
-            let names = state.app_names();
-            writeln!(out, "APPS {}", names.len())?;
-            for name in names {
-                writeln!(out, "{name}")?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("GET") => {
-            match parts.next().and_then(|app| state.snapshot(app)) {
-                Some(snap) => writeln!(out, "{}", format_snapshot(&snap))?,
-                None => writeln!(out, "ERR unknown app")?,
-            }
-            Ok(true)
-        }
-        Some("METRICS") => {
-            out.write_all(state.prometheus().as_bytes())?;
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("STATS") => {
-            let counters = state.counters();
-            let origins = state.origins();
-            write!(
-                out,
-                "COLLECTOR apps={} connections={} frames={} errors={} io_threads={} evicted={} \
-                 queries={} subs={} events={} events_dropped={} uptime_s={:.3} shards={} \
-                 cross_shard={} origins={} origins_up={}",
-                state.app_names().len(),
-                counters.connections_total,
-                counters.frames_total,
-                counters.protocol_errors,
-                state.io_threads(),
-                counters.evicted_total,
-                counters.queries_total,
-                counters.subscriptions,
-                counters.events_total,
-                counters.events_dropped_total,
-                counters.uptime.as_secs_f64(),
-                state.io_threads(),
-                state.cross_shard_ingest(),
-                origins.len(),
-                origins.iter().filter(|o| o.connected).count(),
-            )?;
-            if let Some(stats) = state.upstream_stats() {
-                write!(
-                    out,
-                    " upstream_connected={} upstream_forwarded={} upstream_dropped={} \
-                     upstream_events={} upstream_reconnects={} upstream_retransmits={}",
-                    u8::from(stats.connected()),
-                    stats.forwarded_beats(),
-                    state.upstream_tap().map_or(0, |tap| tap.dropped_beats()),
-                    stats.forwarded_events(),
-                    stats.reconnects(),
-                    stats.retransmits(),
-                )?;
-            }
-            writeln!(out)?;
-            Ok(true)
-        }
-        Some("HEATMAP") => {
-            let buckets = parts
-                .next()
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or(8)
-                .clamp(1, 64);
-            let width_ms = parts
-                .next()
-                .and_then(|n| n.parse::<u64>().ok())
-                .filter(|&w| w > 0)
-                .unwrap_or(1000);
-            let rows = state.heatmap(buckets, Duration::from_millis(width_ms));
-            writeln!(
-                out,
-                "HEATMAP apps={} buckets={buckets} width_ms={width_ms}",
-                rows.len()
-            )?;
-            for (app, rates) in &rows {
-                let rates = rates
-                    .iter()
-                    .map(|r| format!("{r:.3}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                writeln!(out, "R app={app} rates={rates}")?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("TRACE") => {
-            let limit = parts
-                .next()
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or(64);
-            let entries = telemetry::journal().latest(limit);
-            writeln!(out, "TRACE count={}", entries.len())?;
-            for entry in &entries {
-                writeln!(
-                    out,
-                    "J ts_ms={} level={} {}",
-                    entry.ts_ms, entry.level, entry.message
-                )?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("QUIT") => {
-            writeln!(out, "BYE")?;
-            Ok(false)
-        }
-        Some(other) => {
-            writeln!(out, "ERR unknown command {other} (try HELP)")?;
-            Ok(true)
         }
     }
 }
@@ -3239,13 +2432,13 @@ mod tests {
         state.ingest_batch("app-a", 0, beats(&[0, 1_000_000]));
 
         let mut out = Vec::new();
-        assert!(handle_query("PING", &state, &mut out).unwrap());
-        assert!(handle_query("LIST", &state, &mut out).unwrap());
-        assert!(handle_query("GET app-a", &state, &mut out).unwrap());
-        assert!(handle_query("GET ghost", &state, &mut out).unwrap());
-        assert!(handle_query("STATS", &state, &mut out).unwrap());
-        assert!(handle_query("NONSENSE", &state, &mut out).unwrap());
-        assert!(!handle_query("QUIT", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "PING", &mut out));
+        assert!(query::serve_line(&state, "LIST", &mut out));
+        assert!(query::serve_line(&state, "GET app-a", &mut out));
+        assert!(query::serve_line(&state, "GET ghost", &mut out));
+        assert!(query::serve_line(&state, "STATS", &mut out));
+        assert!(query::serve_line(&state, "NONSENSE", &mut out));
+        assert!(!query::serve_line(&state, "QUIT", &mut out));
 
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("PONG"));
@@ -3348,13 +2541,13 @@ mod tests {
         state.ingest_batch("app-a", 0, beats(&[0, 1_000_000, 2_000_000]));
 
         let mut out = Vec::new();
-        assert!(handle_query("HISTORY app-a", &state, &mut out).unwrap());
-        assert!(handle_query("HISTORY app-a 1", &state, &mut out).unwrap());
-        assert!(handle_query("HISTORY ghost", &state, &mut out).unwrap());
-        assert!(handle_query("HISTORY", &state, &mut out).unwrap());
-        assert!(handle_query("HEALTH app-a", &state, &mut out).unwrap());
-        assert!(handle_query("HEALTH ghost", &state, &mut out).unwrap());
-        assert!(handle_query("HEALTH", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "HISTORY app-a", &mut out));
+        assert!(query::serve_line(&state, "HISTORY app-a 1", &mut out));
+        assert!(query::serve_line(&state, "HISTORY ghost", &mut out));
+        assert!(query::serve_line(&state, "HISTORY", &mut out));
+        assert!(query::serve_line(&state, "HEALTH app-a", &mut out));
+        assert!(query::serve_line(&state, "HEALTH ghost", &mut out));
+        assert!(query::serve_line(&state, "HEALTH", &mut out));
 
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("HISTORY app=app-a total=3 count=3"));
@@ -3371,7 +2564,7 @@ mod tests {
     fn help_lists_every_command() {
         let state = CollectorState::new(CollectorConfig::default());
         let mut out = Vec::new();
-        assert!(handle_query("HELP", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "HELP", &mut out));
         let text = String::from_utf8(out).unwrap();
         for command in [
             "HELP", "PING", "LIST", "GET", "HISTORY", "HEALTH", "METRICS", "STATS", "HEATMAP",
@@ -3382,7 +2575,7 @@ mod tests {
         assert!(text.trim_end().ends_with("END"));
         // The pointer printed for unknown commands mentions HELP.
         let mut err = Vec::new();
-        handle_query("WAT", &state, &mut err).unwrap();
+        query::serve_line(&state, "WAT", &mut err);
         assert!(String::from_utf8(err).unwrap().contains("try HELP"));
     }
 
@@ -3452,6 +2645,76 @@ mod tests {
         assert!(rest.starts_with("COLLECTOR "), "rest: {rest:?}");
     }
 
+    /// N queries, in either protocol, move `queries_total` and the query
+    /// stage histogram by exactly N: the plane counts and times each one
+    /// once. The version probe, blank lines and subscription control are
+    /// not queries.
+    #[test]
+    fn every_query_is_counted_and_timed_exactly_once() {
+        let state = Arc::new(CollectorState::new(CollectorConfig::default()));
+        state.ingest_batch("acct", 0, beats(&[0, 1_000_000]));
+        let mut handler = ObserverHandler::new(Arc::clone(&state));
+        let mut out = OutBuf::new();
+
+        let lines = [
+            "PING",
+            "LIST",
+            "GET acct",
+            "GET ghost",
+            "GET",
+            "HISTORY acct 1",
+            "HISTORY",
+            "HEALTH",
+            "HEALTH acct",
+            "STATS",
+            "METRICS",
+            "HEATMAP",
+            "TRACE 1",
+            "HELP",
+            "WAT",
+        ];
+        let frames = [
+            Frame::SnapshotReq { app: "acct".into() },
+            Frame::HistoryReq {
+                app: "acct".into(),
+                limit: 0,
+            },
+            Frame::HealthReq {
+                app: "ghost".into(),
+            },
+            Frame::ListReq,
+            Frame::StatsReq,
+            Frame::MetricsReq,
+        ];
+        let mut input = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            input.extend_from_slice(format!("{line}\n").as_bytes());
+            if let Some(frame) = frames.get(i) {
+                frame.encode_into(&mut input); // interleave the two protocols
+            }
+        }
+        input.extend_from_slice(b"VERSION\n\n  \n");
+        Frame::Subscribe(SubscribeReq {
+            sub_id: 1,
+            pattern: "acct".into(),
+            interests: Interest::HEALTH.bits(),
+            min_interval_ns: 0,
+            resume_from: 0,
+        })
+        .encode_into(&mut input);
+        Frame::Unsubscribe { sub_id: 1 }.encode_into(&mut input);
+        assert!(handler.on_data(&input, &mut out), "connection stays open");
+
+        let expected = (lines.len() + frames.len()) as u64;
+        assert_eq!(state.queries_total(), expected);
+        let timed = state
+            .prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix("hb_collector_query_latency_seconds_count "))
+            .map(|n| n.parse::<u64>().unwrap());
+        assert_eq!(timed, Some(expected));
+    }
+
     #[test]
     fn observer_handler_rejects_producer_frames() {
         let state = Arc::new(CollectorState::new(CollectorConfig::default()));
@@ -3494,7 +2757,7 @@ mod tests {
             "ring clamped so every reply fits one History frame"
         );
         // And the reply really does encode.
-        let frame = Frame::History(HistoryChunk {
+        let frame = Frame::History(crate::wire::HistoryChunk {
             app: "big".into(),
             known: true,
             total,
@@ -3540,7 +2803,7 @@ mod tests {
         state.hello("cam", 1, 20);
         state.ingest_batch("cam", 0, beats(&[0, 1_000_000, 2_000_000]));
         let mut sink = Vec::new();
-        assert!(handle_query("LIST", &state, &mut sink).unwrap());
+        assert!(query::serve_line(&state, "LIST", &mut sink));
         let text = state.prometheus();
         // Every declared series carries documentation.
         for line in text.lines() {
@@ -3574,11 +2837,8 @@ mod tests {
 
     #[test]
     fn prometheus_escapes_label_values() {
-        assert_eq!(CollectorState::escape_label("plain-name"), "plain-name");
-        assert_eq!(
-            CollectorState::escape_label("a\\b\"c\nd"),
-            "a\\\\b\\\"c\\nd"
-        );
+        assert_eq!(query::escape_label("plain-name"), "plain-name");
+        assert_eq!(query::escape_label("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
     }
 
     #[test]
@@ -3599,7 +2859,7 @@ mod tests {
         assert_eq!(rates, &[2.0, 1.0, 0.0, 1.0]);
 
         let mut out = Vec::new();
-        assert!(handle_query("HEATMAP 4 1000", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "HEATMAP 4 1000", &mut out));
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HEATMAP apps=1 buckets=4 width_ms=1000\n"));
         assert!(text.contains("R app=cam rates=2.000,1.000,0.000,1.000\n"));
@@ -3627,7 +2887,7 @@ mod tests {
         let state = CollectorState::new(CollectorConfig::default());
         crate::log!(Level::Info, "trace-test-sentinel-48151623");
         let mut out = Vec::new();
-        assert!(handle_query("TRACE 2000", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "TRACE 2000", &mut out));
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("TRACE count="), "got: {text}");
         assert!(
@@ -3646,10 +2906,10 @@ mod tests {
     #[test]
     fn stats_and_metrics_share_one_consistent_event_reading() {
         let state = CollectorState::new(CollectorConfig::default());
-        let counters = state.counters();
-        assert!(counters.events_total >= counters.events_dropped_total);
+        let stats = state.stats();
+        assert!(stats.events >= stats.events_dropped);
         let mut out = Vec::new();
-        assert!(handle_query("STATS", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "STATS", &mut out));
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("COLLECTOR apps=0 "), "got: {text}");
         assert!(text.contains("events=0 events_dropped=0"));
@@ -3663,7 +2923,7 @@ mod tests {
         });
         assert_eq!(state.io_threads(), 3);
         let mut out = Vec::new();
-        assert!(handle_query("STATS", &state, &mut out).unwrap());
+        assert!(query::serve_line(&state, "STATS", &mut out));
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("io_threads=3"), "got: {text}");
         assert!(text.contains("shards=3"), "got: {text}");

@@ -21,7 +21,11 @@
 //! * [`Collector`] — a daemon accepting many concurrent producers,
 //!   maintaining a sharded per-app registry of windowed rates
 //!   (server-side [`heartbeats::MovingRate`]) and goals, and serving a
-//!   line-based query port with a Prometheus-style text export.
+//!   query port.
+//! * [`query`] — the query plane behind that port: each question is
+//!   answered once from a typed reply and rendered twice, as binary frames
+//!   for [`RemoteReader`] and as a line protocol for humans and `nc`
+//!   (including the Prometheus-style text export).
 //! * [`RemoteReader`] / [`RemoteApp`] — the observer-side client;
 //!   `RemoteApp` implements [`heartbeats::Observe`] (which carries blanket
 //!   `control::RateSource`/`HealthSource` impls) so a
@@ -71,9 +75,9 @@ pub mod client;
 pub mod collector;
 pub mod crc;
 mod error;
-pub mod faultnet;
 pub mod frame;
 pub mod health;
+pub mod query;
 pub mod reactor;
 pub mod subscribe;
 pub mod telemetry;
@@ -82,8 +86,7 @@ pub mod wire;
 
 pub use auth::{hmac_sha256, sha256};
 pub use backend::{TcpBackend, TcpBackendConfig};
-pub use faultnet::{FaultConfig, FaultProxy, FaultStats};
-pub use client::{CollectorStats, RemoteApp, RemoteReader, Subscription};
+pub use client::{RemoteApp, RemoteReader, Subscription};
 pub use collector::{
     AppSnapshot, Collector, CollectorConfig, CollectorState, OriginRollup, OriginSnapshot,
     UplinkRejectReason,
@@ -93,6 +96,7 @@ pub use frame::{FrameDecoder, FrameReader, FrameWriter};
 pub use health::{
     HealthConfig, HealthReason, HealthReport, HealthStatus, HistoryRing, HistorySample,
 };
+pub use query::{CollectorStats, UplinkStats};
 pub use reactor::{Reactor, ReactorConfig};
 pub use subscribe::{LocalSubscription, SubscriptionRegistry};
 pub use upstream::{UpstreamConfig, UpstreamRelay, UpstreamStats, UpstreamTap};

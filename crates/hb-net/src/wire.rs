@@ -60,6 +60,14 @@
 //!   ([`HistorySample`] records).
 //! * [`Frame::HealthReq`] / [`Frame::Health`] — ask for / return the
 //!   windowed anomaly classification ([`HealthReport`]).
+//! * [`Frame::SnapshotReq`] / [`Frame::Snapshot`] — ask for / return one
+//!   application's full [`AppSnapshot`].
+//! * [`Frame::ListReq`] / [`Frame::List`], [`Frame::MetricsReq`] /
+//!   [`Frame::Metrics`] — the registered names / the Prometheus text
+//!   export, each split across as many frames as [`MAX_PAYLOAD`] requires
+//!   (the last one flagged).
+//! * [`Frame::StatsReq`] / [`Frame::Stats`] — the collector-wide counters
+//!   ([`CollectorStats`]).
 //! * [`Frame::Subscribe`] / [`Frame::SubAck`] — open a push subscription
 //!   (application glob, interest mask, minimum update interval) /
 //!   acknowledge it.
@@ -71,9 +79,11 @@
 
 use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 
+use crate::collector::AppSnapshot;
 use crate::crc::crc32;
 use crate::error::{NetError, Result};
 use crate::health::{HealthReason, HealthReport, HealthStatus, HistorySample};
+use crate::query::{CollectorStats, UplinkStats};
 
 /// Frame magic: `HBWT` interpreted as a little-endian u32.
 pub const MAGIC: u32 = 0x5457_4248;
@@ -130,6 +140,18 @@ const KIND_RELAY_EVENT: u8 = 16;
 const KIND_RELAY_ACK: u8 = 17;
 const KIND_NODE_CHALLENGE: u8 = 18;
 const KIND_NODE_AUTH: u8 = 19;
+const KIND_SNAPSHOT_REQ: u8 = 20;
+const KIND_SNAPSHOT: u8 = 21;
+const KIND_LIST_REQ: u8 = 22;
+const KIND_LIST: u8 = 23;
+const KIND_STATS_REQ: u8 = 24;
+const KIND_STATS: u8 = 25;
+// The kind byte is outside the CRC, so the kinds that may be body-less (Bye,
+// an unknown-app Snapshot and these three requests) are numbered at least
+// two bits apart: no single flipped bit turns one valid empty frame into
+// another. Hence MetricsReq after Metrics.
+const KIND_METRICS: u8 = 26;
+const KIND_METRICS_REQ: u8 = 27;
 
 /// Most ancestry entries a [`Frame::NodeHello`] path vector may carry —
 /// bounds the announced subtree, and therefore the federation tree depth ×
@@ -351,8 +373,8 @@ pub struct SubscribeReq {
     /// fresh). A federation parent re-issuing a propagated subscription
     /// after a link drop sets this to one past its last-delivered cursor;
     /// the child replays what its bounded replay ring still holds and
-    /// continues the cursor sequence without a gap. Encoded as a trailing
-    /// varint; absent on the wire (frames from older peers) decodes as `0`.
+    /// continues the cursor sequence without a gap. Encoded as a mandatory
+    /// trailing varint.
     pub resume_from: u64,
 }
 
@@ -574,6 +596,42 @@ pub enum Frame {
     RelayAck {
         /// Highest link sequence applied so far (`0` = none).
         last_applied: u64,
+    },
+    /// Query: the full snapshot of one application.
+    SnapshotReq {
+        /// Application name.
+        app: String,
+    },
+    /// Response to [`Frame::SnapshotReq`]: every [`AppSnapshot`] field, so a
+    /// remote reader sees exactly what an in-process one does; `None` when
+    /// the collector has never seen the application.
+    Snapshot(Option<AppSnapshot>),
+    /// Query: the names of all registered applications.
+    ListReq,
+    /// Response to [`Frame::ListReq`]: sorted names. A registry too large
+    /// for one payload is split across consecutive frames by the emitter;
+    /// the reader concatenates until `last`.
+    List {
+        /// True on the final frame of the reply.
+        last: bool,
+        /// This frame's share of the names.
+        names: Vec<String>,
+    },
+    /// Query: the collector-wide counters.
+    StatsReq,
+    /// Response to [`Frame::StatsReq`].
+    Stats(CollectorStats),
+    /// Query: the Prometheus text export.
+    MetricsReq,
+    /// Response to [`Frame::MetricsReq`]: the export text, split across
+    /// consecutive frames at character boundaries by the emitter so an
+    /// export over [`MAX_PAYLOAD`] is chunked, not truncated; the reader
+    /// concatenates until `last`.
+    Metrics {
+        /// True on the final frame of the reply.
+        last: bool,
+        /// This frame's share of the text.
+        text: String,
     },
 }
 
@@ -1078,6 +1136,14 @@ impl Frame {
             Frame::RelayAck { .. } => KIND_RELAY_ACK,
             Frame::NodeChallenge { .. } => KIND_NODE_CHALLENGE,
             Frame::NodeAuth { .. } => KIND_NODE_AUTH,
+            Frame::SnapshotReq { .. } => KIND_SNAPSHOT_REQ,
+            Frame::Snapshot(_) => KIND_SNAPSHOT,
+            Frame::ListReq => KIND_LIST_REQ,
+            Frame::List { .. } => KIND_LIST,
+            Frame::StatsReq => KIND_STATS_REQ,
+            Frame::Stats(_) => KIND_STATS,
+            Frame::MetricsReq => KIND_METRICS_REQ,
+            Frame::Metrics { .. } => KIND_METRICS,
         }
     }
 
@@ -1172,6 +1238,69 @@ impl Frame {
             Frame::NodeAuth { mac } => {
                 buf.extend_from_slice(mac);
             }
+            Frame::SnapshotReq { app } => put_name(buf, app),
+            Frame::Snapshot(None) => {} // an empty payload: never seen
+            Frame::Snapshot(Some(snap)) => {
+                buf.push(u8::from(snap.alive));
+                put_u32(buf, snap.pid);
+                put_u32(buf, snap.window);
+                put_u32(buf, snap.connections);
+                put_u64(buf, snap.total_beats);
+                put_u64(buf, snap.local_beats);
+                put_u64(buf, snap.producer_dropped);
+                buf.push(u8::from(snap.last_timestamp_ns.is_some()));
+                put_u64(buf, snap.last_timestamp_ns.unwrap_or(0));
+                put_opt_f64(buf, snap.rate_bps);
+                put_opt_f64(buf, snap.mean_interval_ns);
+                put_opt_f64(buf, snap.target.map(|(min, _)| min));
+                put_opt_f64(buf, snap.target.map(|(_, max)| max));
+                put_name(buf, &snap.app);
+            }
+            Frame::ListReq | Frame::StatsReq | Frame::MetricsReq => {}
+            Frame::List { last, names } => {
+                buf.push(u8::from(*last));
+                put_u32(buf, names.len() as u32);
+                for name in names {
+                    put_name(buf, name);
+                }
+            }
+            Frame::Stats(stats) => {
+                for value in [
+                    stats.apps,
+                    stats.connections,
+                    stats.frames,
+                    stats.protocol_errors,
+                    stats.io_threads,
+                    stats.evicted,
+                    stats.queries,
+                    stats.subscriptions,
+                    stats.events,
+                    stats.events_dropped,
+                    stats.cross_shard,
+                    stats.origins,
+                    stats.origins_up,
+                    stats.uptime_s.to_bits(),
+                ] {
+                    put_u64(buf, value);
+                }
+                buf.push(u8::from(stats.upstream.is_some()));
+                if let Some(up) = &stats.upstream {
+                    buf.push(u8::from(up.connected));
+                    for value in [
+                        up.forwarded_beats,
+                        up.dropped_beats,
+                        up.forwarded_events,
+                        up.reconnects,
+                        up.retransmits,
+                    ] {
+                        put_u64(buf, value);
+                    }
+                }
+            }
+            Frame::Metrics { last, text } => {
+                buf.push(u8::from(*last));
+                buf.extend_from_slice(text.as_bytes());
+            }
         }
     }
 
@@ -1221,7 +1350,7 @@ impl Frame {
             )));
         }
         let kind = bytes[5]; // hb-lint: allow(index): bytes.len() >= HEADER_LEN checked at entry
-        if !matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_NODE_AUTH) {
+        if !matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_METRICS_REQ) {
             return Err(NetError::Protocol(format!("unknown frame kind {kind}")));
         }
         let payload_len = read_u32(bytes, 6)? as usize;
@@ -1423,17 +1552,10 @@ impl Frame {
                 }
                 let min_interval_ns = read_u64(payload, 5)?;
                 let (pattern, end) = get_pattern(payload, 13)?;
-                // The resume cursor is a trailing varint; its absence (the
-                // pre-resume encoding) means "start fresh".
-                let resume_from = if end == payload.len() {
-                    0
-                } else {
-                    let (resume_from, end) = get_varint(payload, end)?;
-                    if end != payload.len() {
-                        return Err(NetError::Protocol("subscribe trailing bytes".into()));
-                    }
-                    resume_from
-                };
+                let (resume_from, end) = get_varint(payload, end)?;
+                if end != payload.len() {
+                    return Err(NetError::Protocol("subscribe trailing bytes".into()));
+                }
                 Ok(Frame::Subscribe(SubscribeReq {
                     sub_id,
                     pattern,
@@ -1578,6 +1700,129 @@ impl Frame {
                     ))
                 })?;
                 Ok(Frame::NodeAuth { mac })
+            }
+            KIND_SNAPSHOT_REQ => {
+                let (app, end) = get_name(payload, 0)?;
+                if end != payload.len() {
+                    return Err(NetError::Protocol("snapshot request trailing bytes".into()));
+                }
+                Ok(Frame::SnapshotReq { app })
+            }
+            KIND_LIST_REQ | KIND_STATS_REQ | KIND_METRICS_REQ => {
+                if !payload.is_empty() {
+                    return Err(NetError::Protocol(
+                        "body-less request carries a payload".into(),
+                    ));
+                }
+                Ok(match kind {
+                    KIND_LIST_REQ => Frame::ListReq,
+                    KIND_STATS_REQ => Frame::StatsReq,
+                    _ => Frame::MetricsReq,
+                })
+            }
+            KIND_SNAPSHOT => {
+                if payload.is_empty() {
+                    return Ok(Frame::Snapshot(None));
+                }
+                let flag = |at: usize| payload.get(at).is_some_and(|&b| b != 0);
+                let (app, end) = get_name(payload, 78)?;
+                if end != payload.len() {
+                    return Err(NetError::Protocol("snapshot payload trailing bytes".into()));
+                }
+                let target = match (get_opt_f64(payload, 62)?, get_opt_f64(payload, 70)?) {
+                    (Some(min), Some(max)) => Some((min, max)),
+                    (None, None) => None,
+                    _ => return Err(NetError::Protocol("half a target range".into())),
+                };
+                Ok(Frame::Snapshot(Some(AppSnapshot {
+                    app,
+                    alive: flag(0),
+                    pid: read_u32(payload, 1)?,
+                    window: read_u32(payload, 5)?,
+                    connections: read_u32(payload, 9)?,
+                    total_beats: read_u64(payload, 13)?,
+                    local_beats: read_u64(payload, 21)?,
+                    producer_dropped: read_u64(payload, 29)?,
+                    last_timestamp_ns: flag(37).then_some(read_u64(payload, 38)?),
+                    rate_bps: get_opt_f64(payload, 46)?,
+                    mean_interval_ns: get_opt_f64(payload, 54)?,
+                    target,
+                })))
+            }
+            KIND_LIST => {
+                let Some(&last) = payload.first() else {
+                    return Err(NetError::Protocol("list payload truncated".into()));
+                };
+                let count = read_u32(payload, 1)? as usize;
+                // Every name costs at least 3 bytes: a hostile count cannot
+                // reserve more than the payload could hold.
+                let mut names = Vec::with_capacity(count.min(payload.len() / 3));
+                let mut at = 5;
+                for _ in 0..count {
+                    let (name, end) = get_name(payload, at)?;
+                    names.push(name);
+                    at = end;
+                }
+                if at != payload.len() {
+                    return Err(NetError::Protocol("list payload trailing bytes".into()));
+                }
+                Ok(Frame::List {
+                    last: last != 0,
+                    names,
+                })
+            }
+            KIND_STATS => {
+                const FIXED: usize = 14 * 8;
+                let uptime_s = f64::from_bits(read_u64(payload, 104)?);
+                if !uptime_s.is_finite() {
+                    return Err(NetError::Protocol("non-finite uptime".into()));
+                }
+                let (upstream, end) = match payload.get(FIXED) {
+                    None => return Err(NetError::Protocol("stats payload truncated".into())),
+                    Some(0) => (None, FIXED + 1),
+                    Some(_) => {
+                        let up = UplinkStats {
+                            connected: payload.get(FIXED + 1).is_some_and(|&b| b != 0),
+                            forwarded_beats: read_u64(payload, FIXED + 2)?,
+                            dropped_beats: read_u64(payload, FIXED + 10)?,
+                            forwarded_events: read_u64(payload, FIXED + 18)?,
+                            reconnects: read_u64(payload, FIXED + 26)?,
+                            retransmits: read_u64(payload, FIXED + 34)?,
+                        };
+                        (Some(up), FIXED + 42)
+                    }
+                };
+                if end != payload.len() {
+                    return Err(NetError::Protocol("stats payload length mismatch".into()));
+                }
+                Ok(Frame::Stats(CollectorStats {
+                    apps: read_u64(payload, 0)?,
+                    connections: read_u64(payload, 8)?,
+                    frames: read_u64(payload, 16)?,
+                    protocol_errors: read_u64(payload, 24)?,
+                    io_threads: read_u64(payload, 32)?,
+                    evicted: read_u64(payload, 40)?,
+                    queries: read_u64(payload, 48)?,
+                    subscriptions: read_u64(payload, 56)?,
+                    events: read_u64(payload, 64)?,
+                    events_dropped: read_u64(payload, 72)?,
+                    cross_shard: read_u64(payload, 80)?,
+                    origins: read_u64(payload, 88)?,
+                    origins_up: read_u64(payload, 96)?,
+                    uptime_s,
+                    upstream,
+                }))
+            }
+            KIND_METRICS => {
+                let Some((&last, text)) = payload.split_first() else {
+                    return Err(NetError::Protocol("metrics payload truncated".into()));
+                };
+                let text = std::str::from_utf8(text)
+                    .map_err(|_| NetError::Protocol("metrics text is not UTF-8".into()))?;
+                Ok(Frame::Metrics {
+                    last: last != 0,
+                    text: text.to_string(),
+                })
             }
             // decode_header validates the kind, but decode_payload is a
             // public entry point — treat an unknown kind as the protocol
@@ -1943,8 +2188,8 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_rejected() {
-        // 2 is the retired fixed-width beat batch; 0 and 20 bracket the range.
-        for kind in [0, 2, KIND_NODE_AUTH + 1, 200] {
+        // 2 is the retired fixed-width beat batch; 0 and 28 bracket the range.
+        for kind in [0, 2, KIND_METRICS_REQ + 1, 200] {
             let mut bytes = Frame::Bye.encode();
             bytes[5] = kind;
             assert!(matches!(
@@ -3121,7 +3366,7 @@ mod tests {
     }
 
     #[test]
-    fn subscribe_legacy_body_decodes_with_zero_resume() {
+    fn subscribe_body_without_cursor_is_rejected() {
         let mut frame = Frame::Subscribe(SubscribeReq {
             sub_id: 3,
             pattern: "cam*".into(),
@@ -3130,16 +3375,16 @@ mod tests {
             resume_from: 0,
         })
         .encode();
-        // Strip the trailing resume varint (one byte for 0) and re-stamp.
+        // Strip the trailing resume varint (one byte for 0) and re-stamp:
+        // the body now ends at the pattern, which no v3 encoder produces.
         frame.pop();
         let payload_len = (frame.len() - HEADER_LEN) as u32;
         frame[6..10].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&frame[HEADER_LEN..]);
         frame[10..14].copy_from_slice(&crc.to_le_bytes());
-        let (decoded, _) = Frame::decode(&frame).unwrap();
         assert!(matches!(
-            decoded,
-            Frame::Subscribe(SubscribeReq { resume_from: 0, .. })
+            Frame::decode(&frame),
+            Err(NetError::Protocol(msg)) if msg.contains("varint truncated")
         ));
     }
 
@@ -3271,5 +3516,257 @@ mod tests {
             assert!(glob_overlaps_prefix(pattern, "leaf-1/"));
         }
     }
-}
 
+    fn sample_snapshot() -> AppSnapshot {
+        AppSnapshot {
+            app: "x264".into(),
+            pid: 41,
+            window: 20,
+            total_beats: 500,
+            local_beats: 3,
+            rate_bps: Some(29.97),
+            mean_interval_ns: Some(33_366_700.0),
+            target: Some((30.0, 35.0)),
+            producer_dropped: 12,
+            last_timestamp_ns: Some(123_456_789),
+            connections: 1,
+            alive: true,
+        }
+    }
+
+    fn sample_stats(upstream: Option<UplinkStats>) -> CollectorStats {
+        CollectorStats {
+            apps: 3,
+            connections: 280,
+            frames: 9000,
+            protocol_errors: 1,
+            io_threads: 2,
+            evicted: 5,
+            queries: 77,
+            subscriptions: 4,
+            events: 1000,
+            events_dropped: 6,
+            uptime_s: 12.5,
+            cross_shard: 0,
+            origins: 2,
+            origins_up: 1,
+            upstream,
+        }
+    }
+
+    #[test]
+    fn query_plane_frames_roundtrip() {
+        let uplink = UplinkStats {
+            connected: true,
+            forwarded_beats: 10,
+            dropped_beats: 2,
+            forwarded_events: 3,
+            reconnects: 1,
+            retransmits: 4,
+        };
+        let frames = [
+            Frame::SnapshotReq { app: "x264".into() },
+            Frame::Snapshot(Some(sample_snapshot())),
+            // A fresh app: every optional field absent.
+            Frame::Snapshot(Some(AppSnapshot {
+                rate_bps: None,
+                mean_interval_ns: None,
+                target: None,
+                last_timestamp_ns: None,
+                ..sample_snapshot()
+            })),
+            Frame::Snapshot(None),
+            Frame::ListReq,
+            Frame::List {
+                last: false,
+                names: vec!["a".into(), "edge/cam".into()],
+            },
+            Frame::List {
+                last: true,
+                names: vec![],
+            },
+            Frame::StatsReq,
+            Frame::Stats(sample_stats(None)),
+            Frame::Stats(sample_stats(Some(uplink))),
+            Frame::MetricsReq,
+            Frame::Metrics {
+                last: false,
+                text: "# HELP hb_app_alive \u{3bc}s\n".into(),
+            },
+            Frame::Metrics {
+                last: true,
+                text: String::new(),
+            },
+        ];
+        for frame in frames {
+            let bytes = frame.encode();
+            let (decoded, used) = Frame::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, frame);
+        }
+    }
+
+    #[test]
+    fn malformed_query_plane_frames_are_rejected() {
+        // Re-stamps length and CRC so only the body is at fault.
+        fn with_payload(frame: &Frame, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+            let mut bytes = frame.encode();
+            let mut payload = bytes.split_off(HEADER_LEN);
+            edit(&mut payload);
+            bytes[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes[10..14].copy_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes
+        }
+        let snapshot = Frame::Snapshot(Some(sample_snapshot()));
+        let stats = Frame::Stats(sample_stats(None));
+        let list = Frame::List {
+            last: true,
+            names: vec!["a".into(), "b".into()],
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "request with a body",
+                with_payload(&Frame::StatsReq, |p| p.push(0)),
+            ),
+            (
+                "snapshot cut short",
+                with_payload(&snapshot, |p| p.truncate(40)),
+            ),
+            (
+                "snapshot of one byte",
+                with_payload(&Frame::Snapshot(None), |p| p.push(0)),
+            ),
+            (
+                "snapshot trailing byte",
+                with_payload(&snapshot, |p| p.push(0)),
+            ),
+            (
+                "half a target",
+                with_payload(&snapshot, |p| {
+                    p[62..70].copy_from_slice(&f64::NAN.to_le_bytes())
+                }),
+            ),
+            (
+                "infinite rate",
+                with_payload(&snapshot, |p| {
+                    p[46..54].copy_from_slice(&f64::INFINITY.to_le_bytes())
+                }),
+            ),
+            ("stats cut short", with_payload(&stats, |p| p.truncate(100))),
+            (
+                "stats without uplink flag",
+                with_payload(&stats, |p| p.truncate(112)),
+            ),
+            (
+                "stats uplink cut short",
+                with_payload(&stats, |p| p[112] = 1),
+            ),
+            (
+                "stats NaN uptime",
+                with_payload(&stats, |p| {
+                    p[104..112].copy_from_slice(&f64::NAN.to_le_bytes())
+                }),
+            ),
+            ("list count too high", with_payload(&list, |p| p[1] = 3)),
+            ("list count too low", with_payload(&list, |p| p[1] = 1)),
+            (
+                "list hostile count",
+                with_payload(&list, |p| p[1..5].copy_from_slice(&[0xFF; 4])),
+            ),
+            ("empty list payload", with_payload(&list, |p| p.clear())),
+            (
+                "empty metrics payload",
+                with_payload(
+                    &Frame::Metrics {
+                        last: true,
+                        text: String::new(),
+                    },
+                    |p| p.clear(),
+                ),
+            ),
+            (
+                "metrics not UTF-8",
+                with_payload(
+                    &Frame::Metrics {
+                        last: true,
+                        text: "ok".into(),
+                    },
+                    |p| p[1] = 0xFF,
+                ),
+            ),
+        ];
+        for (what, bytes) in cases {
+            assert!(
+                matches!(Frame::decode(&bytes), Err(NetError::Protocol(_))),
+                "{what} must be a protocol error"
+            );
+        }
+    }
+
+    /// Pins the query-plane worked hex in `docs/WIRE.md`.
+    #[test]
+    fn query_plane_worked_examples_match_wire_md() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        }
+        assert_eq!(
+            hex(&Frame::SnapshotReq { app: "x264".into() }.encode()),
+            "48 42 57 54 03 14 06 00 00 00 f8 3f 9f 0b 04 00 78 32 36 34"
+        );
+        let snapshot = Frame::Snapshot(Some(sample_snapshot()));
+        assert_eq!(
+            hex(&snapshot.encode()),
+            "48 42 57 54 03 15 54 00 00 00 73 96 e6 35 \
+             01 29 00 00 00 14 00 00 00 01 00 00 00 \
+             f4 01 00 00 00 00 00 00 03 00 00 00 00 00 00 00 0c 00 00 00 00 00 00 00 \
+             01 15 cd 5b 07 00 00 00 00 \
+             b8 1e 85 eb 51 f8 3d 40 00 00 00 c0 2a d2 7f 41 \
+             00 00 00 00 00 00 3e 40 00 00 00 00 00 80 41 40 \
+             04 00 78 32 36 34"
+        );
+        assert_eq!(
+            hex(&Frame::ListReq.encode()),
+            "48 42 57 54 03 16 00 00 00 00 00 00 00 00"
+        );
+        let list = Frame::List {
+            last: true,
+            names: vec!["x264".into(), "edge/cam".into()],
+        };
+        assert_eq!(
+            hex(&list.encode()),
+            "48 42 57 54 03 17 15 00 00 00 63 ee b6 50 \
+             01 02 00 00 00 04 00 78 32 36 34 08 00 65 64 67 65 2f 63 61 6d"
+        );
+        assert_eq!(
+            hex(&Frame::StatsReq.encode()),
+            "48 42 57 54 03 18 00 00 00 00 00 00 00 00"
+        );
+        assert_eq!(
+            hex(&Frame::Stats(sample_stats(None)).encode()),
+            "48 42 57 54 03 19 71 00 00 00 70 25 61 77 \
+             03 00 00 00 00 00 00 00 18 01 00 00 00 00 00 00 28 23 00 00 00 00 00 00 \
+             01 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00 05 00 00 00 00 00 00 00 \
+             4d 00 00 00 00 00 00 00 04 00 00 00 00 00 00 00 e8 03 00 00 00 00 00 00 \
+             06 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00 \
+             01 00 00 00 00 00 00 00 00 00 00 00 00 00 29 40 00"
+        );
+        assert_eq!(
+            hex(&Frame::MetricsReq.encode()),
+            "48 42 57 54 03 1b 00 00 00 00 00 00 00 00"
+        );
+        let metrics = Frame::Metrics {
+            last: true,
+            text: "hb_collector_apps 3\n".into(),
+        };
+        assert_eq!(
+            hex(&metrics.encode()),
+            "48 42 57 54 03 1a 15 00 00 00 b0 ac 43 dd \
+             01 68 62 5f 63 6f 6c 6c 65 63 74 6f 72 5f 61 70 70 73 20 33 0a"
+        );
+    }
+}

@@ -44,6 +44,78 @@ fn encode_compact(batch: &BeatBatch) -> Vec<u8> {
     encoder.finish().to_vec()
 }
 
+/// Expands random seeds into one frame of every query-plane kind the
+/// `RemoteReader` exchanges beyond History/Health: SnapshotReq, Snapshot
+/// (with every optional field present or absent, and unknown),
+/// ListReq, List, StatsReq, Stats (with and without the uplink half),
+/// MetricsReq and Metrics.
+fn query_plane_frames(seeds: &[u64]) -> Vec<Frame> {
+    use hb_net::{AppSnapshot, CollectorStats, UplinkStats};
+
+    let s = |i: usize| seeds[i % seeds.len()].rotate_left(i as u32);
+    let name = |i: usize| format!("app-{:x}", s(i) >> 40);
+    let finite = |i: usize| (s(i) % 1_000_000_007) as f64 / 7.0;
+    let full = s(0).is_multiple_of(2);
+    let snapshot = AppSnapshot {
+        app: name(1),
+        pid: s(2) as u32,
+        window: s(3) as u32,
+        total_beats: s(4),
+        local_beats: s(5),
+        rate_bps: full.then(|| finite(6)),
+        mean_interval_ns: full.then(|| finite(7)),
+        target: full.then(|| (finite(8), finite(8) + finite(9))),
+        producer_dropped: s(10),
+        last_timestamp_ns: full.then(|| s(11)),
+        connections: s(12) as u32,
+        alive: s(13).is_multiple_of(2),
+    };
+    let stats = CollectorStats {
+        apps: s(14),
+        connections: s(15),
+        frames: s(16),
+        protocol_errors: s(17),
+        io_threads: s(18),
+        evicted: s(19),
+        queries: s(20),
+        subscriptions: s(21),
+        events: s(22),
+        events_dropped: s(23),
+        uptime_s: finite(24),
+        cross_shard: s(25),
+        origins: s(26),
+        origins_up: s(27),
+        upstream: full.then(|| UplinkStats {
+            connected: s(28).is_multiple_of(2),
+            forwarded_beats: s(29),
+            dropped_beats: s(30),
+            forwarded_events: s(31),
+            reconnects: s(32),
+            retransmits: s(33),
+        }),
+    };
+    vec![
+        Frame::SnapshotReq { app: name(1) },
+        Frame::Snapshot(Some(snapshot)),
+        Frame::Snapshot(None),
+        Frame::ListReq,
+        Frame::List {
+            last: full,
+            names: (0..seeds.len() % 7).map(|i| name(35 + i)).collect(),
+        },
+        Frame::StatsReq,
+        Frame::Stats(stats),
+        Frame::MetricsReq,
+        Frame::Metrics {
+            last: !full,
+            text: seeds
+                .iter()
+                .map(|v| format!("hb_app_beats_total{{app=\"µ{v}\"}} {v}\n"))
+                .collect(),
+        },
+    ]
+}
+
 proptest! {
     /// Any single record round-trips exactly through a batch frame.
     #[test]
@@ -146,20 +218,23 @@ proptest! {
         corrupt_at_fraction in 0.0f64..1.0,
         flip_bit in 0u8..8,
     ) {
-        let frame = Frame::Beats(BeatBatch {
+        let mut frames = query_plane_frames(&seeds);
+        frames.push(Frame::Beats(BeatBatch {
             dropped_total: 1,
             beats: seeds
                 .iter()
                 .enumerate()
                 .map(|(i, &s)| adversarial_beat(i, s))
                 .collect(),
-        });
-        let mut bytes = frame.encode();
-        let at = ((bytes.len() as f64 * corrupt_at_fraction) as usize).min(bytes.len() - 1);
-        bytes[at] ^= 1 << flip_bit;
-        match Frame::decode(&bytes) {
-            Err(_) => {}
-            Ok((decoded, _)) => prop_assert_eq!(decoded, frame, "corruption at byte {}", at),
+        }));
+        for frame in frames {
+            let mut bytes = frame.encode();
+            let at = ((bytes.len() as f64 * corrupt_at_fraction) as usize).min(bytes.len() - 1);
+            bytes[at] ^= 1 << flip_bit;
+            match Frame::decode(&bytes) {
+                Err(_) => {}
+                Ok((decoded, _)) => prop_assert_eq!(decoded, frame, "corruption at byte {}", at),
+            }
         }
     }
 
@@ -169,13 +244,16 @@ proptest! {
         seqs in prop::collection::vec(any::<u64>(), 1..20),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let frame = Frame::Beats(BeatBatch {
+        let mut frames = query_plane_frames(&seqs);
+        frames.push(Frame::Beats(BeatBatch {
             dropped_total: 0,
             beats: seqs.iter().map(|&s| beat_from((s, s, s, 0, true))).collect(),
-        });
-        let bytes = frame.encode();
-        let cut = ((bytes.len() as f64 * cut_fraction) as usize).min(bytes.len() - 1);
-        prop_assert!(Frame::decode(&bytes[..cut]).is_err());
+        }));
+        for frame in frames {
+            let bytes = frame.encode();
+            let cut = ((bytes.len() as f64 * cut_fraction) as usize).min(bytes.len() - 1);
+            prop_assert!(Frame::decode(&bytes[..cut]).is_err(), "{:?} cut at {}", frame, cut);
+        }
     }
 
     /// Random byte soup never decodes as a frame (the magic plus CRC make
@@ -289,7 +367,7 @@ fn federation_stream() -> Vec<u8> {
 
 proptest! {
     /// Decoder survival under faultnet mangling: feed a valid federation
-    /// stream through [`hb_net::faultnet::mangle`] (truncation plus random
+    /// stream through [`hb_testkit::faultnet::mangle`] (truncation plus random
     /// bit flips) in arbitrary chunk sizes. Corruption must surface as a
     /// decode error or a clean early end of stream — never a panic. This
     /// is the offline twin of the chaos test's in-flight corruption.
@@ -298,7 +376,7 @@ proptest! {
         seed in any::<u64>(),
         chunk in 1usize..512,
     ) {
-        let mangled = hb_net::faultnet::mangle(seed, &federation_stream());
+        let mangled = hb_testkit::faultnet::mangle(seed, &federation_stream());
 
         // One-shot decode of the mangled head: Ok or Err, never a panic.
         let _ = Frame::decode(&mangled);
@@ -344,10 +422,10 @@ fn sample_from(s: u64) -> hb_net::HistorySample {
 
 proptest! {
     /// Every query/control frame kind round-trips exactly: Bye, HistoryReq,
-    /// History, HealthReq, Health, HelloAck, SubAck and Unsubscribe. Keeps
-    /// the long tail of small frames honest — no kind ships without an
-    /// encode→decode property (hb-lint's wire-kind check enforces this
-    /// coverage).
+    /// History, HealthReq, Health, HelloAck, SubAck, Unsubscribe and the
+    /// rest of the query plane (`query_plane_frames`). Keeps the long tail
+    /// of small frames honest — no kind ships without an encode→decode
+    /// property (hb-lint's wire-kind check enforces this coverage).
     #[test]
     fn control_frames_roundtrip(
         name_seed in prop::collection::vec(97u8..123, 1..16),
@@ -389,7 +467,8 @@ proptest! {
             reordered: window_beats / 13,
             silent_ns,
         };
-        let frames = vec![
+        let mut frames = query_plane_frames(&[total, silent_ns, u64::from(limit)]);
+        frames.extend([
             Frame::Bye,
             Frame::HistoryReq { app: app.clone(), limit },
             Frame::History(HistoryChunk {
@@ -403,7 +482,7 @@ proptest! {
             Frame::HelloAck { max_version },
             Frame::SubAck { sub_id, status: SubStatus::from_u8(status_byte).unwrap() },
             Frame::Unsubscribe { sub_id },
-        ];
+        ]);
         for frame in frames {
             let bytes = frame.encode();
             let (decoded, used) = Frame::decode(&bytes).unwrap();

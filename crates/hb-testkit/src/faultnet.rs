@@ -16,9 +16,10 @@
 //! its logged seed. (Thread scheduling still jitters *timing*, which is why
 //! the tests assert ledger invariants, not byte-exact traces.)
 //!
-//! The proxy is test infrastructure, but it lives in the library (not under
-//! `#[cfg(test)]`) so integration tests, soaks, and downstream crates can
-//! all drive it; it holds no state beyond its own sockets and counters.
+//! The proxy is test infrastructure: it lives in this dev-only crate so the
+//! integration tests and soaks of every workspace member can drive it while
+//! the shipped collector contains no chaos proxy. It holds no state beyond
+//! its own sockets and counters.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};

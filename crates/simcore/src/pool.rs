@@ -7,9 +7,9 @@
 //! jobs concurrently. Raising or lowering the limit has the same effect as
 //! the paper's affinity changes, without tearing threads down.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -107,23 +107,27 @@ impl ResizablePool {
     /// Creates a pool with `workers` threads, all initially allowed to run.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (sender, receiver): (Sender<Job>, Receiver<Job>) = unbounded();
+        let (sender, receiver) = channel::<Job>();
+        // std's receiver is single-consumer: the workers take turns on it.
+        let receiver = Arc::new(Mutex::new(receiver));
         let gate = Arc::new(Gate::new(workers));
         let completion = Arc::new(Completion::default());
         let handles = (0..workers)
             .map(|i| {
-                let receiver = receiver.clone();
+                let receiver = Arc::clone(&receiver);
                 let gate = Arc::clone(&gate);
                 let completion = Arc::clone(&completion);
                 std::thread::Builder::new()
                     .name(format!("hb-sim-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = receiver.recv() {
-                            gate.acquire();
-                            job();
-                            gate.release();
-                            completion.completed();
-                        }
+                    .spawn(move || loop {
+                        // Its own statement: the lock is held to dequeue,
+                        // never while the job runs.
+                        let job = receiver.lock().recv();
+                        let Ok(job) = job else { break };
+                        gate.acquire();
+                        job();
+                        gate.release();
+                        completion.completed();
                     })
                     .expect("failed to spawn pool worker")
             })

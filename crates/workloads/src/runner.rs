@@ -8,11 +8,9 @@
 //! with any beat granularity, with or without heartbeats, so the bench
 //! harness can reproduce that comparison.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use heartbeats::{Heartbeat, HeartbeatBuilder, Tag};
-use rayon::prelude::*;
 
 use crate::kernels;
 
@@ -103,7 +101,8 @@ pub struct RealRunConfig {
     /// Register one heartbeat every `beat_every` items (0 = no heartbeats,
     /// reproducing the uninstrumented baseline).
     pub beat_every: usize,
-    /// Run items in parallel with rayon.
+    /// Run items in parallel: contiguous chunks, one scoped thread per
+    /// available core.
     pub parallel: bool,
 }
 
@@ -137,31 +136,33 @@ pub fn run_real(config: &RealRunConfig) -> RealRunResult {
     };
 
     let start = Instant::now();
-    let checksum: f64 = if config.parallel {
-        let heartbeat = heartbeat.clone().map(Arc::new);
-        (0..config.items)
-            .into_par_iter()
-            .map(|i| {
-                let value = config.kernel.run_item(config.item_size, i as u64);
-                if let Some(hb) = &heartbeat {
-                    if config.beat_every > 0 && (i + 1) % config.beat_every == 0 {
-                        hb.heartbeat_tagged(Tag::new(i as u64));
-                    }
-                }
-                value
-            })
-            .sum()
-    } else {
-        let mut sum = 0.0;
-        for i in 0..config.items {
-            sum += config.kernel.run_item(config.item_size, i as u64);
-            if let Some(hb) = &heartbeat {
-                if config.beat_every > 0 && (i + 1) % config.beat_every == 0 {
-                    hb.heartbeat_tagged(Tag::new(i as u64));
-                }
+    let run_item = |i: usize| {
+        let value = config.kernel.run_item(config.item_size, i as u64);
+        if let Some(hb) = &heartbeat {
+            if (i + 1).is_multiple_of(config.beat_every) {
+                hb.heartbeat_tagged(Tag::new(i as u64));
             }
         }
-        sum
+        value
+    };
+    let checksum: f64 = if config.parallel {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunk = config.items.div_ceil(workers).max(1);
+        std::thread::scope(|scope| {
+            let chunks: Vec<_> = (0..config.items)
+                .step_by(chunk)
+                .map(|from| {
+                    let to = (from + chunk).min(config.items);
+                    scope.spawn(move || (from..to).map(run_item).sum::<f64>())
+                })
+                .collect();
+            chunks
+                .into_iter()
+                .map(|chunk| chunk.join().expect("kernel worker panicked"))
+                .sum()
+        })
+    } else {
+        (0..config.items).map(run_item).sum()
     };
     let seconds = start.elapsed().as_secs_f64();
 

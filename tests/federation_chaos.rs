@@ -4,7 +4,7 @@
 //! and proven correct by exact accounting on both planes.
 //!
 //! Topology: `leaf-a, leaf-b → mid → root`, every uplink routed through an
-//! [`hb_net::faultnet::FaultProxy`]. All four collectors share a cluster
+//! [`hb_testkit::faultnet::FaultProxy`]. All four collectors share a cluster
 //! secret, so every link establishment also exercises the keyed-MAC
 //! challenge/response. The acceptance criteria, all reproducible from the
 //! logged seed (`CHAOS_SEED=<hex> cargo test ...`):
@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::observe::Interest;
 use app_heartbeats::heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
-use app_heartbeats::net::faultnet::{FaultConfig, FaultProxy};
 use app_heartbeats::net::{
     Collector, CollectorConfig, EventPayload, UpstreamConfig, WireBeat,
 };
+use hb_testkit::faultnet::{FaultConfig, FaultProxy};
 
 const SECRET: &str = "chaos-cluster-secret";
 const APPS_PER_LEAF: usize = 6;

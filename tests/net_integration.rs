@@ -3,12 +3,18 @@
 //! driving a `control` monitor), plus the backpressure guarantees when the
 //! collector is down.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use app_heartbeats::control::{RateMonitor, RateSource};
-use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
-use app_heartbeats::net::{Collector, RemoteReader, TcpBackend, TcpBackendConfig};
+use app_heartbeats::heartbeats::observe::{Interest, ObserveFilter};
+use app_heartbeats::heartbeats::{
+    Backend, BeatScope, BeatThreadId, HeartbeatBuilder, HeartbeatRecord, Tag,
+};
+use app_heartbeats::net::{
+    Collector, CollectorConfig, RemoteReader, TcpBackend, TcpBackendConfig, WireBeat,
+};
 
 /// Polls `probe` until it returns `Some` or the timeout elapses.
 fn wait_for<T>(timeout: Duration, mut probe: impl FnMut() -> Option<T>) -> Option<T> {
@@ -69,6 +75,13 @@ fn producer_collector_observer_loopback() {
     assert_eq!(snapshot.total_beats, BEATS);
     assert!(snapshot.alive, "app beat recently, must be alive");
     assert_eq!(snapshot.producer_dropped, 0, "collector was up throughout");
+    // The remote snapshot is the in-process one, field for field — the
+    // binary reply carries what the old text line dropped.
+    assert!(snapshot.mean_interval_ns.is_some());
+    assert_eq!(
+        Some(&snapshot),
+        collector.state().snapshot("pipeline").as_ref()
+    );
 
     // The collector's windowed rate tracks the producer's local estimate
     // within 10% (both are computed from the same beat timestamps).
@@ -116,6 +129,102 @@ fn producer_collector_observer_loopback() {
     let metrics = reader.metrics().expect("METRICS");
     assert!(metrics.contains("hb_app_beats_total{app=\"pipeline\"} 150"));
     assert!(metrics.contains("hb_app_target_min_bps{app=\"pipeline\"} 50"));
+}
+
+/// A Prometheus export larger than one frame payload reaches the reader
+/// whole — chunked, not truncated — on a plain connection and on a
+/// demux-upgraded one with pushed events interleaving between the chunks,
+/// even past the collector's cap on one connection's pending replies.
+#[test]
+fn metrics_export_larger_than_one_frame_arrives_whole() {
+    /// The lines a concurrent beat stream or a clock cannot change: every
+    /// `# HELP`/`# TYPE` line and every per-app series but the live app's.
+    fn stable(export: &str) -> Vec<&str> {
+        export
+            .lines()
+            .filter(|line| line.starts_with("# ") || line.starts_with("hb_app_"))
+            .filter(|line| !line.contains("app=\"live\""))
+            .collect()
+    }
+
+    let collector = Collector::with_config(
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+        CollectorConfig {
+            history_capacity: 8, // thousands of default rings would be ~250 MB
+            stale_after: Duration::from_secs(3600), // `alive` must not flip mid-test
+            ..CollectorConfig::default()
+        },
+    )
+    .expect("bind collector");
+    let state = collector.state();
+    for i in 0..3000u32 {
+        state.hello(&format!("{i:0>96}"), i, 20);
+    }
+    let expected = state.prometheus();
+    assert!(
+        expected.len() > 1 << 20,
+        "export is {} bytes",
+        expected.len()
+    );
+
+    let reader = Arc::new(
+        RemoteReader::connect(collector.query_addr().to_string()).expect("connect reader"),
+    );
+    let direct = reader.metrics().expect("chunked METRICS, direct");
+    assert!(direct.len() > 1 << 20);
+    assert_eq!(stable(&direct), stable(&expected));
+    assert_eq!(reader.apps().expect("LIST").len(), 3000);
+
+    // Upgrade to demux mode with a live raw-beats subscription, and keep
+    // events flowing while the export is scraped again.
+    let filter = ObserveFilter::new(Interest::BEATS);
+    let sub = reader.subscribe("live", &filter).expect("subscribe");
+    let stop = Arc::new(AtomicBool::new(false));
+    let feeder = {
+        let state = Arc::clone(&state);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut seq = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let beat = WireBeat {
+                    record: HeartbeatRecord::new(seq, seq * 1_000, Tag::NONE, BeatThreadId(0)),
+                    scope: BeatScope::Global,
+                };
+                state.ingest_batch("live", 0, [beat]);
+                seq += 1;
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            seq
+        })
+    };
+    wait_for(Duration::from_secs(5), || sub.try_next()).expect("events are flowing");
+    for _ in 0..3 {
+        let before = sub.try_next().is_some();
+        let demuxed = reader.metrics().expect("chunked METRICS, demuxed");
+        assert_eq!(stable(&demuxed), stable(&expected));
+        let during = wait_for(Duration::from_secs(5), || sub.try_next()).is_some();
+        assert!(before || during, "events interleave with the scrape");
+    }
+
+    // One reply may exceed the collector's pending-reply cap (two maximal
+    // frames plus a query line, ~2 MiB): the cap stops a client piling up
+    // questions, not one large answer. The export arrives whole and the
+    // connection, with its subscription, outlives it.
+    for i in 3000..5000u32 {
+        state.hello(&format!("{i:0>96}"), i, 20);
+    }
+    let expected = state.prometheus();
+    assert!(expected.len() > (2 << 20) + (64 << 10) + 28);
+    let large = reader.metrics().expect("an export over the pending-reply cap");
+    assert_eq!(stable(&large), stable(&expected));
+    while sub.try_next().is_some() {}
+    wait_for(Duration::from_secs(5), || sub.try_next()).expect("the subscription survived");
+
+    stop.store(true, Ordering::Relaxed);
+    let produced = feeder.join().expect("feeder");
+    assert!(produced > 0);
+    assert_eq!(sub.lost(), 0, "the demux kept up");
 }
 
 #[test]
