@@ -65,7 +65,9 @@ use heartbeats::{BeatScope, MovingRate};
 use heartbeats::observe::Interest;
 
 use crate::frame::{FrameDecoder, FrameEvent};
-use crate::health::{self, HealthConfig, HealthReport, HistoryRing, HistorySample};
+use crate::health::{
+    self, HealthConfig, HealthReport, HealthStatus, HistoryRing, HistorySample, WindowStats,
+};
 use crate::query::{self, Query};
 use crate::reactor::{
     Handler, ListenerSpec, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig,
@@ -170,6 +172,9 @@ struct AppEntry {
     /// `last_seen`, hellos and target changes do not reset it, so stall
     /// detection cannot be masked by reconnects.
     last_beat_at: Option<Instant>,
+    /// The health window as of the last assessment, reused by the next
+    /// one unless the ring has taken a sample since.
+    health_window: WindowStats,
 }
 
 impl AppEntry {
@@ -190,26 +195,24 @@ impl AppEntry {
             // one History frame (see CollectorConfig::history_capacity).
             history: HistoryRing::new(config.history_capacity.min(MAX_HISTORY_SAMPLES)),
             last_beat_at: None,
+            health_window: WindowStats::default(),
         }
     }
 
-    /// Runs the windowed anomaly detector over this entry's recent history.
-    fn health(&self, config: &HealthConfig) -> HealthReport {
+    /// Runs the windowed anomaly detector over this entry's recent history,
+    /// refreshing the kept window first if the ring has changed.
+    fn health(&mut self, config: &HealthConfig) -> HealthReport {
         let window_ns = config.window.as_nanos().min(u64::MAX as u128) as u64;
-        let window = self.history.window_from_newest(window_ns);
-        let silent_for = match self.last_beat_at {
-            Some(at) => at.elapsed(),
-            // Beats may have been counted with history disabled; treat the
-            // missing arrival time as total silence.
-            None => Duration::MAX,
-        };
-        health::assess(
-            &window,
-            self.total_beats,
-            silent_for,
-            self.target,
-            config,
-        )
+        self.health_window.refresh(&self.history, window_ns);
+        // No arrival time yet counts as total silence.
+        let silent_for = self.last_beat_at.map_or(Duration::MAX, |at| at.elapsed());
+        let window = &self.health_window;
+        let mut report =
+            health::classify(window, self.total_beats, silent_for, self.target, config);
+        if config.sequence_tags {
+            report.check_sequence(&window.window(&self.history));
+        }
+        report
     }
 }
 
@@ -754,13 +757,13 @@ impl CollectorState {
     }
 
     /// Decides which events one absorbed batch owes each watching
-    /// subscription. Runs under the shard lock (it reads the live entry),
-    /// so it only *decides and snapshots scalars* — batch copies, encoding
-    /// and enqueueing happen after the lock drops.
+    /// subscription. Runs under the shard lock (it reads the live entry and
+    /// refreshes its health window), so it only *decides and snapshots
+    /// scalars* — batch copies, encoding and enqueueing wait for the unlock.
     fn collect_ingest_events(
         &self,
         app: &str,
-        entry: &AppEntry,
+        entry: &mut AppEntry,
         batch_len: usize,
         watchers: &[Arc<SubEntry>],
         pending: &mut Vec<(Arc<SubEntry>, PendingEvent)>,
@@ -979,8 +982,8 @@ impl CollectorState {
             })
             .collect();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (app, entry) in shard.iter() {
+            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            for (app, entry) in shard.iter_mut() {
                 let Some((origin, _)) = app.split_once('/') else {
                     continue;
                 };
@@ -1422,21 +1425,35 @@ impl CollectorState {
         shard.get(app).map(|entry| self.snapshot_entry(app, entry))
     }
 
+    /// Visits every registered application once, one partition lock at a
+    /// time, and returns `row`'s result for each, sorted by name: the one
+    /// pass behind every sorted per-application listing.
+    fn scan<T>(&self, mut row: impl FnMut(&str, &mut AppEntry) -> T) -> Vec<(String, T)> {
+        let mut rows = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            for (app, entry) in shard.iter_mut() {
+                rows.push((app.clone(), row(app, entry)));
+            }
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+
     /// Snapshots of every registered application, sorted by name.
     pub fn snapshots(&self) -> Vec<AppSnapshot> {
-        let mut all: Vec<AppSnapshot> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-                shard
-                    .iter()
-                    .map(|(app, entry)| self.snapshot_entry(app, entry))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| a.app.cmp(&b.app));
-        all
+        let rows = self.scan(|app, entry| self.snapshot_entry(app, entry));
+        rows.into_iter().map(|(_, snapshot)| snapshot).collect()
+    }
+
+    /// Every registered application's snapshot and health class, sorted by
+    /// name: the per-application rows of a metrics scrape, read in one pass.
+    pub(crate) fn scrape_rows(&self) -> Vec<(AppSnapshot, HealthStatus)> {
+        let rows = self.scan(|app, entry| {
+            let health = entry.health(&self.config.health).status;
+            (self.snapshot_entry(app, entry), health)
+        });
+        rows.into_iter().map(|(_, row)| row).collect()
     }
 
     /// The retained history of one application: `(total samples ever
@@ -1453,44 +1470,47 @@ impl CollectorState {
     /// The windowed health classification of one application, or `None` if
     /// the collector has never seen it.
     pub fn health(&self, app: &str) -> Option<HealthReport> {
-        let shard = self.shard(app).lock().unwrap_or_else(|e| e.into_inner());
-        shard.get(app).map(|entry| entry.health(&self.config.health))
+        let mut shard = self.shard(app).lock().unwrap_or_else(|e| e.into_inner());
+        shard
+            .get_mut(app)
+            .map(|entry| entry.health(&self.config.health))
     }
 
     /// Health classifications of every registered application, sorted by
     /// name.
     pub fn healths(&self) -> Vec<(String, HealthReport)> {
-        let mut all: Vec<(String, HealthReport)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-                shard
-                    .iter()
-                    .map(|(app, entry)| (app.clone(), entry.health(&self.config.health)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
+        self.scan(|_, entry| entry.health(&self.config.health))
     }
 
     /// Names of all registered applications, sorted.
     pub fn app_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        names.sort();
-        names
+        let rows = self.scan(|_, _| ());
+        rows.into_iter().map(|(app, ())| app).collect()
+    }
+
+    /// An app × time-bucket beat-rate matrix rendered from the history
+    /// rings — the CloudHeatMap view of the fleet. Each application's
+    /// window is anchored at its **own newest sample** (producer clocks are
+    /// not comparable across hosts): bucket `buckets-1` is the `width`
+    /// ending at that sample, bucket `buckets-2` the `width` before it, and
+    /// so on. Returns `(app, rates)` sorted by name; `rates[i]` is in
+    /// beats/second, `0.0` where the ring holds no samples that old.
+    pub fn heatmap(&self, buckets: usize, width: Duration) -> Vec<(String, Vec<f64>)> {
+        let buckets = buckets.clamp(1, 64);
+        let width_ns = width.as_nanos().clamp(1, u64::MAX as u128) as u64;
+        let width_s = width_ns as f64 / 1e9;
+        self.scan(|_, entry| {
+            let newest = entry.history.iter().map(|s| s.timestamp_ns).max();
+            let newest = newest.unwrap_or(0);
+            let mut counts = vec![0u64; buckets];
+            for sample in entry.history.iter() {
+                let back = (newest - sample.timestamp_ns) / width_ns;
+                if let Some(count) = counts.iter_mut().rev().nth(back as usize) {
+                    *count += 1;
+                }
+            }
+            counts.into_iter().map(|c| c as f64 / width_s).collect()
+        })
     }
 
     /// Registered applications per reactor shard: an application is homed

@@ -11,8 +11,8 @@
 //!   at ingest. The ring is preallocated when an application registers, so
 //!   the beat hot path performs **zero allocation**: recording a sample is a
 //!   bounds-checked store plus two index updates.
-//! * [`assess`] — the windowed anomaly detector. Given the samples that fall
-//!   inside the health window it classifies the application as
+//! * [`classify`] — the windowed anomaly detector. Given the health
+//!   window's [`WindowStats`] it classifies the application as
 //!   [`Healthy`](HealthStatus::Healthy), [`Degraded`](HealthStatus::Degraded),
 //!   [`Stalled`](HealthStatus::Stalled) or
 //!   [`NoSignal`](HealthStatus::NoSignal), with machine-readable
@@ -20,15 +20,16 @@
 //!   anomalies via tag-as-sequence-number, reusing
 //!   [`heartbeats::analysis::check_sequence`]).
 //!
-//! The detector is deliberately a pure function over `(samples, counters,
-//! silence, target, config)` so the same classification runs identically in
-//! unit tests, in the collector under a shard lock, and in offline analysis
-//! of a dumped history.
+//! The classifier is a pure function over `(stats, counters, silence,
+//! target, config)`; [`assess`] runs it on a sample slice for unit tests
+//! and offline analysis. The collector keeps each application's stats and
+//! [refreshes](WindowStats::refresh) them on each look: an unchanged ring
+//! reuses them, and a ring that took any sample since costs one scan of the
+//! window, in place.
 
 use std::time::Duration;
 
 use heartbeats::analysis::check_sequence;
-use heartbeats::stats::OnlineStats;
 use heartbeats::{BeatThreadId, HeartbeatRecord, Tag};
 
 /// One recorded beat, as kept in a collector-side [`HistoryRing`].
@@ -119,71 +120,108 @@ impl HistoryRing {
         }
     }
 
-    /// Index of the newest retained sample, if any.
-    fn newest_at(&self) -> Option<usize> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        Some(if self.buf.len() < self.capacity || self.head == 0 {
-            self.buf.len() - 1
-        } else {
-            self.head - 1
-        })
+    /// The retained samples as two contiguous runs, older run first; the
+    /// second is empty until the ring wraps.
+    fn slices(&self) -> (&[HistorySample], &[HistorySample]) {
+        let (newer, older) = self.buf.split_at(self.head);
+        (older, newer)
+    }
+
+    /// The retained samples, oldest first.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &HistorySample> {
+        let (older, newer) = self.slices();
+        older.iter().chain(newer)
     }
 
     /// The most recent sample, if any.
     pub fn newest(&self) -> Option<&HistorySample> {
-        self.newest_at().map(|at| &self.buf[at])
+        self.iter().next_back()
     }
 
     /// All retained samples in chronological order (allocates; query path
     /// only).
     pub fn snapshot(&self) -> Vec<HistorySample> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        self.latest(0)
     }
 
-    /// Walks backwards from the newest sample while `keep` holds (and at
-    /// most `limit` steps, `0` = unlimited), returning the kept suffix in
-    /// chronological order. Copies only what it returns — callers like the
-    /// collector run this under a shard lock, where copying a large ring to
-    /// keep a small window would stall the ingest path.
-    fn suffix(&self, limit: usize, keep: impl Fn(&HistorySample) -> bool) -> Vec<HistorySample> {
-        let Some(newest_at) = self.newest_at() else {
-            return Vec::new();
-        };
-        let len = self.buf.len();
-        let mut out = Vec::new();
-        for k in 0..len {
-            if limit > 0 && k == limit {
-                break;
-            }
-            let sample = &self.buf[(newest_at + len - k) % len];
-            if !keep(sample) {
-                break;
-            }
-            out.push(*sample);
-        }
-        out.reverse();
-        out
-    }
-
-    /// The most recent `limit` samples in chronological order (`0` = all).
+    /// The most recent `limit` samples in chronological order (`0` = all),
+    /// copied as at most two contiguous runs.
     pub fn latest(&self, limit: usize) -> Vec<HistorySample> {
-        self.suffix(limit, |_| true)
+        let len = self.buf.len();
+        let skip = len - if limit == 0 { len } else { limit.min(len) };
+        let (older, newer) = self.slices();
+        let mut out = Vec::with_capacity(len - skip);
+        if skip < older.len() {
+            out.extend_from_slice(&older[skip..]);
+            out.extend_from_slice(newer);
+        } else {
+            out.extend_from_slice(&newer[skip - older.len()..]);
+        }
+        out
+    }
+}
+
+/// The health window in summary: the longest run of samples, ending at the
+/// newest, none older than the newest by more than the window (a sample
+/// exactly one window old is in it). A gap is a sample's timestamp minus
+/// its predecessor's, `0` across a descent; the gap sums are exact
+/// integers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    len: u64,
+    oldest_ns: u64,
+    newest_ns: u64,
+    /// The ring's `total_pushed()` when last refreshed.
+    through: u64,
+    gap_sum: u64,
+    gap_sq_sum: u128,
+}
+
+impl WindowStats {
+    /// Summarises `window`, a chronological sample slice, as one window.
+    pub fn of(window: &[HistorySample]) -> WindowStats {
+        let mut stats = WindowStats::default();
+        for sample in window.iter().rev() {
+            stats.push_front(sample.timestamp_ns);
+        }
+        stats
     }
 
-    /// The samples whose timestamps fall within `window_ns` of the newest
-    /// sample, in chronological order. The boundary is **inclusive**: a
-    /// sample exactly `window_ns` old is part of the window.
-    pub fn window_from_newest(&self, window_ns: u64) -> Vec<HistorySample> {
-        let Some(newest) = self.newest() else {
-            return Vec::new();
+    /// Prepends the previous sample to the window.
+    fn push_front(&mut self, ts: u64) {
+        if self.len == 0 {
+            self.newest_ns = ts;
+        } else {
+            let gap = self.oldest_ns.saturating_sub(ts);
+            self.gap_sum = self.gap_sum.saturating_add(gap);
+            self.gap_sq_sum = self.gap_sq_sum.saturating_add(u128::from(gap).pow(2));
+        }
+        self.oldest_ns = ts;
+        self.len += 1;
+    }
+
+    /// Brings the stats up to date with `ring` (the default describes an
+    /// empty ring). An unchanged ring costs nothing; one that took a sample
+    /// since the last refresh costs a walk back over the window, in place.
+    pub fn refresh(&mut self, ring: &HistoryRing, window_ns: u64) {
+        if self.through == ring.total_pushed() {
+            return;
+        }
+        *self = WindowStats {
+            through: ring.total_pushed(),
+            ..WindowStats::default()
         };
-        let cutoff = newest.timestamp_ns.saturating_sub(window_ns);
-        self.suffix(0, |s| s.timestamp_ns >= cutoff)
+        let newest = ring.newest().map_or(0, |s| s.timestamp_ns);
+        let cutoff = newest.saturating_sub(window_ns);
+        for sample in ring.iter().rev().take_while(|s| s.timestamp_ns >= cutoff) {
+            self.push_front(sample.timestamp_ns);
+        }
+    }
+
+    /// The window's samples, chronological, copied from `ring` (which the
+    /// stats must be up to date with).
+    pub(crate) fn window(&self, ring: &HistoryRing) -> Vec<HistorySample> {
+        ring.latest(self.len as usize)
     }
 }
 
@@ -390,12 +428,50 @@ impl HealthReport {
             silent_ns: 0,
         }
     }
+
+    /// Tag-as-sequence-number validation of the window's samples (the
+    /// paper's drop/reorder story), reusing the analysis machinery observers
+    /// use on local histories. A stalled or silent report is left as is.
+    pub(crate) fn check_sequence(&mut self, window: &[HistorySample]) {
+        if self.status < HealthStatus::Degraded || window.is_empty() {
+            return;
+        }
+        let records: Vec<HeartbeatRecord> = window
+            .iter()
+            .map(|s| HeartbeatRecord::new(s.seq, s.timestamp_ns, Tag::new(s.tag), BeatThreadId(0)))
+            .collect();
+        let start = window.iter().map(|s| s.tag).min().unwrap_or(0);
+        let seq_report = check_sequence(&records, start);
+        self.missing = seq_report.missing.len().min(u32::MAX as usize) as u32;
+        self.duplicated = seq_report.duplicated.len().min(u32::MAX as usize) as u32;
+        self.reordered = seq_report.reordered.min(u32::MAX as usize) as u32;
+        if !seq_report.is_clean() {
+            self.reasons.push(HealthReason::SequenceAnomaly);
+            self.status = HealthStatus::Degraded;
+        }
+    }
+}
+
+/// [`classify`] for a health window given as its chronological samples
+/// ([`WindowStats::of`] them), plus the tag-as-sequence check.
+pub fn assess(
+    window: &[HistorySample],
+    total_beats: u64,
+    silent_for: Duration,
+    target: Option<(f64, f64)>,
+    config: &HealthConfig,
+) -> HealthReport {
+    let stats = WindowStats::of(window);
+    let mut report = classify(&stats, total_beats, silent_for, target, config);
+    if config.sequence_tags {
+        report.check_sequence(window);
+    }
+    report
 }
 
 /// Classifies one application over its health window.
 ///
-/// * `window` — the samples within the health window, chronological (use
-///   [`HistoryRing::window_from_newest`]).
+/// * `window` — the health window's statistics.
 /// * `total_beats` — global beats ever received for the application.
 /// * `silent_for` — wall-clock time since the last global beat *arrived at
 ///   the collector* (receiver clock, so a producer with a bad clock still
@@ -406,12 +482,14 @@ impl HealthReport {
 ///
 /// 1. never beaten → [`NoSignal`](HealthStatus::NoSignal)
 /// 2. `silent_for >= config.window` → [`Stalled`](HealthStatus::Stalled)
-/// 3. windowed rate below the target minimum, jitter CV above
-///    `config.jitter_cv`, or (with `config.sequence_tags`) any
-///    missing/duplicated/reordered tag → [`Degraded`](HealthStatus::Degraded)
+/// 3. windowed rate below the target minimum, or jitter CV above
+///    `config.jitter_cv` → [`Degraded`](HealthStatus::Degraded)
 /// 4. otherwise → [`Healthy`](HealthStatus::Healthy)
-pub fn assess(
-    window: &[HistorySample],
+///
+/// With `config.sequence_tags`, callers follow up with the tag-as-sequence
+/// check over the window's samples, as [`assess`] does.
+pub fn classify(
+    window: &WindowStats,
     total_beats: u64,
     silent_for: Duration,
     target: Option<(f64, f64)>,
@@ -420,17 +498,16 @@ pub fn assess(
     if total_beats == 0 {
         return HealthReport::no_signal();
     }
-    let silent_ns = silent_for.as_nanos().min(u64::MAX as u128) as u64;
     let mut report = HealthReport {
         status: HealthStatus::Healthy,
         reasons: Vec::new(),
-        window_beats: window.len().min(u32::MAX as usize) as u32,
+        window_beats: window.len.min(u64::from(u32::MAX)) as u32,
         window_rate_bps: None,
         jitter_cv: None,
         missing: 0,
         duplicated: 0,
         reordered: 0,
-        silent_ns,
+        silent_ns: silent_for.as_nanos().min(u64::MAX as u128) as u64,
     };
 
     if silent_for >= config.window {
@@ -440,13 +517,9 @@ pub fn assess(
     }
 
     // Windowed rate from the samples' own timestamps.
-    if window.len() >= 2 {
-        let span = window[window.len() - 1]
-            .timestamp_ns
-            .saturating_sub(window[0].timestamp_ns);
-        if span > 0 {
-            report.window_rate_bps = Some((window.len() - 1) as f64 / (span as f64 / 1e9));
-        }
+    let span = window.newest_ns.saturating_sub(window.oldest_ns);
+    if window.len >= 2 && span > 0 {
+        report.window_rate_bps = Some((window.len - 1) as f64 / (span as f64 / 1e9));
     }
     if let (Some(rate), Some((min_bps, _))) = (report.window_rate_bps, target) {
         if rate < min_bps {
@@ -454,35 +527,16 @@ pub fn assess(
         }
     }
 
-    // Interval jitter: coefficient of variation over the window's gaps.
-    if window.len() >= 2 {
-        let mut stats = OnlineStats::new();
-        for pair in window.windows(2) {
-            stats.push(pair[1].timestamp_ns.saturating_sub(pair[0].timestamp_ns) as f64);
-        }
-        if stats.count() >= config.min_jitter_intervals as u64 && stats.mean() > 0.0 {
-            let cv = stats.stddev() / stats.mean();
-            report.jitter_cv = Some(cv);
-            if cv > config.jitter_cv {
-                report.reasons.push(HealthReason::JitterSpike);
-            }
-        }
-    }
-
-    // Tag-as-sequence-number validation (the paper's drop/reorder story),
-    // reusing the analysis machinery observers use on local histories.
-    if config.sequence_tags && !window.is_empty() {
-        let records: Vec<HeartbeatRecord> = window
-            .iter()
-            .map(|s| HeartbeatRecord::new(s.seq, s.timestamp_ns, Tag::new(s.tag), BeatThreadId(0)))
-            .collect();
-        let start = window.iter().map(|s| s.tag).min().unwrap_or(0);
-        let seq_report = check_sequence(&records, start);
-        report.missing = seq_report.missing.len().min(u32::MAX as usize) as u32;
-        report.duplicated = seq_report.duplicated.len().min(u32::MAX as usize) as u32;
-        report.reordered = seq_report.reordered.min(u32::MAX as usize) as u32;
-        if !seq_report.is_clean() {
-            report.reasons.push(HealthReason::SequenceAnomaly);
+    // Interval jitter: the gaps' coefficient of variation. From the exact
+    // sums, the variance is (nΣx² − (Σx)²) / n², so CV = √(nΣx² − (Σx)²) / Σx.
+    let intervals = window.len.saturating_sub(1);
+    if intervals >= config.min_jitter_intervals as u64 && window.gap_sum > 0 {
+        let sum = u128::from(window.gap_sum);
+        let spread = u128::from(intervals).saturating_mul(window.gap_sq_sum);
+        let cv = (spread.saturating_sub(sum * sum) as f64).sqrt() / window.gap_sum as f64;
+        report.jitter_cv = Some(cv);
+        if cv > config.jitter_cv {
+            report.reasons.push(HealthReason::JitterSpike);
         }
     }
 
@@ -535,14 +589,23 @@ mod tests {
         assert_eq!(ring.len(), 2);
     }
 
+    /// The stats of `ring`'s window, refreshed from nothing.
+    fn fresh(ring: &HistoryRing, window_ns: u64) -> WindowStats {
+        let mut stats = WindowStats::default();
+        stats.refresh(ring, window_ns);
+        stats
+    }
+
     #[test]
-    fn zero_capacity_ring_drops_everything() {
+    fn zero_capacity_ring_keeps_an_empty_window() {
         let mut ring = HistoryRing::new(0);
         ring.push(sample(0, 0));
         assert!(ring.is_empty());
         assert_eq!(ring.total_pushed(), 1);
         assert!(ring.newest().is_none());
-        assert!(ring.window_from_newest(1_000).is_empty());
+        let stats = fresh(&ring, 1_000);
+        assert_eq!((stats.len, stats.through), (0, 1));
+        assert!(stats.window(&ring).is_empty());
     }
 
     #[test]
@@ -558,17 +621,71 @@ mod tests {
     }
 
     #[test]
-    fn window_boundary_is_inclusive() {
+    fn window_stats_boundary_is_inclusive() {
         // Beats at 0, 100, 200 ms; a 200 ms window from the newest must
         // include the beat at exactly t=0.
         let mut ring = HistoryRing::new(8);
         for i in 0..3 {
             ring.push(sample(i, i * 100));
         }
-        let window = ring.window_from_newest(200 * 1_000_000);
-        assert_eq!(window.len(), 3, "exact-boundary sample included");
-        let tighter = ring.window_from_newest(200 * 1_000_000 - 1);
-        assert_eq!(tighter.len(), 2);
+        let exact = fresh(&ring, 200 * 1_000_000);
+        assert_eq!(exact.len, 3, "exact-boundary sample included");
+        assert_eq!(exact.window(&ring), ring.latest(0));
+        let tighter = fresh(&ring, 200 * 1_000_000 - 1);
+        assert_eq!(tighter.len, 2);
+        assert_eq!(tighter.oldest_ns, 100 * 1_000_000);
+    }
+
+    #[test]
+    fn refresh_reuses_an_unchanged_ring_and_rescans_a_changed_one() {
+        let window_ns = 60 * 1_000_000;
+        let mut ring = HistoryRing::new(16);
+        for i in 0..12 {
+            ring.push(sample(i, i * i));
+        }
+        let mut stats = fresh(&ring, window_ns);
+        let first = stats.clone();
+        // Unchanged ring: a mark planted in the stats survives the refresh.
+        stats.gap_sum += 1;
+        stats.refresh(&ring, window_ns);
+        assert_eq!(stats.gap_sum, first.gap_sum + 1, "reused, not rescanned");
+        // Changed ring, wrapped, with a clock step back (130 → 125) in the
+        // window: the walk back from 170 keeps everything down to 121 (the
+        // cutoff is 110), the descent's gap counting as 0.
+        for (i, t) in [130, 125, 135, 140, 150, 170].into_iter().enumerate() {
+            ring.push(sample(12 + i as u64, t));
+        }
+        stats.refresh(&ring, window_ns);
+        let window: Vec<HistorySample> = [121, 130, 125, 135, 140, 150, 170]
+            .into_iter()
+            .map(|t| sample(0, t))
+            .collect();
+        let expected = WindowStats {
+            through: 18,
+            ..WindowStats::of(&window)
+        };
+        assert_eq!(stats, expected);
+        assert_eq!((stats.len, stats.gap_sum), (7, 54 * 1_000_000));
+    }
+
+    #[test]
+    fn summary_matches_welford() {
+        let mut window = steady(20, 100);
+        for (i, s) in window.iter_mut().enumerate() {
+            s.timestamp_ns += (i as u64 % 3) * 37_000_000;
+        }
+        let mut welford = heartbeats::stats::OnlineStats::new();
+        for pair in window.windows(2) {
+            welford.push(pair[1].timestamp_ns.saturating_sub(pair[0].timestamp_ns) as f64);
+        }
+        let config = HealthConfig::default();
+        let report = classify(&WindowStats::of(&window), 20, Duration::ZERO, None, &config);
+        let cv = report.jitter_cv.unwrap();
+        let expected = welford.stddev() / welford.mean();
+        assert!(
+            (cv - expected).abs() <= 1e-12 * expected,
+            "{cv} vs {expected}"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! a second implementation.
 //!
 //! The module also owns what the replies are made of: the collector-wide
-//! [`CollectorStats`] reading, the heat-map matrix and the Prometheus text
-//! export ([`CollectorState::prometheus`]).
+//! [`CollectorStats`] reading and the Prometheus text export
+//! ([`CollectorState::prometheus`]).
 
 use std::borrow::Cow;
 use std::fmt::{self, Display, Write as _};
@@ -667,7 +667,8 @@ impl CollectorState {
             "hb_app_alive",
             "1 while the application beat within the staleness window.",
         );
-        for snap in self.snapshots() {
+        let rows = self.scrape_rows();
+        for (snap, _) in &rows {
             let name = escape_label(&snap.app);
             let app: &Labels<'_> = &[("app", &name)];
             if let Some(rate) = snap.rate_bps {
@@ -686,9 +687,8 @@ impl CollectorState {
             "hb_app_health",
             "Windowed health class: 0 nosignal, 1 stalled, 2 degraded, 3 healthy.",
             "app",
-            self.healths()
-                .iter()
-                .map(|(app, report)| (escape_label(app), report.status.as_u8())),
+            rows.iter()
+                .map(|(snap, health)| (escape_label(&snap.app), health.as_u8())),
         );
         let stats = self.stats();
         x.scalar(
@@ -994,40 +994,6 @@ impl CollectorState {
             }
         }
         x.0
-    }
-
-    /// An app × time-bucket beat-rate matrix rendered from the history
-    /// rings — the CloudHeatMap view of the fleet. Each application's
-    /// window is anchored at its **own newest sample** (producer clocks are
-    /// not comparable across hosts): bucket `buckets-1` is the `width`
-    /// ending at that sample, bucket `buckets-2` the `width` before it, and
-    /// so on. Returns `(app, rates)` sorted by name; `rates[i]` is in
-    /// beats/second, `0.0` where the ring holds no samples that old.
-    pub fn heatmap(&self, buckets: usize, width: Duration) -> Vec<(String, Vec<f64>)> {
-        let buckets = buckets.clamp(1, 64);
-        let width_ns = width.as_nanos().clamp(1, u64::MAX as u128) as u64;
-        let mut rows = Vec::new();
-        for app in self.app_names() {
-            let Some((_, samples)) = self.history(&app, 0) else {
-                continue;
-            };
-            let mut counts = vec![0u64; buckets];
-            if let Some(newest) = samples.iter().map(|s| s.timestamp_ns).max() {
-                for sample in &samples {
-                    let age = newest - sample.timestamp_ns;
-                    let back = (age / width_ns) as usize;
-                    if back < buckets {
-                        counts[buckets - 1 - back] += 1;
-                    }
-                }
-            }
-            let width_s = width_ns as f64 / 1e9;
-            rows.push((
-                app,
-                counts.into_iter().map(|c| c as f64 / width_s).collect(),
-            ));
-        }
-        rows
     }
 }
 
