@@ -21,17 +21,19 @@
 //! Queries are strict request/response, but an active subscription makes
 //! the collector write [`Frame::Event`]s at its own pace, interleaved with
 //! query replies on the same socket. The first `subscribe` therefore
-//! upgrades the connection: a demux thread owns the read side and decodes
-//! every frame exactly once, routing events to their [`Subscription`]
-//! queues and handing every other frame, already decoded, to the
-//! synchronous query path waiting for it — so polls and pushes coexist on
-//! one connection without ever blocking each other.
+//! upgrades the connection onto the process-wide **client reactor**: one
+//! [`Reactor`] thread, `hb-net-client`, spawned by the first `subscribe` and
+//! shared by every subscribed reader. It decodes every frame exactly once,
+//! routing events to their [`Subscription`] queues and handing every other
+//! frame, already decoded, to the synchronous query path waiting for it;
+//! it also writes the queries' requests, so no other thread touches the
+//! socket. Like a collector shard, it takes a timed pass every 20 ms.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use heartbeats::observe::{
@@ -41,9 +43,10 @@ use heartbeats::observe::{
 
 use crate::collector::AppSnapshot;
 use crate::error::{NetError, Result};
-use crate::frame::FrameReader;
+use crate::frame::{FrameDecoder, FrameReader};
 use crate::health::{HealthReport, HealthStatus};
 use crate::query::CollectorStats;
+use crate::reactor::{Handler, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig};
 use crate::telemetry::{self, HistoSnapshot, LatencyHisto};
 use crate::wire::{self, EventFrame, EventPayload, Frame, HistoryChunk, SubStatus, SubscribeReq};
 
@@ -85,30 +88,27 @@ pub struct RemoteReader {
     next_sub: AtomicU32,
 }
 
-/// One client connection: the write half plus where its replies arrive.
+/// One client connection and where its replies arrive.
 #[derive(Debug)]
-struct Conn {
-    writer: TcpStream,
-    replies: Replies,
-}
-
-/// Where synchronous query replies come from.
-#[derive(Debug)]
-enum Replies {
-    /// Direct mode: read off the socket by the querying thread itself.
-    Direct(FrameReader<BufReader<TcpStream>>),
-    /// Demux mode: decoded by the demux thread and queued for the caller.
-    /// Holding the handle lets a failed query tear the demux down with it
-    /// (its subscriptions then close instead of silently starving).
+enum Conn {
+    /// Never subscribed: the querying thread writes the request and reads
+    /// the reply off the socket itself.
+    Direct {
+        writer: TcpStream,
+        frames: FrameReader<BufReader<TcpStream>>,
+    },
+    /// Subscribed: the client reactor owns the socket. Holding the handle
+    /// lets a failed query tear the connection down with it (its
+    /// subscriptions then close instead of silently starving).
     Demux(Arc<DemuxShared>),
 }
 
 impl Conn {
     /// The next reply frame, waiting at most [`REPLY_TIMEOUT`] for it.
     fn next_frame(&mut self) -> Result<Frame> {
-        match &mut self.replies {
-            Replies::Direct(frames) => frames.read_frame()?.ok_or(NetError::UnexpectedEof),
-            Replies::Demux(demux) => demux.next_reply(),
+        match self {
+            Conn::Direct { frames, .. } => frames.read_frame()?.ok_or(NetError::UnexpectedEof),
+            Conn::Demux(demux) => demux.next_reply(),
         }
     }
 
@@ -121,13 +121,13 @@ impl Conn {
         read: impl Fn(&mut Conn) -> Result<T>,
     ) -> Result<T> {
         let conn = slot.as_mut().ok_or(NetError::UnexpectedEof)?;
-        let outcome = conn
-            .writer
-            .write_all(request)
-            .map_err(NetError::from)
-            .and_then(|()| read(conn));
+        let sent = match conn {
+            Conn::Direct { writer, .. } => writer.write_all(request).map_err(NetError::from),
+            Conn::Demux(demux) => demux.send(request),
+        };
+        let outcome = sent.and_then(|()| read(conn));
         if outcome.is_err() {
-            if let Some(Replies::Demux(demux)) = slot.take().map(|conn| conn.replies) {
+            if let Some(Conn::Demux(demux)) = slot.take() {
                 demux.shutdown();
             }
         }
@@ -135,37 +135,54 @@ impl Conn {
     }
 }
 
-/// State shared between the demux thread, the reader, and subscriptions.
-#[derive(Debug)]
+/// State shared between a subscribed connection's [`DemuxHandler`], the
+/// reader, and subscriptions.
+#[derive(Debug, Default)]
 struct DemuxShared {
-    /// Decoded non-event frames awaiting the synchronous query path.
-    replies: Mutex<VecDeque<Frame>>,
+    link: Mutex<Link>,
     reply_ready: Condvar,
     subs: Mutex<HashMap<u32, Arc<SubShared>>>,
-    alive: AtomicBool,
-    /// Write half kept for teardown (`shutdown` unblocks the demux read).
-    stream: TcpStream,
+}
+
+/// What passes between the reader's threads and the reactor, events aside.
+#[derive(Debug, Default)]
+struct Link {
+    /// Decoded non-event frames awaiting the synchronous query path.
+    replies: VecDeque<Frame>,
+    /// Encoded requests waiting for the reactor to write them.
+    requests: Vec<u8>,
+    /// Asks the reactor to write `requests`; `None` until the install.
+    pump: Option<PumpHandle>,
+    dead: bool,
 }
 
 impl DemuxShared {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire) // ordering: pairs with the Release stores that clear alive, so a dead handle stays dead
+    fn link(&self) -> MutexGuard<'_, Link> {
+        self.link.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Tears the demuxed connection down: the socket shutdown unblocks the
-    /// demux thread, which then wakes any waiting query and closes every
-    /// subscription.
-    fn shutdown(&self) {
-        self.alive.store(false, Ordering::Release); // ordering: publishes the dead state to is_alive()'s Acquire load
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn route(&self, event: EventFrame) {
-        let subs = self.subs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sub) = subs.get(&event.sub_id) {
-            sub.push(event);
+    /// Queues one encoded request for the reactor to write.
+    fn send(&self, request: &[u8]) -> Result<()> {
+        let mut link = self.link();
+        if link.dead {
+            return Err(NetError::UnexpectedEof);
         }
-        // Unknown ids: the subscription lapsed while events were in flight.
+        link.requests.extend_from_slice(request);
+        // Before the install there is no handle yet; `on_install` asks.
+        if let Some(pump) = &link.pump {
+            pump.request();
+        }
+        Ok(())
+    }
+
+    /// Tears the demuxed connection down: fails any waiting query, closes
+    /// every subscription, and has the reactor close the socket (at its
+    /// install, if it has not got there yet).
+    fn shutdown(&self) {
+        self.close_all();
+        if let Some(pump) = &self.link().pump {
+            pump.request();
+        }
     }
 
     /// Blocks for the next reply frame: `UnexpectedEof` once the connection
@@ -173,12 +190,12 @@ impl DemuxShared {
     /// reconnects).
     fn next_reply(&self) -> Result<Frame> {
         let deadline = Instant::now() + REPLY_TIMEOUT;
-        let mut replies = self.replies.lock().unwrap_or_else(|e| e.into_inner());
+        let mut link = self.link();
         loop {
-            if let Some(frame) = replies.pop_front() {
+            if let Some(frame) = link.replies.pop_front() {
                 return Ok(frame);
             }
-            if !self.is_alive() {
+            if link.dead {
                 return Err(NetError::UnexpectedEof);
             }
             let now = Instant::now();
@@ -189,26 +206,14 @@ impl DemuxShared {
             }
             let (guard, _) = self
                 .reply_ready
-                .wait_timeout(replies, deadline - now)
+                .wait_timeout(link, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
-            replies = guard;
+            link = guard;
         }
     }
 
-    fn push_reply(&self, frame: Frame) {
-        self.replies
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(frame);
-        self.reply_ready.notify_all();
-    }
-
     fn close_all(&self) {
-        // Under the reply lock, so a waiting query cannot check `alive` and
-        // then sleep through this wake-up.
-        let replies = self.replies.lock().unwrap_or_else(|e| e.into_inner());
-        self.alive.store(false, Ordering::Release); // ordering: publishes the dead state to is_alive()'s Acquire load
-        drop(replies);
+        self.link().dead = true;
         self.reply_ready.notify_all();
         let mut subs = self.subs.lock().unwrap_or_else(|e| e.into_inner());
         for sub in subs.values() {
@@ -233,6 +238,7 @@ struct SubShared {
 }
 
 impl SubShared {
+    /// Queues one event; the caller wakes the waiter (once per batch).
     fn push(&self, event: EventFrame) {
         if self.closed.load(Ordering::Acquire) { // ordering: pairs with the Release in close(); everything enqueued before close stays visible
             return;
@@ -248,8 +254,6 @@ impl SubShared {
             self.lost.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         }
         queue.push_back(event);
-        drop(queue);
-        self.ready.notify_all();
     }
 
     fn close(&self) {
@@ -287,21 +291,89 @@ impl SubShared {
     }
 }
 
-/// The demux thread: owns the socket's read side, decodes every frame once,
-/// routes events to their subscriptions and hands all other frames (query
-/// replies, acks) to the synchronous path. A corrupt stream ends it: there
-/// is no resynchronization.
-fn demux_loop(stream: TcpStream, shared: Arc<DemuxShared>) {
-    // Blocking reads: teardown goes through DemuxShared::shutdown.
-    stream.set_read_timeout(None).ok();
-    let mut frames = FrameReader::new(BufReader::with_capacity(64 * 1024, stream));
-    while let Ok(Some(frame)) = frames.read_frame() {
-        match frame {
-            Frame::Event(event) => shared.route(event),
-            reply => shared.push_reply(reply),
-        }
+/// A subscribed reader's connection on the client reactor. A corrupt
+/// stream closes it: there is no resynchronization.
+struct DemuxHandler {
+    decoder: FrameDecoder,
+    shared: Arc<DemuxShared>,
+    /// Subscriptions fed by the current `on_data` call, woken as it ends.
+    touched: Vec<Arc<SubShared>>,
+}
+
+impl Handler for DemuxHandler {
+    fn on_install(&mut self, pump: PumpHandle) {
+        pump.request(); // for requests queued before the install
+        self.shared.link().pump = Some(pump);
     }
-    shared.close_all();
+
+    fn on_data(&mut self, input: &[u8], _out: &mut OutBuf) -> bool {
+        if self.shared.link().dead {
+            return false; // torn down, possibly before the install
+        }
+        self.decoder.push(input);
+        let intact = loop {
+            match self.decoder.next_frame() {
+                Ok(Some(Frame::Event(event))) => {
+                    let subs = self.shared.subs.lock().unwrap_or_else(|e| e.into_inner());
+                    // Unknown ids: subscriptions that lapsed in flight.
+                    if let Some(sub) = subs.get(&event.sub_id) {
+                        sub.push(event);
+                        if !self.touched.iter().any(|seen| Arc::ptr_eq(seen, sub)) {
+                            self.touched.push(Arc::clone(sub));
+                        }
+                    }
+                }
+                Ok(Some(reply)) => {
+                    self.shared.link().replies.push_back(reply);
+                    self.shared.reply_ready.notify_all();
+                }
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        for sub in self.touched.drain(..) {
+            sub.ready.notify_all();
+        }
+        intact
+    }
+
+    fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize, _cause: PumpCause) -> bool {
+        let mut link = self.shared.link();
+        out.extend_from_slice(&link.requests);
+        link.requests.clear();
+        !link.dead
+    }
+
+    fn on_close(&mut self) {
+        self.shared.close_all();
+    }
+}
+
+/// Installs a connection on the client reactor, which the first call spawns
+/// for the life of the process. A failed spawn is returned, not kept.
+fn install_on_client_reactor(stream: TcpStream, shared: Arc<DemuxShared>) -> Result<()> {
+    static CLIENT: Mutex<Option<Reactor>> = Mutex::new(None);
+    let mut client = CLIENT.lock().unwrap_or_else(|e| e.into_inner());
+    let reactor = match &mut *client {
+        Some(reactor) => reactor,
+        empty => empty.insert(Reactor::spawn_named(
+            Vec::new(),
+            ReactorConfig {
+                io_threads: 1,
+                idle_timeout: Duration::ZERO,
+                ..ReactorConfig::default()
+            },
+            Arc::new(AtomicU64::new(0)),
+            |_| "hb-net-client".into(),
+        )?),
+    };
+    let handler = DemuxHandler {
+        decoder: FrameDecoder::new(),
+        shared,
+        touched: Vec::new(),
+    };
+    reactor.installer(0)(stream, Box::new(handler));
+    Ok(())
 }
 
 impl RemoteReader {
@@ -329,8 +401,8 @@ impl RemoteReader {
 
     fn open(&self) -> Result<Conn> {
         let stream = self.dial()?;
-        Ok(Conn {
-            replies: Replies::Direct(FrameReader::new(BufReader::new(stream.try_clone()?))),
+        Ok(Conn::Direct {
+            frames: FrameReader::new(BufReader::new(stream.try_clone()?)),
             writer: stream,
         })
     }
@@ -368,11 +440,11 @@ impl RemoteReader {
     /// pinned to a specific demuxed connection and never retried:
     /// subscription control must not be replayed onto a reconnected plain
     /// socket — the collector would then push events into a reply stream
-    /// with no demux thread to split them out, corrupting every later query.
+    /// no one demultiplexes, corrupting every later query.
     fn control_on_demux(&self, demux: &Arc<DemuxShared>, request: &Frame) -> Result<Frame> {
         let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let bound = matches!(guard.as_ref().map(|conn| &conn.replies),
-            Some(Replies::Demux(current)) if Arc::ptr_eq(current, demux));
+        let bound = matches!(guard.as_ref(),
+            Some(Conn::Demux(current)) if Arc::ptr_eq(current, demux));
         if !bound {
             return Err(NetError::Protocol(
                 "subscription connection was replaced mid-request".into(),
@@ -382,13 +454,13 @@ impl RemoteReader {
     }
 
     /// Upgrades the connection to demux mode (idempotent): probes the
-    /// collector's protocol version, spawns the demux thread, and switches
-    /// the synchronous path onto its reply queue. Queries wait out the
-    /// upgrade: it holds the connection lock.
+    /// collector's protocol version, hands the probed socket to the client
+    /// reactor, and switches the synchronous path onto its outbox and reply
+    /// queue. Queries wait out the upgrade: it holds the connection lock.
     fn ensure_demux(&self) -> Result<Arc<DemuxShared>> {
         let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(Replies::Demux(demux)) = conn.as_ref().map(|conn| &conn.replies) {
-            if demux.is_alive() {
+        if let Some(Conn::Demux(demux)) = conn.as_ref() {
+            if !demux.link().dead {
                 return Ok(Arc::clone(demux));
             }
         }
@@ -404,28 +476,12 @@ impl RemoteReader {
                 wire::VERSION
             )));
         }
-        stream.set_read_timeout(None).ok();
-        let shared = Arc::new(DemuxShared {
-            replies: Mutex::new(VecDeque::new()),
-            reply_ready: Condvar::new(),
-            subs: Mutex::new(HashMap::new()),
-            alive: AtomicBool::new(true),
-            stream: stream.try_clone()?,
-        });
-        let read_side = stream.try_clone()?;
-        {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hb-net-demux".into())
-                .spawn(move || demux_loop(read_side, shared))
-                .map_err(|err| NetError::Io(std::io::Error::other(err)))?;
-        }
+        stream.set_nonblocking(true)?;
+        let shared = Arc::new(DemuxShared::default());
+        install_on_client_reactor(stream, Arc::clone(&shared))?;
         // Switch the synchronous path onto the demuxed connection — one
         // socket now serves interleaved polls and pushes.
-        *conn = Some(Conn {
-            writer: stream,
-            replies: Replies::Demux(Arc::clone(&shared)),
-        });
+        *conn = Some(Conn::Demux(Arc::clone(&shared)));
         Ok(shared)
     }
 
@@ -637,10 +693,21 @@ impl RemoteReader {
     }
 }
 
+impl Drop for RemoteReader {
+    /// Closes a demuxed connection, which the client reactor would
+    /// otherwise keep open after the last handle is gone.
+    fn drop(&mut self) {
+        let conn = self.conn.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some(Conn::Demux(demux)) = conn.take() {
+            demux.shutdown();
+        }
+    }
+}
+
 /// A live push subscription on a collector — the handle returned by
 /// [`RemoteReader::subscribe`].
 ///
-/// Events are delivered by the connection's demux thread into a bounded
+/// Events are delivered by the client reactor into a bounded
 /// queue this handle drains: [`try_next`](Self::try_next) for non-blocking
 /// control loops, [`next_timeout`](Self::next_timeout) with a deadline, or
 /// the blocking [`Iterator`] (which ends when the subscription closes —
@@ -728,7 +795,7 @@ impl Subscription {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
-        if !self.demux.is_alive() {
+        if self.demux.link().dead {
             return Ok(()); // the connection died; nothing to tell anyone
         }
         let request = Frame::Unsubscribe {
@@ -963,6 +1030,141 @@ mod tests {
             assert!(reader.history(bad, 0).unwrap().is_none(), "{bad:?}");
             assert!(reader.health(bad).unwrap().is_none(), "{bad:?}");
         }
+    }
+
+    fn handler(shared: Arc<DemuxShared>) -> DemuxHandler {
+        DemuxHandler {
+            decoder: FrameDecoder::new(),
+            shared,
+            touched: Vec::new(),
+        }
+    }
+
+    fn event(sub_id: u32, total_beats: u64) -> Frame {
+        Frame::Event(EventFrame {
+            sub_id,
+            sent_at_ns: 0,
+            cursor: 0,
+            app: "app".into(),
+            payload: EventPayload::Snapshot {
+                total_beats,
+                producer_dropped: 0,
+                rate_bps: None,
+                target: None,
+                alive: true,
+            },
+        })
+    }
+
+    /// A handler over fresh shared state, with subscriptions `ids`.
+    fn handler_with_subs(ids: &[u32]) -> (DemuxHandler, Vec<Arc<SubShared>>) {
+        let shared = Arc::new(DemuxShared::default());
+        let subs = ids
+            .iter()
+            .map(|&id| {
+                let sub = Arc::new(SubShared::default());
+                shared.subs.lock().unwrap().insert(id, Arc::clone(&sub));
+                sub
+            })
+            .collect();
+        (handler(shared), subs)
+    }
+
+    /// The snapshot totals queued on `sub`, drained.
+    fn totals(sub: &SubShared) -> Vec<u64> {
+        std::iter::from_fn(|| sub.try_next())
+            .map(|event| match event.payload {
+                EventPayload::Snapshot { total_beats, .. } => total_beats,
+                other => panic!("unexpected payload {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frames_split_at_any_byte_are_decoded_once() {
+        let ack = Frame::SubAck {
+            sub_id: 1,
+            status: SubStatus::Ok,
+        };
+        let mut bytes = event(1, 7).encode();
+        bytes.extend(ack.encode());
+        for split in 0..=bytes.len() {
+            let (mut handler, subs) = handler_with_subs(&[1]);
+            let mut out = OutBuf::new();
+            assert!(handler.on_data(&bytes[..split], &mut out));
+            assert!(handler.on_data(&bytes[split..], &mut out));
+            assert_eq!(totals(&subs[0]), [7], "at {split}");
+            assert_eq!(handler.shared.next_reply().unwrap(), ack, "at {split}");
+            assert!(out.is_empty(), "decoding writes nothing");
+        }
+    }
+
+    #[test]
+    fn one_read_fills_every_subscription_and_the_reply_queue() {
+        let (mut handler, subs) = handler_with_subs(&[1, 2, 3]);
+        let reply = Frame::List {
+            last: true,
+            names: vec!["app".into()],
+        };
+        let mut bytes = Vec::new();
+        for (sub_id, total) in [(1, 10), (2, 20), (3, 30), (1, 11), (9, 90)] {
+            bytes.extend(event(sub_id, total).encode());
+        }
+        bytes.extend(reply.encode());
+        assert!(handler.on_data(&bytes, &mut OutBuf::new()));
+        assert_eq!(totals(&subs[0]), [10, 11]);
+        assert_eq!(totals(&subs[1]), [20]);
+        assert_eq!(totals(&subs[2]), [30]);
+        assert_eq!(handler.shared.next_reply().unwrap(), reply);
+        assert!(handler.touched.is_empty(), "every touched queue was woken");
+    }
+
+    #[test]
+    fn a_corrupt_frame_closes_every_subscription() {
+        let (mut handler, subs) = handler_with_subs(&[1, 2]);
+        let mut bytes = event(1, 5).encode();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff; // a payload byte: the CRC no longer matches
+        assert!(!handler.on_data(&bytes, &mut OutBuf::new()));
+        handler.on_close(); // what the reactor does after a `false`
+        assert!(subs.iter().all(|sub| sub.closed.load(Ordering::Acquire)));
+        assert!(handler.shared.subs.lock().unwrap().is_empty());
+        assert!(handler.shared.link().dead);
+    }
+
+    #[test]
+    fn on_close_fails_a_waiting_query() {
+        let shared = Arc::new(DemuxShared::default());
+        let mut handler = handler(Arc::clone(&shared));
+        let waiter = std::thread::spawn(move || shared.next_reply());
+        handler.on_close();
+        // Not a TimedOut after REPLY_TIMEOUT: the close woke the waiter.
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(NetError::UnexpectedEof)
+        ));
+    }
+
+    #[test]
+    fn a_teardown_before_install_closes_at_install() {
+        let shared = Arc::new(DemuxShared::default());
+        let mut handler = handler(Arc::clone(&shared));
+        shared.shutdown();
+        // The reactor's empty on_data call at install.
+        assert!(!handler.on_data(&[], &mut OutBuf::new()));
+        assert!(matches!(shared.send(b"x"), Err(NetError::UnexpectedEof)));
+    }
+
+    #[test]
+    fn requests_are_written_by_the_pump() {
+        let shared = Arc::new(DemuxShared::default());
+        let mut handler = handler(Arc::clone(&shared));
+        let request = Frame::StatsReq.encode();
+        shared.send(&request).unwrap();
+        let mut out = OutBuf::new();
+        assert!(handler.on_pump(&mut out, 0, PumpCause::Wake));
+        assert_eq!(out.iter_slices().collect::<Vec<_>>().concat(), request);
+        assert!(shared.link().requests.is_empty());
     }
 
     #[test]

@@ -539,6 +539,19 @@ impl Reactor {
         config: ReactorConfig,
         evicted: Arc<AtomicU64>,
     ) -> io::Result<Reactor> {
+        Reactor::spawn_named(listeners, config, evicted, |index| {
+            format!("hb-reactor-{index}")
+        })
+    }
+
+    /// [`spawn`](Self::spawn) with the I/O threads named by shard index: the
+    /// client reactor is no collector shard and must not look like one.
+    pub(crate) fn spawn_named(
+        listeners: Vec<ListenerSpec>,
+        config: ReactorConfig,
+        evicted: Arc<AtomicU64>,
+        thread_name: fn(usize) -> String,
+    ) -> io::Result<Reactor> {
         let stop = Arc::new(AtomicBool::new(false));
         let io_threads = config.io_threads.max(1);
         for spec in &listeners {
@@ -577,7 +590,7 @@ impl Reactor {
                     stats,
                 )?;
                 std::thread::Builder::new()
-                    .name(format!("hb-reactor-{index}"))
+                    .name(thread_name(index))
                     .spawn(move || {
                         CURRENT_SHARD.with(|cell| cell.set(Some(index)));
                         io_thread.run()

@@ -7,21 +7,41 @@
 //! bounded queues, and nothing is lost as long as the subscribers keep
 //! draining (every drop would be visible in the collector's
 //! `events_dropped` counter and each subscription's `lost()` — both pinned
-//! to zero here).
+//! to zero here). All 64 subscribed readers share one client thread.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::observe::{Interest, ObserveFilter};
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
+use app_heartbeats::net::wire::{self, Frame, SubStatus};
 use app_heartbeats::net::{
-    Collector, CollectorConfig, EventPayload, RemoteReader, TcpBackend,
+    Collector, CollectorConfig, EventPayload, FrameReader, RemoteReader, TcpBackend,
 };
 
 const APPS: usize = 8;
 const SUBSCRIBERS: usize = 64;
 const BEATS_PER_APP: u64 = 200;
+
+/// Counts live threads of this process whose name starts with `prefix`
+/// (Linux: thread names are exposed in /proc/self/task/\*/comm).
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> usize {
+    let mut count = 0;
+    for entry in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
+        let mut path = entry.expect("task entry").path();
+        path.push("comm");
+        if let Ok(name) = std::fs::read_to_string(path) {
+            if name.trim_end().starts_with(prefix) {
+                count += 1;
+            }
+        }
+    }
+    count
+}
 
 #[test]
 fn fanout_64_subscribers_8_apps_exact_counts() {
@@ -53,6 +73,15 @@ fn fanout_64_subscribers_8_apps_exact_counts() {
         })
         .collect();
     assert_eq!(collector.state().subscriptions().active(), SUBSCRIBERS);
+    #[cfg(target_os = "linux")]
+    {
+        assert_eq!(
+            threads_named("hb-net-client"),
+            1,
+            "every subscribed reader is served by the one client reactor thread"
+        );
+        assert_eq!(threads_named("hb-net-demux"), 0, "no thread per reader");
+    }
 
     // 8 producers beat concurrently, exactly BEATS_PER_APP times each.
     let producers: Vec<_> = (0..APPS)
@@ -124,4 +153,52 @@ fn fanout_64_subscribers_8_apps_exact_counts() {
         0,
         "the whole soak ran on pushes alone — not one poll"
     );
+}
+
+/// Dropping the last handle of a subscribed reader closes its connection:
+/// a stand-in collector that answers `VERSION` and acks the `Subscribe`
+/// reads EOF on the upgraded socket within a second of the drop, not at
+/// the real collector's idle eviction a minute later.
+#[test]
+fn dropping_a_subscribed_reader_closes_its_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stand-in");
+    let addr = listener.local_addr().expect("stand-in addr").to_string();
+    let (eof_tx, eof_rx) = mpsc::channel();
+    let stand_in = std::thread::spawn(move || {
+        let (_direct, _) = listener.accept().expect("accept the first connection");
+        let (stream, _) = listener.accept().expect("accept the VERSION probe");
+        let mut line = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut line)
+            .expect("read the probe");
+        assert_eq!(line, "VERSION\n");
+        (&stream)
+            .write_all(format!("VERSION {}\n", wire::VERSION).as_bytes())
+            .expect("answer the probe");
+        let mut frames = FrameReader::new(&stream);
+        while let Ok(Some(frame)) = frames.read_frame() {
+            let sub_id = match frame {
+                Frame::Subscribe(req) => req.sub_id,
+                Frame::Unsubscribe { sub_id } => sub_id,
+                other => panic!("unexpected frame {other:?}"),
+            };
+            let ack = Frame::SubAck {
+                sub_id,
+                status: SubStatus::Ok,
+            };
+            (&stream).write_all(&ack.encode()).expect("ack");
+        }
+        eof_tx.send(()).expect("report the EOF");
+    });
+
+    let reader = Arc::new(RemoteReader::connect(addr).expect("connect"));
+    let sub = reader
+        .subscribe("app", &ObserveFilter::new(Interest::BEATS))
+        .expect("subscribe");
+    drop(sub);
+    drop(reader);
+    eof_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the upgraded connection closed within 1 s of the last handle dropping");
+    stand_in.join().expect("stand-in thread");
 }
