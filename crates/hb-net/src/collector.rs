@@ -50,7 +50,7 @@
 //! `docs/OBSERVERS.md`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::io;
 
@@ -72,7 +72,7 @@ use crate::query::{self, Query};
 use crate::reactor::{
     Handler, ListenerSpec, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig,
 };
-use crate::subscribe::{LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
+use crate::subscribe::{Due, LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
 use crate::telemetry::{Level, PipelineTelemetry, ReactorThreads};
 use crate::upstream::{UpstreamConfig, UpstreamLink, UpstreamRelay, UpstreamStats, UpstreamTap};
 use crate::wire::{
@@ -785,7 +785,7 @@ impl CollectorState {
                     },
                 ));
             }
-            if watcher.wants(Interest::SNAPSHOTS.bits()) && watcher.snapshot_due(app, now) {
+            if watcher.wants(Interest::SNAPSHOTS.bits()) && watcher.due(Due::Snapshot, app, now) {
                 pending.push((
                     Arc::clone(watcher),
                     PendingEvent::Ready(EventPayload::Snapshot {
@@ -800,7 +800,7 @@ impl CollectorState {
             // Health transitions are detected *at ingest*, not when an
             // observer happens to poll: the assessment runs right where the
             // beat landed, and only actual transitions travel.
-            if watcher.wants(Interest::HEALTH.bits()) && watcher.assess_due(app, now) {
+            if watcher.wants(Interest::HEALTH.bits()) && watcher.due(Due::Assess, app, now) {
                 let report = entry.health(&self.config.health);
                 if let Some(from) = watcher.health_transition(app, report.status) {
                     pending.push((
@@ -839,7 +839,7 @@ impl CollectorState {
                 if self.under_live_origin(&app) {
                     continue;
                 }
-                if !entry.matches(&app) || !entry.assess_due(&app, now) {
+                if !entry.matches(&app) || !entry.due(Due::Assess, &app, now) {
                     continue;
                 }
                 let Some(report) = self.health(&app) else {
@@ -959,28 +959,22 @@ impl CollectorState {
     /// soak reconciles these against per-leaf ground truth; `/metrics`
     /// exports them as the `hb_origin_*` series.
     pub fn origin_rollups(&self) -> Vec<OriginRollup> {
-        let origins: Vec<String> = {
+        let mut rollups: BTreeMap<String, OriginRollup> = {
             let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-            links.keys().cloned().collect()
+            links
+                .keys()
+                .map(|node| {
+                    let rollup = OriginRollup {
+                        node: node.clone(),
+                        ..OriginRollup::default()
+                    };
+                    (node.clone(), rollup)
+                })
+                .collect()
         };
-        if origins.is_empty() {
+        if rollups.is_empty() {
             return Vec::new();
         }
-        let mut rollups: HashMap<&str, OriginRollup> = origins
-            .iter()
-            .map(|node| {
-                (
-                    node.as_str(),
-                    OriginRollup {
-                        node: node.clone(),
-                        apps: 0,
-                        beats_total: 0,
-                        dropped_total: 0,
-                        health_counts: [0; 4],
-                    },
-                )
-            })
-            .collect();
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
             for (app, entry) in shard.iter_mut() {
@@ -997,9 +991,7 @@ impl CollectorState {
                 rollup.health_counts[status.min(3)] += 1;
             }
         }
-        let mut rows: Vec<OriginRollup> = rollups.into_values().collect();
-        rows.sort_by(|a, b| a.node.cmp(&b.node));
-        rows
+        rollups.into_values().collect()
     }
 
     /// True if `app` is namespaced under a child whose link is currently
@@ -1615,7 +1607,7 @@ pub enum UplinkRejectReason {
 
 /// Per-origin cluster rollup computed from the registry (see
 /// [`CollectorState::origin_rollups`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OriginRollup {
     /// The child's node name.
     pub node: String,

@@ -7,7 +7,7 @@ use std::io::{self, Read, Write};
 
 use crate::crc::crc32;
 use crate::error::{NetError, Result};
-use crate::wire::{is_beats_kind, BeatsView, Frame, HEADER_LEN};
+use crate::wire::{is_beats_kind, BeatBatch, BeatsView, Frame, HEADER_LEN};
 
 /// One decoded message from a [`FrameDecoder`], borrowing beat payloads in
 /// place.
@@ -79,21 +79,18 @@ impl FrameDecoder {
     }
 
     /// Decodes the next complete frame, or `Ok(None)` if more bytes are
-    /// needed. Protocol violations (bad magic, CRC mismatch, oversized
-    /// payload) are permanent errors: the stream cannot be resynchronized.
+    /// needed: [`next_event`](Self::next_event) with a beat batch
+    /// materialized. Protocol violations (bad magic, CRC mismatch,
+    /// oversized payload) are permanent errors: the stream cannot be
+    /// resynchronized.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        let avail = &self.buf[self.start..]; // hb-lint: allow(index): start <= buf.len() is the FrameBuf invariant
-        if avail.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let (kind, payload_len, crc) = Frame::decode_header(avail)?;
-        let total = HEADER_LEN + payload_len;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = Frame::decode_payload(kind, &avail[HEADER_LEN..total], crc)?; // hb-lint: allow(index): avail.len() >= total checked just above
-        self.start += total;
-        Ok(Some(frame))
+        Ok(self.next_event()?.map(|event| match event {
+            FrameEvent::Beats(view) => Frame::Beats(BeatBatch {
+                dropped_total: view.dropped_total(),
+                beats: view.iter().collect(),
+            }),
+            FrameEvent::Control(frame) => frame,
+        }))
     }
 
     /// Like [`next_frame`](Self::next_frame), but yields beat batches as a

@@ -246,6 +246,14 @@ pub enum HealthStatus {
     Healthy = 3,
 }
 
+/// Every status with its canonical text, indexed by its numeric encoding.
+const STATUSES: [(HealthStatus, &str); 4] = [
+    (HealthStatus::NoSignal, "nosignal"),
+    (HealthStatus::Stalled, "stalled"),
+    (HealthStatus::Degraded, "degraded"),
+    (HealthStatus::Healthy, "healthy"),
+];
+
 impl HealthStatus {
     /// The stable numeric encoding (also the Prometheus gauge value).
     pub fn as_u8(self) -> u8 {
@@ -254,35 +262,21 @@ impl HealthStatus {
 
     /// Decodes the stable numeric encoding.
     pub fn from_u8(value: u8) -> Option<HealthStatus> {
-        match value {
-            0 => Some(HealthStatus::NoSignal),
-            1 => Some(HealthStatus::Stalled),
-            2 => Some(HealthStatus::Degraded),
-            3 => Some(HealthStatus::Healthy),
-            _ => None,
-        }
+        STATUSES.get(usize::from(value)).map(|&(status, _)| status)
     }
 
     /// Canonical text form (`healthy`, `degraded`, `stalled`, `nosignal`),
     /// as served by the `HEALTH` query command.
     pub fn as_str(self) -> &'static str {
-        match self {
-            HealthStatus::NoSignal => "nosignal",
-            HealthStatus::Stalled => "stalled",
-            HealthStatus::Degraded => "degraded",
-            HealthStatus::Healthy => "healthy",
-        }
+        STATUSES[self as usize].1
     }
 
     /// Parses the canonical text form produced by [`as_str`](Self::as_str).
     pub fn parse(text: &str) -> Option<HealthStatus> {
-        match text {
-            "nosignal" => Some(HealthStatus::NoSignal),
-            "stalled" => Some(HealthStatus::Stalled),
-            "degraded" => Some(HealthStatus::Degraded),
-            "healthy" => Some(HealthStatus::Healthy),
-            _ => None,
-        }
+        STATUSES
+            .iter()
+            .find(|&&(_, name)| name == text)
+            .map(|&(status, _)| status)
     }
 }
 
@@ -690,15 +684,17 @@ mod tests {
 
     #[test]
     fn status_codes_are_stable() {
-        for status in [
-            HealthStatus::NoSignal,
-            HealthStatus::Stalled,
-            HealthStatus::Degraded,
-            HealthStatus::Healthy,
+        for (code, status, text) in [
+            (0, HealthStatus::NoSignal, "nosignal"),
+            (1, HealthStatus::Stalled, "stalled"),
+            (2, HealthStatus::Degraded, "degraded"),
+            (3, HealthStatus::Healthy, "healthy"),
         ] {
-            assert_eq!(HealthStatus::from_u8(status.as_u8()), Some(status));
-            assert_eq!(HealthStatus::parse(status.as_str()), Some(status));
-            assert_eq!(status.to_string(), status.as_str());
+            assert_eq!(status.as_u8(), code);
+            assert_eq!(status.as_str(), text);
+            assert_eq!(HealthStatus::from_u8(code), Some(status));
+            assert_eq!(HealthStatus::parse(text), Some(status));
+            assert_eq!(status.to_string(), text);
         }
         assert_eq!(HealthStatus::from_u8(9), None);
         assert_eq!(HealthStatus::parse("fine"), None);

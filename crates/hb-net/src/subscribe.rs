@@ -227,6 +227,15 @@ impl SubscriberQueue {
     }
 }
 
+/// The rate-limited deliveries [`SubEntry::due`] decides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Due {
+    /// A snapshot event.
+    Snapshot,
+    /// A health (re-)assessment.
+    Assess,
+}
+
 /// Per-application delivery state of one subscription.
 #[derive(Debug)]
 struct AppWatch {
@@ -325,36 +334,19 @@ impl SubEntry {
         self.next_cursor.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
-    /// True if a snapshot event is due for `app` (and records the emission
-    /// time when it is).
-    pub(crate) fn snapshot_due(&self, app: &str, now: Instant) -> bool {
+    /// True if a snapshot event ([`Due::Snapshot`]) or a health
+    /// (re-)assessment ([`Due::Assess`]) is due for `app` under the
+    /// minimum interval, and records the time when it is.
+    pub(crate) fn due(&self, what: Due, app: &str, now: Instant) -> bool {
         let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
-        let watch = watches
-            .entry(app.to_string())
-            .or_insert_with(AppWatch::new);
-        let due = watch
-            .last_snapshot
-            .map(|at| now.duration_since(at) >= self.min_interval)
-            .unwrap_or(true);
+        let watch = watches.entry(app.to_string()).or_insert_with(AppWatch::new);
+        let last = match what {
+            Due::Snapshot => &mut watch.last_snapshot,
+            Due::Assess => &mut watch.last_assessed,
+        };
+        let due = last.is_none_or(|at| now.duration_since(at) >= self.min_interval);
         if due {
-            watch.last_snapshot = Some(now);
-        }
-        due
-    }
-
-    /// True if a health (re-)assessment is due for `app` (and records the
-    /// assessment time when it is).
-    pub(crate) fn assess_due(&self, app: &str, now: Instant) -> bool {
-        let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
-        let watch = watches
-            .entry(app.to_string())
-            .or_insert_with(AppWatch::new);
-        let due = watch
-            .last_assessed
-            .map(|at| now.duration_since(at) >= self.min_interval)
-            .unwrap_or(true);
-        if due {
-            watch.last_assessed = Some(now);
+            *last = Some(now);
         }
         due
     }

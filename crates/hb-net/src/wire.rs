@@ -24,6 +24,11 @@
 //! beat, and decode without per-record allocation through the borrowing
 //! [`BeatsView`] iterator.
 //!
+//! Every other payload is decoded by one private cursor, `Reader`, that
+//! reads the fields in the order the encoder writes them: each layout is
+//! stated once as that sequence of reads, a short payload fails as
+//! truncated, and bytes left over after the last field reject the frame.
+//!
 //! ## One version
 //!
 //! Every frame is stamped [`VERSION`] and [`Frame::decode_header`] refuses
@@ -783,34 +788,16 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Reads a little-endian u16 at `at`; `None` when out of bounds.
-fn get_u16(bytes: &[u8], at: usize) -> Option<u16> {
-    Some(u16::from_le_bytes(bytes.get(at..at + 2)?.try_into().ok()?))
-}
-
 /// Reads a little-endian u32 at `at`; `None` when out of bounds.
 fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
-/// Reads a little-endian u64 at `at`; `None` when out of bounds.
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
-}
-
-/// [`get_u16`] with a truncated-payload protocol error for decode paths.
-fn read_u16(bytes: &[u8], at: usize) -> Result<u16> {
-    get_u16(bytes, at).ok_or_else(|| NetError::Protocol(format!("u16 field at {at} truncated")))
-}
-
-/// [`get_u32`] with a truncated-payload protocol error for decode paths.
+/// [`get_u32`] with a truncated-header protocol error for
+/// [`Frame::decode_header`], whose fixed offsets are cheaper than a
+/// [`Reader`] on the per-frame path.
 fn read_u32(bytes: &[u8], at: usize) -> Result<u32> {
     get_u32(bytes, at).ok_or_else(|| NetError::Protocol(format!("u32 field at {at} truncated")))
-}
-
-/// [`get_u64`] with a truncated-payload protocol error for decode paths.
-fn read_u64(bytes: &[u8], at: usize) -> Result<u64> {
-    get_u64(bytes, at).ok_or_else(|| NetError::Protocol(format!("u64 field at {at} truncated")))
 }
 
 /// Appends `v` as an LEB128 varint (7 value bits per byte, high bit =
@@ -972,78 +959,10 @@ fn put_name(buf: &mut Vec<u8>, name: &str) {
     buf.extend_from_slice(bytes);
 }
 
-/// Decodes a length-prefixed application name at `at`, returning the name
-/// and the offset just past it.
-fn get_name(payload: &[u8], at: usize) -> Result<(String, usize)> {
-    if payload.len() < at + 2 {
-        return Err(NetError::Protocol("name length truncated".into()));
-    }
-    let len = read_u16(payload, at)? as usize;
-    if len > MAX_NAME_LEN {
-        return Err(NetError::Protocol(format!(
-            "application name of {len} bytes exceeds the {MAX_NAME_LEN}-byte limit"
-        )));
-    }
-    let end = at + 2 + len;
-    if payload.len() < end {
-        return Err(NetError::Protocol("name truncated".into()));
-    }
-    let name = std::str::from_utf8(&payload[at + 2..end]) // hb-lint: allow(index): end <= payload.len() checked just above
-        .map_err(|_| NetError::Protocol("application name is not UTF-8".into()))?
-        .to_string();
-    if !valid_app_name(&name) {
-        return Err(NetError::Protocol(format!(
-            "invalid application name {name:?} (empty, too long, or contains \
-             whitespace/control/quote characters)"
-        )));
-    }
-    Ok((name, end))
-}
-
-/// Decodes a length-prefixed subscription pattern at `at` (the [`get_name`]
-/// layout, validated with [`valid_subscribe_pattern`] instead).
-fn get_pattern(payload: &[u8], at: usize) -> Result<(String, usize)> {
-    if payload.len() < at + 2 {
-        return Err(NetError::Protocol("pattern length truncated".into()));
-    }
-    let len = read_u16(payload, at)? as usize;
-    if len > MAX_NAME_LEN {
-        return Err(NetError::Protocol(format!(
-            "pattern of {len} bytes exceeds the {MAX_NAME_LEN}-byte limit"
-        )));
-    }
-    let end = at + 2 + len;
-    if payload.len() < end {
-        return Err(NetError::Protocol("pattern truncated".into()));
-    }
-    let pattern = std::str::from_utf8(&payload[at + 2..end]) // hb-lint: allow(index): end <= payload.len() checked just above
-        .map_err(|_| NetError::Protocol("pattern is not UTF-8".into()))?
-        .to_string();
-    if !valid_subscribe_pattern(&pattern) {
-        return Err(NetError::Protocol(format!(
-            "invalid subscription pattern {pattern:?}"
-        )));
-    }
-    Ok((pattern, end))
-}
-
 /// Encodes an optional finite f64 as its bit pattern, with NaN as the
 /// `None` sentinel.
 fn put_opt_f64(buf: &mut Vec<u8>, value: Option<f64>) {
     put_u64(buf, value.unwrap_or(f64::NAN).to_bits());
-}
-
-/// Decodes the optional-f64 convention: NaN means `None`; any other
-/// non-finite value is a protocol violation.
-fn get_opt_f64(bytes: &[u8], at: usize) -> Result<Option<f64>> {
-    let value = f64::from_bits(read_u64(bytes, at)?);
-    if value.is_nan() {
-        Ok(None)
-    } else if value.is_finite() {
-        Ok(Some(value))
-    } else {
-        Err(NetError::Protocol("non-finite wire value".into()))
-    }
 }
 
 fn encode_sample(buf: &mut Vec<u8>, sample: &HistorySample) {
@@ -1052,17 +971,6 @@ fn encode_sample(buf: &mut Vec<u8>, sample: &HistorySample) {
     put_u64(buf, sample.tag);
     put_u64(buf, sample.interval_ns);
     put_opt_f64(buf, sample.rate_bps);
-}
-
-fn decode_sample(bytes: &[u8]) -> Result<HistorySample> {
-    debug_assert_eq!(bytes.len(), SAMPLE_LEN);
-    Ok(HistorySample {
-        seq: read_u64(bytes, 0)?,
-        timestamp_ns: read_u64(bytes, 8)?,
-        tag: read_u64(bytes, 16)?,
-        interval_ns: read_u64(bytes, 24)?,
-        rate_bps: get_opt_f64(bytes, 32)?,
-    })
 }
 
 /// Appends a complete [`Frame::Event`] payload body to `buf`. Shared by
@@ -1152,9 +1060,7 @@ impl Frame {
             Frame::Hello(hello) => {
                 put_u32(buf, hello.pid);
                 put_u32(buf, hello.default_window);
-                let name = hello.app.as_bytes();
-                put_u16(buf, name.len() as u16);
-                buf.extend_from_slice(name);
+                put_name(buf, &hello.app);
             }
             Frame::Beats(batch) => encode_beats_body(buf, batch.dropped_total, &batch.beats),
             Frame::Target { min_bps, max_bps } => {
@@ -1214,9 +1120,7 @@ impl Frame {
             }
             Frame::NodeHello { node, pid, path } => {
                 put_u32(buf, *pid);
-                let name = node.as_bytes();
-                put_u16(buf, name.len() as u16);
-                buf.extend_from_slice(name);
+                put_name(buf, node);
                 debug_assert!(path.len() <= MAX_PATH_NODES, "oversize node path");
                 buf.push(path.len() as u8);
                 for entry in path {
@@ -1372,175 +1276,101 @@ impl Frame {
 
     /// Decodes a payload whose CRC has already been verified (the
     /// incremental decoder checks it once and then dispatches between this
-    /// and the zero-copy [`BeatsView`] path).
+    /// and the zero-copy [`BeatsView`] path). Each arm reads its fields in
+    /// the order [`encode_payload`](Frame::encode_payload) writes them.
     pub(crate) fn decode_payload_body(kind: u8, payload: &[u8]) -> Result<Frame> {
-        match kind {
+        let mut r = Reader::new(payload);
+        let frame = match kind {
+            // Returned from its own arm for the same reason Reader::event
+            // is inlined: one move fewer on the push path's client decode.
+            KIND_EVENT => {
+                let event = r.event()?;
+                r.finish(kind)?;
+                return Ok(Frame::Event(event));
+            }
             KIND_HELLO => {
-                if payload.len() < 10 {
-                    return Err(NetError::Protocol("hello payload truncated".into()));
-                }
-                let pid = read_u32(payload, 0)?;
-                let default_window = read_u32(payload, 4)?;
-                let name_len = read_u16(payload, 8)? as usize;
-                if name_len > MAX_NAME_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "application name of {name_len} bytes exceeds the {MAX_NAME_LEN}-byte limit"
-                    )));
-                }
-                if payload.len() != 10 + name_len {
-                    return Err(NetError::Protocol(format!(
-                        "hello payload is {} bytes, expected {}",
-                        payload.len(),
-                        10 + name_len
-                    )));
-                }
-                let app = std::str::from_utf8(&payload[10..]) // hb-lint: allow(index): payload.len() == 10 + name_len checked just above
-                    .map_err(|_| NetError::Protocol("application name is not UTF-8".into()))?
-                    .to_string();
-                if !valid_app_name(&app) {
-                    return Err(NetError::Protocol(format!(
-                        "invalid application name {app:?} (empty, too long, or contains \
-                         whitespace/control/quote characters)"
-                    )));
-                }
+                let w = "hello payload";
+                let hello = Hello {
+                    pid: r.u32(w)?,
+                    default_window: r.u32(w)?,
+                    app: r.name()?,
+                };
                 // `/` is the federation namespace separator: `node/app`
                 // names are minted exclusively by a parent collector when
                 // it prefixes a child's re-exports, so a producer claiming
                 // one at hello could impersonate (or double-count against)
                 // a federated application.
-                if app.contains('/') {
+                if hello.app.contains('/') {
                     return Err(NetError::Protocol(format!(
-                        "invalid application name {app:?}: '/' is reserved for \
-                         federation origin namespacing"
+                        "invalid application name {:?}: '/' is reserved for \
+                         federation origin namespacing",
+                        hello.app
                     )));
                 }
-                Ok(Frame::Hello(Hello {
-                    app,
-                    pid,
-                    default_window,
-                }))
+                Frame::Hello(hello)
             }
-            KIND_BEATS => {
-                // Materialization here is for the blocking FrameReader path
-                // (the reactor iterates the view directly, never this Vec).
-                let view = BeatsView::parse(kind, payload)?;
-                Ok(Frame::Beats(BeatBatch {
-                    dropped_total: view.dropped_total(),
-                    beats: view.iter().collect(),
-                }))
-            }
-            KIND_TARGET => {
-                if payload.len() != 16 {
-                    return Err(NetError::Protocol(format!(
-                        "target payload is {} bytes, expected 16",
-                        payload.len()
-                    )));
-                }
-                let min_bps = f64::from_bits(read_u64(payload, 0)?);
-                let max_bps = f64::from_bits(read_u64(payload, 8)?);
-                if !min_bps.is_finite() || !max_bps.is_finite() {
-                    return Err(NetError::Protocol("non-finite target rate".into()));
-                }
-                Ok(Frame::Target { min_bps, max_bps })
-            }
-            KIND_BYE => {
-                if !payload.is_empty() {
-                    return Err(NetError::Protocol("bye frame carries a payload".into()));
-                }
-                Ok(Frame::Bye)
-            }
-            KIND_HISTORY_REQ => {
-                if payload.len() < 6 {
-                    return Err(NetError::Protocol("history request truncated".into()));
-                }
-                let limit = read_u32(payload, 0)?;
-                let (app, end) = get_name(payload, 4)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("history request trailing bytes".into()));
-                }
-                Ok(Frame::HistoryReq { app, limit })
-            }
+            // Materialized here for the blocking FrameReader path (the
+            // reactor iterates a BeatsView instead, never this Vec).
+            KIND_BEATS => Frame::Beats(BeatBatch {
+                dropped_total: r.varint()?,
+                beats: r.beats()?,
+            }),
+            KIND_TARGET => Frame::Target {
+                min_bps: r.f64("target payload")?,
+                max_bps: r.f64("target payload")?,
+            },
+            KIND_BYE => Frame::Bye,
+            KIND_HISTORY_REQ => Frame::HistoryReq {
+                limit: r.u32("history request")?,
+                app: r.name()?,
+            },
             KIND_HISTORY => {
-                if payload.len() < 15 {
-                    return Err(NetError::Protocol("history payload truncated".into()));
-                }
-                let known = payload[0] != 0; // hb-lint: allow(index): payload.len() >= 15 checked at the top of the arm
-                let count = read_u32(payload, 1)? as usize;
-                let total = read_u64(payload, 5)?;
-                let (app, samples_at) = get_name(payload, 13)?;
-                if payload.len() != samples_at + count * SAMPLE_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "history of {count} samples should be {} bytes, got {}",
-                        samples_at + count * SAMPLE_LEN,
-                        payload.len()
-                    )));
-                }
-                let mut samples = Vec::with_capacity(count);
-                for i in 0..count {
-                    let at = samples_at + i * SAMPLE_LEN;
-                    samples.push(decode_sample(&payload[at..at + SAMPLE_LEN])?); // hb-lint: allow(index): at + SAMPLE_LEN <= payload.len(): exact length checked above
-                }
-                Ok(Frame::History(HistoryChunk {
+                let w = "history payload";
+                let (known, count, total, app) = (r.flag(w)?, r.u32(w)?, r.u64(w)?, r.name()?);
+                let samples = (0..count)
+                    .map(|_| {
+                        Ok(HistorySample {
+                            seq: r.u64(w)?,
+                            timestamp_ns: r.u64(w)?,
+                            tag: r.u64(w)?,
+                            interval_ns: r.u64(w)?,
+                            rate_bps: r.opt_f64(w)?,
+                        })
+                    })
+                    .collect::<Result<_>>()?;
+                Frame::History(HistoryChunk {
                     app,
                     known,
                     total,
                     samples,
-                }))
-            }
-            KIND_HEALTH_REQ => {
-                let (app, end) = get_name(payload, 0)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("health request trailing bytes".into()));
-                }
-                Ok(Frame::HealthReq { app })
-            }
-            KIND_HEALTH => {
-                const FIXED: usize = 44;
-                if payload.len() < FIXED + 2 {
-                    return Err(NetError::Protocol("health payload truncated".into()));
-                }
-                let known = payload[0] != 0; // hb-lint: allow(index): payload.len() checked at the top of the arm
-                let status = HealthStatus::from_u8(payload[1]).ok_or_else(|| { // hb-lint: allow(index): payload.len() checked at the top of the arm
-                    NetError::Protocol(format!("invalid health status byte {}", payload[1])) // hb-lint: allow(index): payload.len() checked at the top of the arm
-                })?;
-                let reasons = HealthReason::unpack(read_u16(payload, 2)?);
-                let (app, end) = get_name(payload, FIXED)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("health payload trailing bytes".into()));
-                }
-                Ok(Frame::Health(HealthFrame {
-                    app,
-                    known,
-                    report: HealthReport {
-                        status,
-                        reasons,
-                        window_beats: read_u32(payload, 4)?,
-                        missing: read_u32(payload, 8)?,
-                        duplicated: read_u32(payload, 12)?,
-                        reordered: read_u32(payload, 16)?,
-                        silent_ns: read_u64(payload, 20)?,
-                        window_rate_bps: get_opt_f64(payload, 28)?,
-                        jitter_cv: get_opt_f64(payload, 36)?,
-                    },
-                }))
-            }
-            KIND_HELLO_ACK => {
-                if payload.len() != 1 {
-                    return Err(NetError::Protocol(format!(
-                        "hello-ack payload is {} bytes, expected 1",
-                        payload.len()
-                    )));
-                }
-                Ok(Frame::HelloAck {
-                    max_version: payload[0], // hb-lint: allow(index): payload length checked at the top of the arm
                 })
             }
+            KIND_HEALTH_REQ => Frame::HealthReq { app: r.name()? },
+            KIND_HEALTH => {
+                let w = "health payload";
+                Frame::Health(HealthFrame {
+                    known: r.flag(w)?,
+                    report: HealthReport {
+                        status: r.status(w)?,
+                        reasons: HealthReason::unpack(r.u16(w)?),
+                        window_beats: r.u32(w)?,
+                        missing: r.u32(w)?,
+                        duplicated: r.u32(w)?,
+                        reordered: r.u32(w)?,
+                        silent_ns: r.u64(w)?,
+                        window_rate_bps: r.opt_f64(w)?,
+                        jitter_cv: r.opt_f64(w)?,
+                    },
+                    app: r.name()?,
+                })
+            }
+            KIND_HELLO_ACK => Frame::HelloAck {
+                max_version: r.u8("hello-ack payload")?,
+            },
             KIND_SUBSCRIBE => {
-                if payload.len() < 15 {
-                    return Err(NetError::Protocol("subscribe payload truncated".into()));
-                }
-                let sub_id = read_u32(payload, 0)?;
-                let interests = payload[4]; // hb-lint: allow(index): payload length checked at the top of the arm
+                let w = "subscribe payload";
+                let sub_id = r.u32(w)?;
+                let interests = r.u8(w)?;
                 // One source of truth for the bit layout: the shared
                 // Interest mask.
                 let valid = heartbeats::observe::Interest::from_bits(interests)
@@ -1550,285 +1380,147 @@ impl Frame {
                         "invalid subscription interest mask {interests:#04x}"
                     )));
                 }
-                let min_interval_ns = read_u64(payload, 5)?;
-                let (pattern, end) = get_pattern(payload, 13)?;
-                let (resume_from, end) = get_varint(payload, end)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("subscribe trailing bytes".into()));
-                }
-                Ok(Frame::Subscribe(SubscribeReq {
+                Frame::Subscribe(SubscribeReq {
                     sub_id,
-                    pattern,
                     interests,
-                    min_interval_ns,
-                    resume_from,
-                }))
-            }
-            KIND_SUB_ACK => {
-                if payload.len() != 5 {
-                    return Err(NetError::Protocol(format!(
-                        "sub-ack payload is {} bytes, expected 5",
-                        payload.len()
-                    )));
-                }
-                let sub_id = read_u32(payload, 0)?;
-                let status = SubStatus::from_u8(payload[4]).ok_or_else(|| { // hb-lint: allow(index): payload length checked at the top of the arm
-                    NetError::Protocol(format!("invalid sub-ack status byte {}", payload[4])) // hb-lint: allow(index): payload length checked at the top of the arm
-                })?;
-                Ok(Frame::SubAck { sub_id, status })
-            }
-            KIND_EVENT => Ok(Frame::Event(decode_event_payload(payload, 0)?)),
-            KIND_UNSUBSCRIBE => {
-                if payload.len() != 4 {
-                    return Err(NetError::Protocol(format!(
-                        "unsubscribe payload is {} bytes, expected 4",
-                        payload.len()
-                    )));
-                }
-                Ok(Frame::Unsubscribe {
-                    sub_id: read_u32(payload, 0)?,
+                    min_interval_ns: r.u64(w)?,
+                    pattern: r.pattern()?,
+                    resume_from: r.varint()?,
                 })
             }
+            KIND_SUB_ACK => {
+                let sub_id = r.u32("sub-ack payload")?;
+                let byte = r.u8("sub-ack payload")?;
+                let status = SubStatus::from_u8(byte).ok_or_else(|| {
+                    NetError::Protocol(format!("invalid sub-ack status byte {byte}"))
+                })?;
+                Frame::SubAck { sub_id, status }
+            }
+            KIND_UNSUBSCRIBE => Frame::Unsubscribe {
+                sub_id: r.u32("unsubscribe payload")?,
+            },
             KIND_NODE_HELLO => {
-                if payload.len() < 6 {
-                    return Err(NetError::Protocol("node hello truncated".into()));
-                }
-                let pid = read_u32(payload, 0)?;
-                let name_len = read_u16(payload, 4)? as usize;
-                if name_len > MAX_NODE_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "node name of {name_len} bytes exceeds the {MAX_NODE_LEN}-byte limit"
-                    )));
-                }
-                let name_end = 6 + name_len;
-                if payload.len() < name_end {
-                    return Err(NetError::Protocol(format!(
-                        "node hello payload is {} bytes, expected at least {name_end}",
-                        payload.len(),
-                    )));
-                }
-                let node = std::str::from_utf8(&payload[6..name_end]) // hb-lint: allow(index): name_end <= payload.len() checked just above
-                    .map_err(|_| NetError::Protocol("node name is not UTF-8".into()))?
-                    .to_string();
-                if !valid_node_name(&node) {
-                    return Err(NetError::Protocol(format!(
-                        "invalid node name {node:?} (empty, too long, or contains \
-                         whitespace/control/quote/'/'/'*' characters)"
-                    )));
-                }
+                let pid = r.u32("node hello")?;
+                let len = r.u16("node hello")?.into();
+                let node = r.str(len, MAX_NODE_LEN, "node name", valid_node_name)?;
                 // The path vector is mandatory and led by the announcing
                 // node: an empty one would sail past the parent's cycle
                 // check (`uplink_would_loop`).
-                let Some(&count) = payload.get(name_end) else {
-                    return Err(NetError::Protocol("node hello carries no path vector".into()));
-                };
-                let count = count as usize;
+                if r.remaining() == 0 {
+                    return Err(NetError::Protocol(
+                        "node hello carries no path vector".into(),
+                    ));
+                }
+                let count = usize::from(r.u8("node hello")?);
                 if count > MAX_PATH_NODES {
                     return Err(NetError::Protocol(format!(
                         "node path of {count} entries exceeds the {MAX_PATH_NODES}-entry limit"
                     )));
                 }
-                let mut path = Vec::with_capacity(count);
-                let mut at = name_end + 1;
-                for _ in 0..count {
-                    let Some(&len) = payload.get(at) else {
-                        return Err(NetError::Protocol("node path truncated".into()));
-                    };
-                    let len = len as usize;
-                    if len > MAX_NODE_LEN {
-                        return Err(NetError::Protocol(format!(
-                            "node path entry of {len} bytes exceeds the \
-                             {MAX_NODE_LEN}-byte limit"
-                        )));
-                    }
-                    let end = at + 1 + len;
-                    if payload.len() < end {
-                        return Err(NetError::Protocol("node path truncated".into()));
-                    }
-                    let entry = std::str::from_utf8(&payload[at + 1..end]) // hb-lint: allow(index): end <= payload.len() checked just above
-                        .map_err(|_| NetError::Protocol("node path entry is not UTF-8".into()))?
-                        .to_string();
-                    if !valid_node_name(&entry) {
-                        return Err(NetError::Protocol(format!(
-                            "invalid node path entry {entry:?}"
-                        )));
-                    }
-                    path.push(entry);
-                    at = end;
-                }
-                if at != payload.len() {
-                    return Err(NetError::Protocol("node hello trailing bytes".into()));
-                }
+                let path: Vec<String> = (0..count)
+                    .map(|_| {
+                        let len = r.u8("node path")?.into();
+                        r.str(len, MAX_NODE_LEN, "node path entry", valid_node_name)
+                    })
+                    .collect::<Result<_>>()?;
                 if path.first() != Some(&node) {
                     return Err(NetError::Protocol(format!(
                         "node path {path:?} does not start with the announcing node {node:?}"
                     )));
                 }
-                Ok(Frame::NodeHello { node, pid, path })
+                Frame::NodeHello { node, pid, path }
             }
             KIND_RELAY_EVENT => {
-                let (seq, at) = get_varint(payload, 0)?;
+                let seq = r.varint()?;
                 if seq == 0 {
                     return Err(NetError::Protocol(
                         "relay event sequence 0 is reserved".into(),
                     ));
                 }
-                let event = decode_event_payload(payload, at)?;
-                Ok(Frame::RelayEvent { seq, event })
-            }
-            KIND_RELAY_ACK => {
-                let (last_applied, end) = get_varint(payload, 0)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("relay ack trailing bytes".into()));
+                Frame::RelayEvent {
+                    seq,
+                    event: r.event()?,
                 }
-                Ok(Frame::RelayAck { last_applied })
             }
-            KIND_NODE_CHALLENGE => {
-                let nonce: [u8; AUTH_LEN] = payload.try_into().map_err(|_| {
-                    NetError::Protocol(format!(
-                        "node challenge payload is {} bytes, expected {AUTH_LEN}",
-                        payload.len()
-                    ))
-                })?;
-                Ok(Frame::NodeChallenge { nonce })
-            }
-            KIND_NODE_AUTH => {
-                let mac: [u8; AUTH_LEN] = payload.try_into().map_err(|_| {
-                    NetError::Protocol(format!(
-                        "node auth payload is {} bytes, expected {AUTH_LEN}",
-                        payload.len()
-                    ))
-                })?;
-                Ok(Frame::NodeAuth { mac })
-            }
-            KIND_SNAPSHOT_REQ => {
-                let (app, end) = get_name(payload, 0)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("snapshot request trailing bytes".into()));
-                }
-                Ok(Frame::SnapshotReq { app })
-            }
-            KIND_LIST_REQ | KIND_STATS_REQ | KIND_METRICS_REQ => {
-                if !payload.is_empty() {
-                    return Err(NetError::Protocol(
-                        "body-less request carries a payload".into(),
-                    ));
-                }
-                Ok(match kind {
-                    KIND_LIST_REQ => Frame::ListReq,
-                    KIND_STATS_REQ => Frame::StatsReq,
-                    _ => Frame::MetricsReq,
-                })
-            }
+            KIND_RELAY_ACK => Frame::RelayAck {
+                last_applied: r.varint()?,
+            },
+            KIND_NODE_CHALLENGE => Frame::NodeChallenge {
+                nonce: r.array("node challenge")?,
+            },
+            KIND_NODE_AUTH => Frame::NodeAuth {
+                mac: r.array("node auth")?,
+            },
+            KIND_SNAPSHOT_REQ => Frame::SnapshotReq { app: r.name()? },
+            KIND_LIST_REQ => Frame::ListReq,
+            KIND_STATS_REQ => Frame::StatsReq,
+            KIND_METRICS_REQ => Frame::MetricsReq,
+            // An empty payload: the application was never seen.
+            KIND_SNAPSHOT if payload.is_empty() => Frame::Snapshot(None),
             KIND_SNAPSHOT => {
-                if payload.is_empty() {
-                    return Ok(Frame::Snapshot(None));
-                }
-                let flag = |at: usize| payload.get(at).is_some_and(|&b| b != 0);
-                let (app, end) = get_name(payload, 78)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("snapshot payload trailing bytes".into()));
-                }
-                let target = match (get_opt_f64(payload, 62)?, get_opt_f64(payload, 70)?) {
-                    (Some(min), Some(max)) => Some((min, max)),
-                    (None, None) => None,
-                    _ => return Err(NetError::Protocol("half a target range".into())),
-                };
-                Ok(Frame::Snapshot(Some(AppSnapshot {
-                    app,
-                    alive: flag(0),
-                    pid: read_u32(payload, 1)?,
-                    window: read_u32(payload, 5)?,
-                    connections: read_u32(payload, 9)?,
-                    total_beats: read_u64(payload, 13)?,
-                    local_beats: read_u64(payload, 21)?,
-                    producer_dropped: read_u64(payload, 29)?,
-                    last_timestamp_ns: flag(37).then_some(read_u64(payload, 38)?),
-                    rate_bps: get_opt_f64(payload, 46)?,
-                    mean_interval_ns: get_opt_f64(payload, 54)?,
-                    target,
-                })))
-            }
-            KIND_LIST => {
-                let Some(&last) = payload.first() else {
-                    return Err(NetError::Protocol("list payload truncated".into()));
-                };
-                let count = read_u32(payload, 1)? as usize;
-                // Every name costs at least 3 bytes: a hostile count cannot
-                // reserve more than the payload could hold.
-                let mut names = Vec::with_capacity(count.min(payload.len() / 3));
-                let mut at = 5;
-                for _ in 0..count {
-                    let (name, end) = get_name(payload, at)?;
-                    names.push(name);
-                    at = end;
-                }
-                if at != payload.len() {
-                    return Err(NetError::Protocol("list payload trailing bytes".into()));
-                }
-                Ok(Frame::List {
-                    last: last != 0,
-                    names,
-                })
-            }
-            KIND_STATS => {
-                const FIXED: usize = 14 * 8;
-                let uptime_s = f64::from_bits(read_u64(payload, 104)?);
-                if !uptime_s.is_finite() {
-                    return Err(NetError::Protocol("non-finite uptime".into()));
-                }
-                let (upstream, end) = match payload.get(FIXED) {
-                    None => return Err(NetError::Protocol("stats payload truncated".into())),
-                    Some(0) => (None, FIXED + 1),
-                    Some(_) => {
-                        let up = UplinkStats {
-                            connected: payload.get(FIXED + 1).is_some_and(|&b| b != 0),
-                            forwarded_beats: read_u64(payload, FIXED + 2)?,
-                            dropped_beats: read_u64(payload, FIXED + 10)?,
-                            forwarded_events: read_u64(payload, FIXED + 18)?,
-                            reconnects: read_u64(payload, FIXED + 26)?,
-                            retransmits: read_u64(payload, FIXED + 34)?,
-                        };
-                        (Some(up), FIXED + 42)
-                    }
-                };
-                if end != payload.len() {
-                    return Err(NetError::Protocol("stats payload length mismatch".into()));
-                }
-                Ok(Frame::Stats(CollectorStats {
-                    apps: read_u64(payload, 0)?,
-                    connections: read_u64(payload, 8)?,
-                    frames: read_u64(payload, 16)?,
-                    protocol_errors: read_u64(payload, 24)?,
-                    io_threads: read_u64(payload, 32)?,
-                    evicted: read_u64(payload, 40)?,
-                    queries: read_u64(payload, 48)?,
-                    subscriptions: read_u64(payload, 56)?,
-                    events: read_u64(payload, 64)?,
-                    events_dropped: read_u64(payload, 72)?,
-                    cross_shard: read_u64(payload, 80)?,
-                    origins: read_u64(payload, 88)?,
-                    origins_up: read_u64(payload, 96)?,
-                    uptime_s,
-                    upstream,
+                let w = "snapshot payload";
+                Frame::Snapshot(Some(AppSnapshot {
+                    alive: r.flag(w)?,
+                    pid: r.u32(w)?,
+                    window: r.u32(w)?,
+                    connections: r.u32(w)?,
+                    total_beats: r.u64(w)?,
+                    local_beats: r.u64(w)?,
+                    producer_dropped: r.u64(w)?,
+                    last_timestamp_ns: r.flag(w)?.then_some(r.u64(w)?),
+                    rate_bps: r.opt_f64(w)?,
+                    mean_interval_ns: r.opt_f64(w)?,
+                    target: r.opt_range(w)?,
+                    app: r.name()?,
                 }))
             }
-            KIND_METRICS => {
-                let Some((&last, text)) = payload.split_first() else {
-                    return Err(NetError::Protocol("metrics payload truncated".into()));
-                };
-                let text = std::str::from_utf8(text)
-                    .map_err(|_| NetError::Protocol("metrics text is not UTF-8".into()))?;
-                Ok(Frame::Metrics {
-                    last: last != 0,
-                    text: text.to_string(),
+            KIND_LIST => Frame::List {
+                last: r.flag("list payload")?,
+                names: (0..r.u32("list payload")?)
+                    .map(|_| r.name())
+                    .collect::<Result<_>>()?,
+            },
+            KIND_STATS => {
+                let w = "stats payload";
+                Frame::Stats(CollectorStats {
+                    apps: r.u64(w)?,
+                    connections: r.u64(w)?,
+                    frames: r.u64(w)?,
+                    protocol_errors: r.u64(w)?,
+                    io_threads: r.u64(w)?,
+                    evicted: r.u64(w)?,
+                    queries: r.u64(w)?,
+                    subscriptions: r.u64(w)?,
+                    events: r.u64(w)?,
+                    events_dropped: r.u64(w)?,
+                    cross_shard: r.u64(w)?,
+                    origins: r.u64(w)?,
+                    origins_up: r.u64(w)?,
+                    uptime_s: r.f64(w)?,
+                    upstream: match r.flag(w)? {
+                        false => None,
+                        true => Some(UplinkStats {
+                            connected: r.flag(w)?,
+                            forwarded_beats: r.u64(w)?,
+                            dropped_beats: r.u64(w)?,
+                            forwarded_events: r.u64(w)?,
+                            reconnects: r.u64(w)?,
+                            retransmits: r.u64(w)?,
+                        }),
+                    },
                 })
             }
+            KIND_METRICS => Frame::Metrics {
+                last: r.flag("metrics payload")?,
+                text: r.str(r.remaining(), MAX_PAYLOAD, "metrics text", |_| true)?,
+            },
             // decode_header validates the kind, but decode_payload is a
             // public entry point — treat an unknown kind as the protocol
             // error it is instead of trusting the caller.
-            _ => Err(NetError::Protocol(format!("unknown frame kind {kind}"))),
-        }
+            _ => return Err(NetError::Protocol(format!("unknown frame kind {kind}"))),
+        };
+        r.finish(kind)?;
+        Ok(frame)
     }
 
     /// Decodes one frame from the front of `bytes`, returning the frame and
@@ -1850,93 +1542,237 @@ impl Frame {
     }
 }
 
-/// Decodes a [`Frame::Event`] payload body beginning at offset `at` and
-/// extending to the end of `payload`. Shared by the [`KIND_EVENT`] decoder
-/// (`at == 0`) and [`Frame::RelayEvent`], which prefixes the same body
-/// with a link sequence varint.
-fn decode_event_payload(payload: &[u8], at: usize) -> Result<EventFrame> {
-    let (sub_id, at) = get_varint(payload, at)?;
-    if sub_id > u32::MAX as u64 {
-        return Err(NetError::Protocol(format!(
-            "event subscription id {sub_id} exceeds u32"
-        )));
+/// Front-to-back cursor over one payload. Every per-kind decoder reads its
+/// fields through it in encode order, so a layout is stated once, as a
+/// sequence of reads and never as byte offsets: a read past the end fails
+/// as "`what` truncated", and bytes left over after the last field fail in
+/// [`finish`](Reader::finish).
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+/// The error for a field that runs past the end of its payload.
+#[cold]
+fn truncated(what: &str) -> NetError {
+    NetError::Protocol(format!("{what} truncated"))
+}
+
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, at: 0 }
     }
-    let Some(&event_kind) = payload.get(at) else {
-        return Err(NetError::Protocol("event kind truncated".into()));
-    };
-    let (app, at) = get_name(payload, at + 1)?;
-    let (sent_at_ns, at) = get_varint(payload, at)?;
-    let (cursor, at) = get_varint(payload, at)?;
-    let payload_body = match event_kind {
-        EVENT_SNAPSHOT => {
-            let (total_beats, at) = get_varint(payload, at)?;
-            let (producer_dropped, at) = get_varint(payload, at)?;
-            if payload.len() != at + 25 {
-                return Err(NetError::Protocol("snapshot event length mismatch".into()));
-            }
-            let rate_bps = get_opt_f64(payload, at)?;
-            let target = match (get_opt_f64(payload, at + 8)?, get_opt_f64(payload, at + 16)?) {
-                (Some(min), Some(max)) => Some((min, max)),
-                (None, None) => None,
-                _ => return Err(NetError::Protocol("half-set snapshot event target".into())),
-            };
-            let alive = match payload[at + 24] { // hb-lint: allow(index): payload.len() == at + 25 checked above
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "invalid snapshot event alive byte {other}"
-                    )))
-                }
-            };
-            EventPayload::Snapshot {
-                total_beats,
-                producer_dropped,
-                rate_bps,
-                target,
-                alive,
-            }
+
+    /// Bytes not read yet.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
+    /// Fails unless every byte of the payload has been read.
+    fn finish(&self, kind: u8) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(NetError::Protocol(format!(
+                "kind {kind} payload has {extra} trailing bytes"
+            ))),
         }
-        EVENT_HEALTH => {
-            if payload.len() != at + 8 {
-                return Err(NetError::Protocol("health event length mismatch".into()));
-            }
-            let from = HealthStatus::from_u8(payload[at]).ok_or_else(|| { // hb-lint: allow(index): payload.len() == at + 8 checked above
-                NetError::Protocol(format!("invalid health status byte {}", payload[at])) // hb-lint: allow(index): payload.len() == at + 8 checked above
-            })?;
-            let to = HealthStatus::from_u8(payload[at + 1]).ok_or_else(|| { // hb-lint: allow(index): payload.len() == at + 8 checked above
-                NetError::Protocol(format!("invalid health status byte {}", payload[at + 1])) // hb-lint: allow(index): payload.len() == at + 8 checked above
-            })?;
-            EventPayload::HealthTransition {
-                from,
-                to,
-                reasons: HealthReason::unpack(read_u16(payload, at + 2)?),
-                window_beats: read_u32(payload, at + 4)?,
-            }
+    }
+
+    #[inline]
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8]> {
+        let end = self.at.saturating_add(len);
+        let bytes = self
+            .bytes
+            .get(self.at..end)
+            .ok_or_else(|| truncated(what))?;
+        self.at = end;
+        Ok(bytes)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let bytes = self.bytes.get(self.at..).and_then(<[u8]>::first_chunk);
+        let &bytes = bytes.ok_or_else(|| truncated(what))?;
+        self.at += N;
+        Ok(bytes)
+    }
+
+    #[inline]
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        self.array(what).map(u8::from_le_bytes)
+    }
+
+    #[inline]
+    fn u16(&mut self, what: &str) -> Result<u16> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    #[inline]
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    #[inline]
+    fn u64(&mut self, what: &str) -> Result<u64> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// A boolean byte: any non-zero value is `true`.
+    #[inline]
+    fn flag(&mut self, what: &str) -> Result<bool> {
+        Ok(self.u8(what)? != 0)
+    }
+
+    #[inline]
+    fn varint(&mut self) -> Result<u64> {
+        let (value, at) = get_varint(self.bytes, self.at)?;
+        self.at = at;
+        Ok(value)
+    }
+
+    /// The optional-f64 convention ([`put_opt_f64`]): NaN means `None`;
+    /// any other non-finite value is a protocol violation.
+    #[inline]
+    fn opt_f64(&mut self, what: &str) -> Result<Option<f64>> {
+        let value = f64::from_bits(self.u64(what)?);
+        if value.is_nan() {
+            Ok(None)
+        } else if value.is_finite() {
+            Ok(Some(value))
+        } else {
+            Err(NetError::Protocol(format!("non-finite value in {what}")))
         }
-        EVENT_BEATS => {
-            let (dropped_total, mut at) = get_varint(payload, at)?;
-            let mut beats = Vec::new();
-            let mut state = DeltaState::default();
-            while at < payload.len() {
-                let (beat, next) = decode_compact_beat(payload, at, &mut state)?;
-                beats.push(beat);
-                at = next;
-            }
-            EventPayload::Beats {
-                dropped_total,
-                beats,
-            }
+    }
+
+    /// A finite f64.
+    fn f64(&mut self, what: &str) -> Result<f64> {
+        self.opt_f64(what)?
+            .ok_or_else(|| NetError::Protocol(format!("non-finite value in {what}")))
+    }
+
+    /// An optional `(min, max)` target range: both halves or neither.
+    fn opt_range(&mut self, what: &str) -> Result<Option<(f64, f64)>> {
+        match (self.opt_f64(what)?, self.opt_f64(what)?) {
+            (Some(min), Some(max)) => Ok(Some((min, max))),
+            (None, None) => Ok(None),
+            _ => Err(NetError::Protocol(format!("half a target range in {what}"))),
         }
-        other => return Err(NetError::Protocol(format!("unknown event kind {other}"))),
-    };
-    Ok(EventFrame {
-        sub_id: sub_id as u32,
-        sent_at_ns,
-        cursor,
-        app,
-        payload: payload_body,
-    })
+    }
+
+    /// A `len`-byte UTF-8 string of at most `max` bytes that `valid`
+    /// accepts.
+    #[inline]
+    fn str(
+        &mut self,
+        len: usize,
+        max: usize,
+        what: &str,
+        valid: impl Fn(&str) -> bool,
+    ) -> Result<String> {
+        if len > max {
+            return Err(NetError::Protocol(format!(
+                "{what} of {len} bytes exceeds the {max}-byte limit"
+            )));
+        }
+        let text = std::str::from_utf8(self.take(len, what)?)
+            .map_err(|_| NetError::Protocol(format!("{what} is not UTF-8")))?;
+        if !valid(text) {
+            return Err(NetError::Protocol(format!("invalid {what} {text:?}")));
+        }
+        Ok(text.to_string())
+    }
+
+    /// A [`put_name`] application name.
+    #[inline]
+    fn name(&mut self) -> Result<String> {
+        let len = self.u16("application name")?.into();
+        self.str(len, MAX_NAME_LEN, "application name", valid_app_name)
+    }
+
+    /// A subscription pattern: the [`put_name`] layout, checked by
+    /// [`valid_subscribe_pattern`].
+    fn pattern(&mut self) -> Result<String> {
+        let len = self.u16("subscription pattern")?.into();
+        self.str(
+            len,
+            MAX_NAME_LEN,
+            "subscription pattern",
+            valid_subscribe_pattern,
+        )
+    }
+
+    fn status(&mut self, what: &str) -> Result<HealthStatus> {
+        let byte = self.u8(what)?;
+        HealthStatus::from_u8(byte)
+            .ok_or_else(|| NetError::Protocol(format!("invalid health status byte {byte}")))
+    }
+
+    /// Compact beat records against a fresh delta state, up to the end of
+    /// the payload (the count is implicit in the payload length).
+    #[inline]
+    fn beats(&mut self) -> Result<Vec<WireBeat>> {
+        let mut beats = Vec::new();
+        let mut state = DeltaState::default();
+        while self.remaining() > 0 {
+            let (beat, next) = decode_compact_beat(self.bytes, self.at, &mut state)?;
+            beats.push(beat);
+            self.at = next;
+        }
+        Ok(beats)
+    }
+
+    /// An [`encode_event_payload`] body: the whole of a [`Frame::Event`]
+    /// payload, and the tail of a [`Frame::RelayEvent`] one.
+    // Always inlined: the event is then built in its caller's frame
+    // instead of being moved out through a returned `Result`, a move that
+    // measurably slows the per-event decode (`wire.event_decode_ns`).
+    #[inline(always)]
+    fn event(&mut self) -> Result<EventFrame> {
+        let w = "event";
+        let sub_id = self.varint()?;
+        let sub_id = u32::try_from(sub_id).map_err(|_| {
+            NetError::Protocol(format!("event subscription id {sub_id} exceeds u32"))
+        })?;
+        let event_kind = self.u8(w)?;
+        let app = self.name()?;
+        let sent_at_ns = self.varint()?;
+        let cursor = self.varint()?;
+        let payload = match event_kind {
+            EVENT_SNAPSHOT => EventPayload::Snapshot {
+                total_beats: self.varint()?,
+                producer_dropped: self.varint()?,
+                rate_bps: self.opt_f64(w)?,
+                target: self.opt_range(w)?,
+                alive: match self.u8(w)? {
+                    0 => false,
+                    1 => true,
+                    other => {
+                        return Err(NetError::Protocol(format!(
+                            "invalid snapshot event alive byte {other}"
+                        )))
+                    }
+                },
+            },
+            EVENT_HEALTH => EventPayload::HealthTransition {
+                from: self.status(w)?,
+                to: self.status(w)?,
+                reasons: HealthReason::unpack(self.u16(w)?),
+                window_beats: self.u32(w)?,
+            },
+            EVENT_BEATS => EventPayload::Beats {
+                dropped_total: self.varint()?,
+                beats: self.beats()?,
+            },
+            other => return Err(NetError::Protocol(format!("unknown event kind {other}"))),
+        };
+        Ok(EventFrame {
+            sub_id,
+            sent_at_ns,
+            cursor,
+            app,
+            payload,
+        })
+    }
 }
 
 /// Rewrites the delivery-cursor varint inside an already-encoded
@@ -1957,16 +1793,16 @@ pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> R
         return Err(NetError::Protocol("cursor splice on a truncated frame".into()));
     }
     // Walk to the cursor field: sub_id varint, event-kind byte, name,
-    // sent_at varint — the same prefix decode_event_payload consumes.
-    let payload = &buf[payload_at..payload_end]; // hb-lint: allow(index): payload_end <= buf.len() checked just above
-    let (_sub_id, at) = get_varint(payload, 0)?;
-    let at = at + 1; // event kind
-    if payload.len() < at + 2 {
-        return Err(NetError::Protocol("cursor splice: name truncated".into()));
-    }
-    let at = at + 2 + read_u16(payload, at)? as usize;
-    let (_sent_at, at) = get_varint(payload, at)?;
-    let (_old, after) = get_varint(payload, at)?;
+    // sent_at varint — the prefix Reader::event consumes, here unchecked.
+    let mut r = Reader::new(&buf[payload_at..payload_end]); // hb-lint: allow(index): payload_end <= buf.len() checked just above
+    r.varint()?;
+    r.u8("event")?;
+    let name_len = r.u16("event")?.into();
+    r.take(name_len, "event")?;
+    r.varint()?;
+    let at = r.at;
+    r.varint()?;
+    let after = r.at;
     let mut scratch = Vec::with_capacity(10);
     put_varint(&mut scratch, cursor);
     buf.splice(payload_at + at..payload_at + after, scratch.iter().copied());

@@ -491,3 +491,165 @@ proptest! {
         }
     }
 }
+
+/// One frame of every kind (1, 3–27) from the seeds: the query plane
+/// (`query_plane_frames`), the producer and federation kinds, and an
+/// `Event` of each payload kind.
+fn every_kind_frames(seeds: &[u64]) -> Vec<Frame> {
+    use hb_net::wire::{
+        EventFrame, EventPayload, HealthFrame, HistoryChunk, SubStatus, SubscribeReq, AUTH_LEN,
+    };
+    use hb_net::{HealthReason, HealthReport, HealthStatus};
+
+    let s = |i: usize| seeds[i % seeds.len()].rotate_left(i as u32 * 7);
+    let app = format!("app-{:x}", s(0) >> 44);
+    let beats = |n: usize| -> Vec<WireBeat> { (0..n).map(|i| adversarial_beat(i, s(i))).collect() };
+    let event = |payload| EventFrame {
+        sub_id: s(1) as u32,
+        sent_at_ns: s(2),
+        cursor: s(3) >> 40,
+        app: app.clone(),
+        payload,
+    };
+    let mut frames = query_plane_frames(seeds);
+    frames.extend([
+        Frame::Hello(Hello {
+            app: app.clone(),
+            pid: s(4) as u32,
+            default_window: s(5) as u32,
+        }),
+        Frame::Target {
+            min_bps: (s(6) % 1000) as f64,
+            max_bps: (s(6) % 1000 + 10) as f64,
+        },
+        Frame::Bye,
+        Frame::HistoryReq {
+            app: app.clone(),
+            limit: s(7) as u32,
+        },
+        Frame::History(HistoryChunk {
+            app: app.clone(),
+            known: true,
+            total: s(8),
+            samples: (0..seeds.len() % 4)
+                .map(|i| sample_from(s(9 + i)))
+                .collect(),
+        }),
+        Frame::HealthReq { app: app.clone() },
+        Frame::Health(HealthFrame {
+            app: app.clone(),
+            known: s(10).is_multiple_of(2),
+            report: HealthReport {
+                status: HealthStatus::Degraded,
+                reasons: vec![HealthReason::JitterSpike],
+                window_beats: s(11) as u32,
+                window_rate_bps: Some((s(12) % 10_000) as f64 / 3.0),
+                jitter_cv: None,
+                missing: 1,
+                duplicated: 2,
+                reordered: 3,
+                silent_ns: s(13),
+            },
+        }),
+        Frame::HelloAck { max_version: 3 },
+        Frame::Beats(BeatBatch {
+            dropped_total: s(14),
+            beats: beats(seeds.len() % 5),
+        }),
+        Frame::Subscribe(SubscribeReq {
+            sub_id: s(15) as u32,
+            pattern: "app-*".into(),
+            interests: 0b111,
+            min_interval_ns: s(16),
+            resume_from: s(17) >> 50,
+        }),
+        Frame::SubAck {
+            sub_id: s(18) as u32,
+            status: SubStatus::TooManySubscriptions,
+        },
+        Frame::Event(event(EventPayload::Snapshot {
+            total_beats: s(19),
+            producer_dropped: s(20) >> 30,
+            rate_bps: Some((s(21) % 5000) as f64),
+            target: Some((1.0, 2.0)),
+            alive: true,
+        })),
+        Frame::Event(event(EventPayload::HealthTransition {
+            from: HealthStatus::Healthy,
+            to: HealthStatus::Stalled,
+            reasons: vec![HealthReason::Silent],
+            window_beats: s(22) as u32,
+        })),
+        Frame::Event(event(EventPayload::Beats {
+            dropped_total: s(23) >> 20,
+            beats: beats(1 + seeds.len() % 4),
+        })),
+        Frame::Unsubscribe {
+            sub_id: s(24) as u32,
+        },
+        Frame::NodeHello {
+            node: "edge".into(),
+            pid: s(25) as u32,
+            path: vec!["edge".into(), "leaf-a".into()],
+        },
+        Frame::RelayEvent {
+            seq: 1 + (s(26) >> 1),
+            event: event(EventPayload::Beats {
+                dropped_total: 0,
+                beats: beats(2),
+            }),
+        },
+        Frame::RelayAck {
+            last_applied: s(27),
+        },
+        Frame::NodeChallenge {
+            nonce: [s(28) as u8; AUTH_LEN],
+        },
+        Frame::NodeAuth {
+            mac: [s(29) as u8; AUTH_LEN],
+        },
+    ]);
+    frames
+}
+
+/// `header` (a valid frame header) with `payload` behind it, the length
+/// and CRC restamped to match.
+fn restamped(header: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = header[..HEADER_LEN].to_vec();
+    bytes[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes[10..14].copy_from_slice(&hb_net::crc::crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+proptest! {
+    /// Payload lengths are exact for every kind: a payload cut to any
+    /// shorter length, or one byte longer, under a restamped length and
+    /// CRC, either fails with a protocol error or decodes to a frame that
+    /// re-encodes to exactly those bytes. The header-declared length stays
+    /// consistent here, so this reaches the per-kind decoders that
+    /// `truncation_is_always_rejected` (which cuts the frame short of its
+    /// declared length) never does.
+    #[test]
+    fn payload_lengths_are_exact_for_every_kind(
+        seeds in prop::collection::vec(any::<u64>(), 1..8),
+    ) {
+        for frame in every_kind_frames(&seeds) {
+            let bytes = frame.encode();
+            let (header, payload) = bytes.split_at(HEADER_LEN);
+            let cuts = (0..payload.len()).map(|len| payload[..len].to_vec());
+            let grown = [0u8, 1, 0x80, 0xff, b'a'].map(|extra| [payload, &[extra]].concat());
+            for variant in cuts.chain(grown) {
+                let variant = restamped(header, &variant);
+                match Frame::decode(&variant) {
+                    Err(hb_net::NetError::Protocol(_)) => {}
+                    Err(other) => prop_assert!(false, "{:?}: non-protocol error {:?}", frame, other),
+                    Ok((decoded, used)) => {
+                        prop_assert_eq!(used, variant.len());
+                        prop_assert_eq!(decoded.encode(), variant, "{:?} decoded as {:?}", frame, decoded);
+                    }
+                }
+            }
+        }
+    }
+}
