@@ -50,7 +50,7 @@
 //! `docs/OBSERVERS.md`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 
@@ -64,6 +64,8 @@ use heartbeats::{BeatScope, MovingRate};
 
 use heartbeats::observe::Interest;
 
+use crate::federation::{Federation, UpstreamLink};
+pub use crate::federation::{OriginRollup, OriginSnapshot, UplinkRejectReason};
 use crate::frame::{FrameDecoder, FrameEvent};
 use crate::health::{
     self, HealthConfig, HealthReport, HealthStatus, HistoryRing, HistorySample, WindowStats,
@@ -74,10 +76,9 @@ use crate::reactor::{
 };
 use crate::subscribe::{Due, LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
 use crate::telemetry::{Level, PipelineTelemetry, ReactorThreads};
-use crate::upstream::{UpstreamConfig, UpstreamLink, UpstreamRelay, UpstreamStats, UpstreamTap};
+use crate::upstream::{UpstreamConfig, UpstreamRelay, UpstreamStats, UpstreamTap};
 use crate::wire::{
-    EventFrame, EventPayload, Frame, SubStatus, SubscribeReq, WireBeat, MAX_HISTORY_SAMPLES,
-    MAX_NAME_LEN, VERSION,
+    EventPayload, Frame, SubStatus, SubscribeReq, WireBeat, MAX_HISTORY_SAMPLES, VERSION,
 };
 
 /// Tuning knobs for a [`Collector`].
@@ -288,7 +289,7 @@ struct ShardCounters {
 #[derive(Debug)]
 pub struct CollectorState {
     shards: Vec<Mutex<HashMap<String, AppEntry>>>,
-    config: CollectorConfig,
+    pub(crate) config: CollectorConfig,
     pub(crate) started: Instant,
     /// Resolved reactor shard count ([`CollectorConfig::io_threads`], with
     /// `0` resolved to the available parallelism). An app whose registry
@@ -335,21 +336,8 @@ pub struct CollectorState {
     upstream_tap: Option<Arc<UpstreamTap>>,
     /// Uplink counters shared with the uplink's handler (leaf side).
     upstream_stats: Option<Arc<UpstreamStats>>,
-    /// Parent side: one persistent [`UpstreamLink`] per child node name,
-    /// surviving that child's reconnects so `last_applied` sequences keep
-    /// retransmissions exactly-once.
-    links: Mutex<HashMap<String, Arc<UpstreamLink>>>,
-    /// Bumped whenever this collector's downstream path changes (a child
-    /// connects or announces a new path). The uplink watches it and
-    /// reconnects upward to re-announce the wider path, so loop detection
-    /// stays correct as the tree assembles in any order.
-    path_epoch: AtomicU64,
-    /// Uplinks refused because the child's announced path contained this
-    /// collector's own node name (a relay cycle).
-    uplink_rejected_loop: AtomicU64,
-    /// Uplinks refused because the challenge went unanswered or the
-    /// keyed-HMAC answer did not verify.
-    uplink_rejected_auth: AtomicU64,
+    /// Parent side: the child links relaying into this collector.
+    pub(crate) federation: Federation,
 }
 
 impl CollectorState {
@@ -398,10 +386,7 @@ impl CollectorState {
             reactor_threads: Arc::new(ReactorThreads::new()),
             upstream_tap,
             upstream_stats,
-            links: Mutex::new(HashMap::new()),
-            path_epoch: AtomicU64::new(0),
-            uplink_rejected_loop: AtomicU64::new(0),
-            uplink_rejected_auth: AtomicU64::new(0),
+            federation: Federation::default(),
         }
     }
 
@@ -691,8 +676,7 @@ impl CollectorState {
             }
             for (watcher, event) in pending {
                 if let PendingEvent::Ready(payload) = event {
-                    self.journal_health(key, &payload);
-                    self.subs.deliver(&watcher, key, payload);
+                    self.deliver(&watcher, key, payload);
                 }
                 // PendingEvent::Beats is unreachable: no watcher asked.
             }
@@ -732,8 +716,7 @@ impl CollectorState {
         for (watcher, event) in pending {
             match event {
                 PendingEvent::Ready(payload) => {
-                    self.journal_health(key, &payload);
-                    self.subs.deliver(&watcher, key, payload);
+                    self.deliver(&watcher, key, payload);
                 }
                 PendingEvent::Beats { dropped_total } => {
                     beats_dropped_total = dropped_total;
@@ -748,12 +731,14 @@ impl CollectorState {
         telemetry.observe(&telemetry.fanout, mark);
     }
 
-    /// Journals a health transition about to be delivered. Transitions are
-    /// rare and high-signal — exactly what the `TRACE` window is for.
-    fn journal_health(&self, app: &str, payload: &EventPayload) {
-        if let EventPayload::HealthTransition { from, to, .. } = payload {
+    /// Delivers one event toward `entry`'s subscriber, journaling it first
+    /// if it is a health transition: transitions are rare and high-signal —
+    /// exactly what the `TRACE` window is for.
+    pub(crate) fn deliver(&self, entry: &SubEntry, app: &str, payload: EventPayload) {
+        if let EventPayload::HealthTransition { from, to, .. } = &payload {
             crate::log!(Level::Info, "health transition app={app} {from} -> {to}");
         }
+        self.subs.deliver(entry, app, payload);
     }
 
     /// Decides which events one absorbed batch owes each watching
@@ -852,8 +837,7 @@ impl CollectorState {
                         reasons: report.reasons,
                         window_beats: report.window_beats,
                     };
-                    self.journal_health(&app, &payload);
-                    self.subs.deliver(&entry, &app, payload);
+                    self.deliver(&entry, &app, payload);
                 }
             }
         }
@@ -882,12 +866,7 @@ impl CollectorState {
         interests: Interest,
         min_interval: Duration,
     ) -> std::result::Result<LocalSubscription, SubStatus> {
-        let queue = Arc::new(SubscriberQueue::with_telemetry(
-            self.config.sub_queue_capacity,
-            self.config
-                .telemetry
-                .then(|| Arc::clone(&self.telemetry.delivery)),
-        ));
+        let queue = Arc::new(self.subscriber_queue());
         let req = SubscribeReq {
             sub_id: 0,
             pattern: pattern.to_string(),
@@ -897,6 +876,16 @@ impl CollectorState {
         };
         self.register_subscription(&queue, &req)?;
         Ok(LocalSubscription::new(queue, Arc::clone(&self.subs), 0))
+    }
+
+    /// An empty subscriber queue of the configured capacity, recording
+    /// delivery lag when telemetry is on.
+    pub(crate) fn subscriber_queue(&self) -> SubscriberQueue {
+        let lag = self
+            .config
+            .telemetry
+            .then(|| Arc::clone(&self.telemetry.delivery));
+        SubscriberQueue::with_telemetry(self.config.sub_queue_capacity, lag)
     }
 
     /// [`sweep_subscriptions`](Self::sweep_subscriptions) for an in-process
@@ -923,420 +912,22 @@ impl CollectorState {
         self.upstream_stats.clone()
     }
 
-    /// Parent side of the federation tree: one row per child node that has
-    /// ever linked — `(node, connected, last_applied, relayed_beats,
-    /// relayed_events, duplicate_events, oversize_names)`, sorted by node.
-    pub fn origins(&self) -> Vec<OriginSnapshot> {
-        let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rows: Vec<OriginSnapshot> = links
-            .values()
-            .map(|link| {
-                let (last_applied, relayed_beats, relayed_events, duplicates, oversize) =
-                    link.counters();
-                let (event_stream_duplicates, event_stream_gaps) = link.event_counters();
-                OriginSnapshot {
-                    node: link.node.clone(),
-                    connected: link.is_connected(),
-                    last_applied,
-                    relayed_beats,
-                    relayed_events,
-                    duplicate_events: duplicates,
-                    oversize_names: oversize,
-                    event_stream_duplicates,
-                    event_stream_gaps,
-                }
-            })
-            .collect();
-        drop(links);
-        rows.sort_by(|a, b| a.node.cmp(&b.node));
-        rows
-    }
-
-    /// Per-origin cluster rollups computed from the registry: for every
-    /// linked child node, its app count, summed beats, and how many of its
-    /// apps sit in each health class (indexed by
-    /// [`HealthStatus::as_u8`](crate::HealthStatus::as_u8)). The federation
-    /// soak reconciles these against per-leaf ground truth; `/metrics`
-    /// exports them as the `hb_origin_*` series.
-    pub fn origin_rollups(&self) -> Vec<OriginRollup> {
-        let mut rollups: BTreeMap<String, OriginRollup> = {
-            let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-            links
-                .keys()
-                .map(|node| {
-                    let rollup = OriginRollup {
-                        node: node.clone(),
-                        ..OriginRollup::default()
-                    };
-                    (node.clone(), rollup)
-                })
-                .collect()
-        };
-        if rollups.is_empty() {
-            return Vec::new();
-        }
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (app, entry) in shard.iter_mut() {
-                let Some((origin, _)) = app.split_once('/') else {
-                    continue;
-                };
-                let Some(rollup) = rollups.get_mut(origin) else {
-                    continue;
-                };
-                rollup.apps += 1;
-                rollup.beats_total += entry.total_beats;
-                rollup.dropped_total += entry.producer_dropped;
-                let status = entry.health(&self.config.health).status.as_u8() as usize;
-                rollup.health_counts[status.min(3)] += 1;
-            }
-        }
-        rollups.into_values().collect()
-    }
-
-    /// True if `app` is namespaced under a child whose link is currently
-    /// up. Such apps are excluded from this tier's silence sweep (their
-    /// origin's own detector is authoritative while it can still report).
-    fn under_live_origin(&self, app: &str) -> bool {
-        let Some((origin, _)) = app.split_once('/') else {
-            return false;
-        };
-        let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-        links.get(origin).is_some_and(|link| link.is_connected())
-    }
-
-    /// Starts (or restarts) the link session for child `node` (the
-    /// [`Frame::NodeHello`] path), records the child's announced path, and
-    /// replays every active subscription down the fresh link — resuming
-    /// any that already have a route (and a cursor watermark) from before
-    /// the reconnect. Returns the link and the session token the serving
-    /// connection must present at close.
-    pub(crate) fn link_hello(&self, node: &str, path: Vec<String>) -> (Arc<UpstreamLink>, u64) {
-        let link = {
-            let mut links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(
-                links
-                    .entry(node.to_string())
-                    .or_insert_with(|| Arc::new(UpstreamLink::new(node))),
-            )
-        };
-        link.set_path(path);
-        let session = link.begin_session();
-        // The downstream view widened (or at least changed): our own
-        // upward announcement must follow, so the relay re-announces.
-        self.path_epoch.fetch_add(1, Ordering::Release); // ordering: Release-bumps the epoch after the uplink path swap; pairs with the Acquire load in path_epoch()
-        if let Some(tap) = &self.upstream_tap {
-            tap.request_pump(); // the uplink's handler compares epochs when pumped
-        }
-        for entry in self.subs.all_active() {
-            self.propagate_entry_to_link(&entry, &link);
-        }
-        (link, session)
-    }
-
-    /// The monotone epoch of this collector's downstream path (bumped on
-    /// every child hello). The uplink's handler reconnects upward when it
-    /// changes, so the announced path vector is never stale.
-    pub(crate) fn path_epoch(&self) -> u64 {
-        self.path_epoch.load(Ordering::Acquire) // ordering: pairs with the Release bump so a fresh epoch observes the swapped path
-    }
-
-    /// The path vector this collector announces upward: its own node name
-    /// followed by every node relaying through it (children first, their
-    /// subtrees flattened), deduplicated and capped at
-    /// [`crate::wire::MAX_PATH_NODES`].
-    pub(crate) fn downstream_path(&self, own: &str) -> Vec<String> {
-        let mut path = vec![own.to_string()];
-        let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-        for link in links.values() {
-            if !link.is_connected() {
-                continue;
-            }
-            for node in link.announced_path() {
-                if !path.iter().any(|p| p == &node) {
-                    path.push(node);
-                }
-            }
-        }
-        path.truncate(crate::wire::MAX_PATH_NODES);
-        path
-    }
-
-    /// Checks a child's announced path against this collector's own node
-    /// name (when it relays upward itself): a path containing our own name
-    /// means accepting the uplink would close a relay cycle. Returns
-    /// `true` when the hello must be refused. The tree root has no
-    /// upstream and never refuses — a cycle cannot close without every
-    /// participant relaying upward.
-    pub(crate) fn uplink_would_loop(&self, path: &[String]) -> bool {
-        let Some(upstream) = self.config.upstream.as_ref() else {
-            return false;
-        };
-        path.iter().any(|node| node == &upstream.node)
-    }
-
-    /// Counts one refused uplink hello for `/metrics`
-    /// (`hb_collector_uplink_rejected_total{reason}`).
-    pub(crate) fn count_uplink_rejected(&self, reason: UplinkRejectReason) {
-        match reason {
-            UplinkRejectReason::Loop => &self.uplink_rejected_loop,
-            UplinkRejectReason::Auth => &self.uplink_rejected_auth,
-        }
-        .fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-
-    /// `(loop, auth)` refused-uplink counters.
-    pub fn uplink_rejections(&self) -> (u64, u64) {
-        (
-            self.uplink_rejected_loop.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-            self.uplink_rejected_auth.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-        )
-    }
-
-    /// The configured cluster secret, if uplink auth is enabled.
-    pub(crate) fn cluster_secret(&self) -> Option<&str> {
-        self.config.cluster_secret.as_deref()
-    }
-
-    /// Registers a subscription *and* propagates it down every connected
-    /// child link whose namespace its pattern could reach. All subscription
-    /// registration funnels through here (observer connections,
-    /// [`subscribe_local`](Self::subscribe_local), relayed subscriptions at
-    /// mid tiers — which is what makes propagation recurse).
-    pub(crate) fn register_subscription(
-        &self,
-        queue: &Arc<SubscriberQueue>,
-        req: &SubscribeReq,
-    ) -> std::result::Result<Arc<SubEntry>, SubStatus> {
-        let entry = self.subs.register(queue, req)?;
-        let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-        for link in links.values() {
-            if link.is_connected() {
-                self.propagate_entry_to_link(&entry, link);
-            }
-        }
-        Ok(entry)
-    }
-
-    /// Unregisters a subscription and retracts its downlink propagations.
-    pub(crate) fn unregister_subscription(
-        &self,
-        queue: &Arc<SubscriberQueue>,
-        sub_id: u32,
-    ) -> bool {
-        let entry = self
-            .subs
-            .entries_for(queue)
-            .into_iter()
-            .find(|entry| entry.sub_id() == sub_id);
-        let removed = self.subs.unregister(queue, sub_id);
-        if let Some(entry) = entry {
-            self.retract_entry(&entry);
-        }
-        removed
-    }
-
-    /// Drops a closing connection's whole queue, retracting every
-    /// propagated subscription it held.
-    pub(crate) fn drop_queue_subscriptions(&self, queue: &Arc<SubscriberQueue>) {
-        for entry in self.subs.entries_for(queue) {
-            self.retract_entry(&entry);
-        }
-        self.subs.drop_queue(queue);
-    }
-
-    /// Pushes a translated Subscribe for `entry` onto `link`'s outbox if
-    /// the pattern could match anything under that child's namespace. When
-    /// a route for `entry` already exists (a reconnect), the **same**
-    /// downlink id is re-subscribed with `resume_from` set one past its
-    /// cursor watermark, so the child resumes the stream instead of
-    /// restarting it.
-    fn propagate_entry_to_link(&self, entry: &Arc<SubEntry>, link: &UpstreamLink) {
-        let Some(pattern) = Self::child_pattern(entry.pattern(), &link.node) else {
-            return;
-        };
-        let (sub_id, resume_from) = match link.route_for(entry) {
-            Some((id, route)) => (id, route.last_seen_cursor() + 1),
-            None => (link.add_route(Arc::clone(entry)), 0),
-        };
-        link.push_frame(&Frame::Subscribe(SubscribeReq {
-            sub_id,
-            pattern,
-            interests: entry.interests(),
-            min_interval_ns: entry
-                .min_interval()
-                .as_nanos()
-                .min(u64::MAX as u128) as u64,
-            resume_from,
-        }));
-    }
-
-    /// Removes every downlink route feeding `entry` and queues the matching
-    /// Unsubscribes, so child subscription gauges return to their prior
-    /// values when an observer unsubscribes at this tier.
-    fn retract_entry(&self, entry: &Arc<SubEntry>) {
-        let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-        for link in links.values() {
-            for sub_id in link.remove_routes_for(entry) {
-                link.push_frame(&Frame::Unsubscribe { sub_id });
-            }
-        }
-    }
-
-    /// Translates a parent-tier pattern into the child's namespace.
-    /// `node/rest` strips to `rest` exactly; a glob that merely *overlaps*
-    /// the `node/` prefix (e.g. `*`, `leaf*/cam1`) conservatively becomes
-    /// `*` — the child then over-delivers and
-    /// [`deliver_routed_event`](Self::deliver_routed_event) re-filters with
-    /// the original pattern, so delivery stays exact. `None` means the
-    /// pattern can never match under this child: nothing is propagated.
-    fn child_pattern(pattern: &str, node: &str) -> Option<String> {
-        if let Some(rest) = pattern
-            .strip_prefix(node)
-            .and_then(|rest| rest.strip_prefix('/'))
-        {
-            return (!rest.is_empty()).then(|| rest.to_string());
-        }
-        crate::wire::glob_overlaps_prefix(pattern, &format!("{node}/"))
-            .then(|| "*".to_string())
-    }
-
-    /// Applies one child rollup event ([`Frame::RelayEvent`]): absorbs the
-    /// namespaced batch if `seq` has not been applied yet. Duplicates
-    /// (retransmissions already covered by `last_applied`) are counted and
-    /// skipped — together with the child's cumulative sequences this makes
-    /// the rollup plane exactly-once across reconnects.
-    pub(crate) fn apply_relay_event(&self, link: &UpstreamLink, seq: u64, event: EventFrame) {
-        if !link.claim_seq(seq) {
-            link.count_duplicate();
-            return;
-        }
-        if let EventPayload::Beats {
-            dropped_total,
-            beats,
-        } = event.payload
-        {
-            self.ingest_relayed(link, &event.app, dropped_total, beats);
-        }
-    }
-
-    /// Absorbs one relayed batch as `node/app`. No subscriber fan-out: the
-    /// event plane (subscription propagation) is the one delivery path for
-    /// relayed activity, so fanning rollups out too would double-deliver.
-    /// Re-captured into this tier's own tap when it federates further up.
-    fn ingest_relayed(
-        &self,
-        link: &UpstreamLink,
-        app: &str,
-        dropped_total: u64,
-        beats: Vec<WireBeat>,
-    ) {
-        let key = format!("{}/{app}", link.node);
-        if key.len() > MAX_NAME_LEN || !crate::wire::valid_app_name(&key) {
-            link.count_oversize();
-            return;
-        }
-        let shard_index = self.shard_index(&key);
-        let relayed = beats.len() as u64;
-        {
-            let mut shard = self.shards[shard_index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let config = &self.config;
-            let entry = shard
-                .entry(key.clone())
-                .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config));
-            let accounted = Self::absorb(entry, dropped_total, beats.iter().copied());
-            self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-        }
-        link.count_relayed_beats(relayed);
+    /// Absorbs one batch a child collector relayed, under its namespaced
+    /// registry `key`, and re-captures it into this tier's own tap when it
+    /// federates further up. No subscriber fan-out: relayed activity
+    /// reaches subscribers through subscription propagation alone.
+    pub(crate) fn absorb_relayed(&self, key: String, dropped_total: u64, beats: Vec<WireBeat>) {
+        let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let config = &self.config;
+        let entry = shard
+            .entry(key.clone())
+            .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config));
+        let accounted = Self::absorb(entry, dropped_total, beats.iter().copied());
+        drop(shard);
+        self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         if let Some(tap) = &self.upstream_tap {
             tap.capture(&key, dropped_total, beats);
         }
-    }
-
-    /// Delivers a child-forwarded subscription event ([`Frame::Event`] on a
-    /// link connection): looks up the downlink route, cursor-checks it
-    /// against the route's watermark (resume replays overlap — duplicates
-    /// are dropped here, gaps are counted), re-prefixes the app name with
-    /// the child's node, re-filters against the *original* pattern (the
-    /// child may hold a conservative `*` translation) and enqueues toward
-    /// the subscriber. A route whose entry went inactive is retracted
-    /// lazily here.
-    pub(crate) fn deliver_routed_event(&self, link: &UpstreamLink, event: EventFrame) {
-        let Some(route) = link.route(event.sub_id) else {
-            return;
-        };
-        let entry = Arc::clone(&route.entry);
-        if !entry.is_active() {
-            self.retract_entry(&entry);
-            return;
-        }
-        match link.check_cursor(&route, event.cursor) {
-            crate::upstream::CursorVerdict::Duplicate => return,
-            crate::upstream::CursorVerdict::Gap(skipped) => crate::log!(
-                Level::Warn,
-                "event stream gap node={} sub={} skipped={} (child ring overflow)",
-                link.node,
-                event.sub_id,
-                skipped
-            ),
-            crate::upstream::CursorVerdict::Fresh => {}
-        }
-        let app = format!("{}/{}", link.node, event.app);
-        if app.len() > MAX_NAME_LEN || !crate::wire::valid_app_name(&app) {
-            link.count_oversize();
-            return;
-        }
-        if !entry.matches(&app) {
-            return;
-        }
-        self.journal_health(&app, &event.payload);
-        self.subs.deliver(&entry, &app, event.payload);
-        link.count_relayed_event();
-    }
-
-    /// The relay side of [`register_subscription`]: opens a propagated
-    /// subscription under the parent-chosen downlink id with a dedicated
-    /// queue (so the relay forwards its frames verbatim — sub ids already
-    /// match what the parent routes on). Propagated subscriptions are
-    /// **cursored**: their events carry monotone per-subscription cursors
-    /// (spliced in at uplink send) and their drained frames are retained
-    /// in the queue's replay ring for resume after a link failure.
-    pub(crate) fn subscribe_propagated(
-        &self,
-        req: &SubscribeReq,
-    ) -> std::result::Result<LocalSubscription, SubStatus> {
-        let queue = Arc::new(SubscriberQueue::with_telemetry(
-            self.config.sub_queue_capacity,
-            self.config
-                .telemetry
-                .then(|| Arc::clone(&self.telemetry.delivery)),
-        ));
-        let entry = self.subs.register_cursored(&queue, req)?;
-        // Propagate deeper by hand (register_subscription would register
-        // uncursored): every connected child link gets the translated
-        // Subscribe, recursing the propagation down the tree.
-        {
-            let links = self.links.lock().unwrap_or_else(|e| e.into_inner());
-            for link in links.values() {
-                if link.is_connected() {
-                    self.propagate_entry_to_link(&entry, link);
-                }
-            }
-        }
-        Ok(LocalSubscription::new(
-            queue,
-            Arc::clone(&self.subs),
-            req.sub_id,
-        ))
-    }
-
-    /// Tears down a propagated subscription, retracting its own deeper
-    /// propagations first (the explicit path; [`LocalSubscription`]'s drop
-    /// alone would skip retraction, which the lazy route GC then catches).
-    pub(crate) fn unsubscribe_propagated(&self, sub: &LocalSubscription) {
-        self.unregister_subscription(sub.queue(), sub.sub_id());
     }
 
     /// The shared per-record ingest loop: allocation-free (the history ring
@@ -1567,63 +1158,6 @@ impl CollectorState {
     }
 }
 
-/// Parent-side view of one federation child link (see
-/// [`CollectorState::origins`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OriginSnapshot {
-    /// The child's node name (the `node/` prefix of its relayed apps).
-    pub node: String,
-    /// True while the child's relay link is established.
-    pub connected: bool,
-    /// Highest relay sequence applied from this child (exactly-once
-    /// watermark; survives the child's reconnects).
-    pub last_applied: u64,
-    /// Beats absorbed from this child's rollup events.
-    pub relayed_beats: u64,
-    /// Subscription events forwarded from this child and delivered.
-    pub relayed_events: u64,
-    /// Retransmitted rollup events skipped as already applied.
-    pub duplicate_events: u64,
-    /// Relayed names dropped because the `node/` prefix overflowed the
-    /// wire name limit.
-    pub oversize_names: u64,
-    /// Cursored subscription events dropped as resume-replay overlaps.
-    pub event_stream_duplicates: u64,
-    /// Event cursors skipped on this child's streams (its replay ring
-    /// overflowed while disconnected) — accounted loss, never silent.
-    pub event_stream_gaps: u64,
-}
-
-/// Why an uplink [`Frame::NodeHello`] was refused (the `reason` label of
-/// `hb_collector_uplink_rejected_total`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UplinkRejectReason {
-    /// The child's announced path contained this collector's own node
-    /// name — accepting would close a relay cycle.
-    Loop,
-    /// The keyed-HMAC challenge went unanswered or failed verification.
-    Auth,
-}
-
-/// Per-origin cluster rollup computed from the registry (see
-/// [`CollectorState::origin_rollups`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OriginRollup {
-    /// The child's node name.
-    pub node: String,
-    /// Applications registered under `node/`.
-    pub apps: u64,
-    /// Total beats absorbed across those applications.
-    pub beats_total: u64,
-    /// Total reported drops across those applications (producer-side plus
-    /// everything shed on the way up, folded in by the relay tiers).
-    pub dropped_total: u64,
-    /// Apps per health class, indexed by
-    /// [`HealthStatus::as_u8`](crate::HealthStatus::as_u8):
-    /// `[nosignal, stalled, degraded, healthy]`.
-    pub health_counts: [u64; 4],
-}
-
 /// The collector daemon: an ingest listener for producers and a query
 /// listener for observers, both multiplexed over one reactor's fixed pool
 /// of I/O threads.
@@ -1759,30 +1293,55 @@ impl Collector {
     }
 }
 
+/// Who is on the far end of an ingest connection, as far as its frames
+/// have shown so far.
+pub(crate) enum Peer {
+    /// No Hello or NodeHello yet.
+    Fresh,
+    /// A producer after its one Hello: the registry handle every batch
+    /// ingests through, and the app's home reactor shard — the reactor
+    /// migrates the connection there so every batch ingests shard-local.
+    App { handle: AppHandle, home: usize },
+    /// A child collector's NodeHello held until a [`Frame::NodeAuth`]
+    /// answers `nonce` (the collector runs with a cluster secret).
+    Challenged {
+        node: String,
+        pid: u32,
+        path: Vec<String>,
+        nonce: [u8; crate::wire::AUTH_LEN],
+    },
+    /// A child collector's relay. The session token guards against a
+    /// stale, not-yet-reaped connection racing the child's fresh
+    /// reconnect; `ack_due` is set when a relay event was applied this
+    /// read burst, and one coalesced [`Frame::RelayAck`] goes out when the
+    /// decode loop drains.
+    Link {
+        link: Arc<UpstreamLink>,
+        session: u64,
+        ack_due: bool,
+    },
+}
+
+impl Peer {
+    /// The producer's app name for the journal, `?` for any other peer.
+    fn app(&self) -> &str {
+        match self {
+            Peer::App { handle, .. } => handle.app(),
+            _ => "?",
+        }
+    }
+}
+
 /// Per-connection state machine for one producer: an incremental frame
-/// decoder plus the registry handle established by its hello frame.
+/// decoder plus who its frames have shown the peer to be.
 struct ProducerHandler {
     state: Arc<CollectorState>,
     decoder: FrameDecoder,
-    app: Option<AppHandle>,
-    /// The app's home reactor shard, set at hello — the reactor migrates
-    /// the connection there so every subsequent batch ingests shard-local.
-    home: Option<usize>,
+    peer: Peer,
     /// Whether this connection has been attributed to a shard's
     /// `hb_collector_shard_connections` gauge yet (exactly once, see
     /// [`CollectorState::count_connection_once`]).
     counted: bool,
-    /// Set by a [`Frame::NodeHello`]: this "producer" is a child
-    /// collector's relay. The session token guards against a stale,
-    /// not-yet-reaped connection racing the child's fresh reconnect.
-    link: Option<(Arc<UpstreamLink>, u64)>,
-    /// A NodeHello awaiting its keyed-HMAC answer: `(node, pid, path,
-    /// nonce)`. Set when the collector runs with a cluster secret; the
-    /// link is established only by a verifying [`Frame::NodeAuth`].
-    pending_auth: Option<(String, u32, Vec<String>, [u8; crate::wire::AUTH_LEN])>,
-    /// A relay event was applied this read burst; one coalesced
-    /// [`Frame::RelayAck`] goes out when the decode loop drains.
-    ack_due: bool,
     /// This connection's pump handle; a link session binds its outbox to it.
     pump: Option<PumpHandle>,
 }
@@ -1792,39 +1351,40 @@ impl ProducerHandler {
         ProducerHandler {
             state,
             decoder: FrameDecoder::new(),
-            app: None,
-            home: None,
+            peer: Peer::Fresh,
             counted: false,
-            link: None,
-            pending_auth: None,
-            ack_due: false,
             pump: None,
         }
     }
 
-    /// Establishes the child link after every admission check passed:
-    /// session start, resume ack, subscription (re-)propagation.
-    fn establish_link(&mut self, node: &str, pid: u32, path: Vec<String>, out: &mut OutBuf) {
-        crate::log!(Level::Info, "link up node={node} pid={pid} path={path:?}");
-        let (link, session) = self.state.link_hello(node, path);
-        // The resume ack: tells the child which rollup sequences this
-        // parent already applied, so the child retransmits exactly the gap.
-        Frame::RelayAck {
-            last_applied: link.last_applied(),
-        }
-        .encode_into(out.vec_mut());
-        if let Some(pump) = &self.pump {
+    /// Moves to the peer state an admission check returned; `None` refuses
+    /// the connection. A link's outbox is bound to this connection's pump.
+    fn admit(&mut self, next: Option<Peer>) -> bool {
+        let Some(peer) = next else {
+            return false;
+        };
+        if let (Peer::Link { link, .. }, Some(pump)) = (&peer, &self.pump) {
             link.attach_pump(pump.clone());
         }
-        self.link = Some((link, session));
+        self.peer = peer;
+        true
     }
 
-    /// True while this connection's link session is the child's current
-    /// one (a replaced session must not act for the link any more).
-    fn link_current(&self) -> bool {
-        self.link
-            .as_ref()
-            .is_some_and(|(link, session)| link.current_session() == *session)
+    /// Refuses the connection for a protocol violation: counts it once
+    /// and journals why.
+    fn refuse(&self, why: std::fmt::Arguments<'_>) -> bool {
+        self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+        crate::log!(Level::Warn, "protocol error: {why}");
+        false
+    }
+
+    /// The link this connection serves, while its session is the child's
+    /// current one (a replaced session must not act for the link any more).
+    fn current_link(&self) -> Option<&UpstreamLink> {
+        match &self.peer {
+            Peer::Link { link, session, .. } if link.current_session() == *session => Some(link),
+            _ => None,
+        }
     }
 }
 
@@ -1838,201 +1398,13 @@ impl Handler for ProducerHandler {
             // performs no per-frame Vec<WireBeat> allocation.
             let telemetry = self.state.stage_telemetry();
             let started = telemetry.start();
-            match self.decoder.next_event() {
-                Ok(Some(event)) => {
-                    telemetry.observe(&telemetry.decode, started);
-                    self.state.count_frame();
-                    match event {
-                        FrameEvent::Beats(view) => match &self.app {
-                            Some(handle) => self.state.ingest_batch_with(
-                                handle,
-                                view.dropped_total(),
-                                view.iter(),
-                            ),
-                            None => {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: beats before hello, dropping producer"
-                                );
-                                return false;
-                            }
-                        },
-                        FrameEvent::Control(Frame::Hello(hello)) => {
-                            if self.link.is_some() {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: producer hello on a link connection"
-                                );
-                                return false;
-                            }
-                            crate::log!(
-                                Level::Info,
-                                "hello app={} pid={} window={}",
-                                hello.app,
-                                hello.pid,
-                                hello.default_window
-                            );
-                            let handle = self.state.hello(
-                                &hello.app,
-                                hello.pid,
-                                hello.default_window,
-                            );
-                            self.home = Some(self.state.home_reactor_shard(&handle));
-                            self.app = Some(handle);
-                            // The handshake every producer waits for
-                            // before it ships anything else.
-                            Frame::HelloAck {
-                                max_version: VERSION,
-                            }
-                            .encode_into(out.vec_mut());
-                            // If this thread is not the app's home shard,
-                            // yield now: the reactor reads `home_shard()`,
-                            // migrates the connection, and the install pass
-                            // on the home shard resumes this decode loop
-                            // (any frames already buffered included) via an
-                            // empty on_data — so no beat is ever absorbed
-                            // off-shard.
-                            if let Some(home) = self.home {
-                                let migrating = crate::reactor::current_shard()
-                                    .is_some_and(|current| current != home);
-                                if migrating {
-                                    return true;
-                                }
-                            }
-                        }
-                        FrameEvent::Control(Frame::Target { min_bps, max_bps }) => {
-                            match &self.app {
-                                Some(handle) => {
-                                    self.state.target(handle.app(), min_bps, max_bps)
-                                }
-                                None => {
-                                    self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                    crate::log!(
-                                        Level::Warn,
-                                        "protocol error: target before hello, dropping producer"
-                                    );
-                                    return false;
-                                }
-                            }
-                        }
-                        FrameEvent::Control(Frame::Bye) => {
-                            crate::log!(
-                                Level::Debug,
-                                "bye app={}",
-                                self.app.as_ref().map_or("?", |h| h.app())
-                            );
-                            return false;
-                        }
-                        FrameEvent::Control(Frame::NodeHello { node, pid, path }) => {
-                            if self.app.is_some()
-                                || self.link.is_some()
-                                || self.pending_auth.is_some()
-                            {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: node hello on an established connection"
-                                );
-                                return false;
-                            }
-                            // Loop detection: a child whose downstream path
-                            // already contains this collector's own node
-                            // name would close a relay cycle — beats would
-                            // circulate forever. Refuse at connect time.
-                            if self.state.uplink_would_loop(&path) {
-                                self.state.count_uplink_rejected(UplinkRejectReason::Loop);
-                                crate::log!(
-                                    Level::Warn,
-                                    "uplink refused node={node}: path {path:?} would close a relay cycle"
-                                );
-                                return false;
-                            }
-                            if self.state.cluster_secret().is_some() {
-                                // Challenge/response: hold the hello until
-                                // a NodeAuth proves knowledge of the shared
-                                // secret for this node name and nonce.
-                                let nonce = crate::auth::fresh_nonce();
-                                Frame::NodeChallenge { nonce }.encode_into(out.vec_mut());
-                                self.pending_auth = Some((node, pid, path, nonce));
-                            } else {
-                                self.establish_link(&node, pid, path, out);
-                            }
-                        }
-                        FrameEvent::Control(Frame::NodeAuth { mac }) => {
-                            let Some((node, pid, path, nonce)) = self.pending_auth.take()
-                            else {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: node auth without a pending challenge"
-                                );
-                                return false;
-                            };
-                            let Some(secret) = self.state.cluster_secret() else {
-                                // Secret cleared between frames — treat as
-                                // a refused handshake rather than panic.
-                                self.state.count_uplink_rejected(UplinkRejectReason::Auth);
-                                return false;
-                            };
-                            let expected =
-                                crate::auth::uplink_mac(secret, &nonce, &node);
-                            if !crate::auth::mac_eq(&expected, &mac) {
-                                self.state.count_uplink_rejected(UplinkRejectReason::Auth);
-                                crate::log!(
-                                    Level::Warn,
-                                    "uplink refused node={node}: challenge response failed verification"
-                                );
-                                return false;
-                            }
-                            self.establish_link(&node, pid, path, out);
-                        }
-                        FrameEvent::Control(Frame::RelayEvent { seq, event }) => {
-                            let Some((link, _)) = &self.link else {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: relay event before node hello"
-                                );
-                                return false;
-                            };
-                            let link = Arc::clone(link);
-                            self.state.apply_relay_event(&link, seq, event);
-                            self.ack_due = true;
-                        }
-                        FrameEvent::Control(Frame::Event(event)) => {
-                            let Some((link, _)) = &self.link else {
-                                self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                crate::log!(
-                                    Level::Warn,
-                                    "protocol error: forwarded event before node hello"
-                                );
-                                return false;
-                            };
-                            let link = Arc::clone(link);
-                            self.state.deliver_routed_event(&link, event);
-                        }
-                        // Query frames belong on the query port, and
-                        // HelloAck is collector → producer; receiving any
-                        // of them here is a protocol violation.
-                        FrameEvent::Control(_) => {
-                            self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                            crate::log!(
-                                Level::Warn,
-                                "protocol error: unexpected control frame on ingest port app={}",
-                                self.app.as_ref().map_or("?", |h| h.app())
-                            );
-                            return false;
-                        }
-                    }
-                }
+            let event = match self.decoder.next_event() {
+                Ok(Some(event)) => event,
                 Ok(None) => {
                     // One cumulative ack per read burst, however many relay
                     // events it carried.
-                    if self.ack_due {
-                        self.ack_due = false;
-                        if let Some((link, _)) = &self.link {
+                    if let Peer::Link { link, ack_due, .. } = &mut self.peer {
+                        if std::mem::take(ack_due) {
                             Frame::RelayAck {
                                 last_applied: link.last_applied(),
                             }
@@ -2042,13 +1414,93 @@ impl Handler for ProducerHandler {
                     return true; // need more bytes
                 }
                 Err(err) => {
-                    self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+                    let app = self.peer.app();
+                    return self.refuse(format_args!("bad frame from app={app}: {err:?}"));
+                }
+            };
+            telemetry.observe(&telemetry.decode, started);
+            self.state.count_frame();
+            // The admitted (peer, frame) pairs are the ingest protocol;
+            // every other pair is refused by the last arm.
+            match (&mut self.peer, event) {
+                (Peer::App { handle, .. }, FrameEvent::Beats(view)) => self
+                    .state
+                    .ingest_batch_with(handle, view.dropped_total(), view.iter()),
+                (Peer::Fresh, FrameEvent::Control(Frame::Hello(hello))) => {
                     crate::log!(
-                        Level::Warn,
-                        "protocol error: bad frame from app={}: {err:?}",
-                        self.app.as_ref().map_or("?", |h| h.app())
+                        Level::Info,
+                        "hello app={} pid={} window={}",
+                        hello.app,
+                        hello.pid,
+                        hello.default_window
                     );
+                    let handle = self
+                        .state
+                        .hello(&hello.app, hello.pid, hello.default_window);
+                    let home = self.state.home_reactor_shard(&handle);
+                    self.peer = Peer::App { handle, home };
+                    // The handshake every producer waits for before it
+                    // ships anything else.
+                    Frame::HelloAck {
+                        max_version: VERSION,
+                    }
+                    .encode_into(out.vec_mut());
+                    // If this thread is not the app's home shard, yield
+                    // now: the reactor reads `home_shard()`, migrates the
+                    // connection, and the install pass on the home shard
+                    // resumes this decode loop (any frames already
+                    // buffered included) via an empty on_data — so no beat
+                    // is ever absorbed off-shard.
+                    if crate::reactor::current_shard().is_some_and(|current| current != home) {
+                        return true;
+                    }
+                }
+                (
+                    Peer::App { handle, .. },
+                    FrameEvent::Control(Frame::Target { min_bps, max_bps }),
+                ) => self.state.target(handle.app(), min_bps, max_bps),
+                (_, FrameEvent::Control(Frame::Bye)) => {
+                    crate::log!(Level::Debug, "bye app={}", self.peer.app());
                     return false;
+                }
+                (Peer::Fresh, FrameEvent::Control(Frame::NodeHello { node, pid, path })) => {
+                    let next = self.state.node_hello(node, pid, path, out);
+                    if !self.admit(next) {
+                        return false;
+                    }
+                }
+                (
+                    Peer::Challenged {
+                        node,
+                        pid,
+                        path,
+                        nonce,
+                    },
+                    FrameEvent::Control(Frame::NodeAuth { mac }),
+                ) => {
+                    let path = std::mem::take(path);
+                    let next = self.state.node_auth(node, *pid, path, nonce, &mac, out);
+                    if !self.admit(next) {
+                        return false;
+                    }
+                }
+                (
+                    Peer::Link { link, ack_due, .. },
+                    FrameEvent::Control(Frame::RelayEvent { seq, event }),
+                ) => {
+                    self.state.apply_relay_event(link, seq, event);
+                    *ack_due = true;
+                }
+                (Peer::Link { link, .. }, FrameEvent::Control(Frame::Event(event))) => {
+                    self.state.deliver_routed_event(link, event)
+                }
+                // Out of turn (beats or a target before hello, a second
+                // hello, a relay frame on a producer connection, ...), or
+                // never ingest traffic at all (queries, replies).
+                (_, event) => {
+                    let (kind, app) = (event.kind(), self.peer.app());
+                    return self
+                        .refuse(format_args!("frame kind {kind} out of turn from app={app}"));
                 }
             }
         }
@@ -2057,12 +1509,10 @@ impl Handler for ProducerHandler {
     fn on_eof(&mut self, _out: &mut OutBuf) {
         if self.decoder.has_partial() {
             // The stream died mid-frame: truncation, not a clean goodbye.
-            self.state.protocol_errors.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-            crate::log!(
-                Level::Warn,
-                "producer stream truncated mid-frame app={}",
-                self.app.as_ref().map_or("?", |h| h.app())
-            );
+            let app = self.peer.app();
+            self.refuse(format_args!(
+                "producer stream truncated mid-frame app={app}"
+            ));
         }
     }
 
@@ -2072,18 +1522,16 @@ impl Handler for ProducerHandler {
     }
 
     fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize, cause: PumpCause) -> bool {
-        if let Some((link, _)) = &self.link {
-            if self.link_current() {
-                if cause == PumpCause::Timer {
-                    // Retract routes whose entries went inactive without an
-                    // explicit unsubscribe (dropped LocalSubscriptions):
-                    // nothing announces those.
-                    for sub_id in link.collect_dead_routes() {
-                        link.push_frame(&Frame::Unsubscribe { sub_id });
-                    }
+        if let Some(link) = self.current_link() {
+            if cause == PumpCause::Timer {
+                // Retract routes whose entries went inactive without an
+                // explicit unsubscribe (dropped LocalSubscriptions):
+                // nothing announces those.
+                for sub_id in link.collect_dead_routes() {
+                    link.push_frame(&Frame::Unsubscribe { sub_id });
                 }
-                link.drain_outbox(out.vec_mut());
             }
+            link.drain_outbox(out.vec_mut());
         }
         true
     }
@@ -2091,24 +1539,28 @@ impl Handler for ProducerHandler {
     fn keep_alive(&self) -> bool {
         // A live link is legitimately silent when its child has nothing to
         // roll up; a *stale* link session gets no exemption.
-        self.link_current()
+        self.current_link().is_some()
     }
 
     fn on_close(&mut self) {
         // A connection torn down before its first on_data (e.g. a failed
         // install) still counts toward exactly one shard gauge.
         self.state.count_connection_once(&mut self.counted);
-        if let Some(handle) = self.app.take() {
-            self.state.goodbye(handle.app());
-        }
-        if let Some((link, session)) = self.link.take() {
-            crate::log!(Level::Info, "link down node={}", link.node);
-            link.end_session(session);
+        match std::mem::replace(&mut self.peer, Peer::Fresh) {
+            Peer::App { handle, .. } => self.state.goodbye(handle.app()),
+            Peer::Link { link, session, .. } => {
+                crate::log!(Level::Info, "link down node={}", link.node);
+                link.end_session(session);
+            }
+            Peer::Fresh | Peer::Challenged { .. } => {}
         }
     }
 
     fn home_shard(&self) -> Option<usize> {
-        self.home
+        match self.peer {
+            Peer::App { home, .. } => Some(home),
+            _ => None,
+        }
     }
 }
 
@@ -2174,16 +1626,7 @@ impl ObserverHandler {
                     if let Some(pump) = pump {
                         pump.request();
                     }
-                    Arc::new(
-                        SubscriberQueue::with_telemetry(
-                            state.config.sub_queue_capacity,
-                            state
-                                .config
-                                .telemetry
-                                .then(|| Arc::clone(&state.telemetry.delivery)),
-                        )
-                        .with_pump(pump.clone()),
-                    )
+                    Arc::new(state.subscriber_queue().with_pump(pump.clone()))
                 });
                 let status = match state.register_subscription(queue, &req) {
                     Ok(_) => SubStatus::Ok,
@@ -2338,6 +1781,7 @@ impl Handler for ObserverHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::EventFrame;
     use heartbeats::{BeatThreadId, HeartbeatRecord, Tag};
 
     fn beats(timestamps: &[u64]) -> Vec<WireBeat> {
@@ -3027,6 +2471,132 @@ mod tests {
             state.app_names().len() as u64
         );
         assert!(text.contains("hb_collector_cross_shard_ingest_total 0"));
+    }
+
+    /// One encoded frame of each kind an ingest connection might be sent,
+    /// named as in the refusal matrix below.
+    fn matrix_frame(kind: &str) -> Vec<u8> {
+        let batch = || {
+            let mut encoder = crate::wire::BatchEncoder::new();
+            encoder.begin_compact(0);
+            for beat in beats(&[1_000, 2_000]) {
+                encoder.push(&beat);
+            }
+            encoder.finish().to_vec()
+        };
+        let event = || EventFrame {
+            sub_id: 1,
+            sent_at_ns: 0,
+            cursor: 0,
+            app: "cam".into(),
+            payload: EventPayload::Beats {
+                dropped_total: 0,
+                beats: beats(&[1_000]),
+            },
+        };
+        let frame = match kind {
+            "Beats" => return batch(),
+            "Target" => Frame::Target {
+                min_bps: 1.0,
+                max_bps: 2.0,
+            },
+            "Hello" => Frame::Hello(crate::wire::Hello {
+                app: "app".into(),
+                pid: 1,
+                default_window: 20,
+            }),
+            "NodeHello" => Frame::NodeHello {
+                node: "leaf".into(),
+                pid: 2,
+                path: vec!["leaf".into()],
+            },
+            "NodeAuth" => Frame::NodeAuth {
+                mac: [0; crate::wire::AUTH_LEN],
+            },
+            "RelayEvent" => Frame::RelayEvent {
+                seq: 1,
+                event: event(),
+            },
+            "Event" => Frame::Event(event()),
+            "HelloAck" => Frame::HelloAck {
+                max_version: VERSION,
+            },
+            "StatsReq" => Frame::StatsReq,
+            other => panic!("no matrix frame {other}"),
+        };
+        frame.encode()
+    }
+
+    /// Every (connection state, frame) pair the ingest protocol does not
+    /// admit is refused the same way: the connection closes, exactly one
+    /// refusal counter rises, no beat is accounted, and closing leaves no
+    /// app holding a connection.
+    #[test]
+    fn producer_refusal_matrix() {
+        let columns = [
+            "Beats",
+            "Target",
+            "Hello",
+            "NodeHello",
+            "NodeAuth",
+            "RelayEvent",
+            "Event",
+            "HelloAck",
+            "StatsReq",
+        ];
+        /// (row, prefix frames, cluster secret, frames the state admits)
+        type Row = (
+            &'static str,
+            &'static [&'static str],
+            Option<&'static str>,
+            &'static [&'static str],
+        );
+        let rows: [Row; 4] = [
+            ("fresh", &[], None, &["Hello", "NodeHello"]),
+            ("app", &["Hello"], None, &["Beats", "Target"]),
+            ("link", &["NodeHello"], None, &["RelayEvent", "Event"]),
+            ("challenged", &["NodeHello"], Some("s3cret"), &["NodeAuth"]),
+        ];
+        let mut failures = Vec::new();
+        for (row, prefix, secret, admitted) in rows {
+            for column in columns {
+                if admitted.contains(&column) {
+                    continue;
+                }
+                let state = Arc::new(CollectorState::new(CollectorConfig {
+                    io_threads: 1,
+                    cluster_secret: secret.map(str::to_string),
+                    ..CollectorConfig::default()
+                }));
+                let mut handler = ProducerHandler::new(Arc::clone(&state));
+                let mut out = OutBuf::new();
+                for frame in prefix {
+                    assert!(handler.on_data(&matrix_frame(frame), &mut out), "{row}");
+                }
+                let errors = state.protocol_errors();
+                let rejected = state.uplink_rejections();
+                let accounted = state.beats_accounted();
+                let open = handler.on_data(&matrix_frame(column), &mut out);
+                let (loops, auths) = state.uplink_rejections();
+                let refusals = (state.protocol_errors() - errors)
+                    + (loops - rejected.0)
+                    + (auths - rejected.1);
+                handler.on_close();
+                let held: Vec<String> = state
+                    .snapshots()
+                    .into_iter()
+                    .filter(|snap| snap.connections != 0)
+                    .map(|snap| snap.app)
+                    .collect();
+                if open || refusals != 1 || state.beats_accounted() != accounted || !held.is_empty()
+                {
+                    failures.push(format!(
+                        "{row}+{column}: open={open} refusals={refusals} held={held:?}"
+                    ));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "admitted or miscounted: {failures:#?}");
     }
 
     #[test]

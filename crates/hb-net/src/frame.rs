@@ -24,6 +24,16 @@ pub enum FrameEvent<'a> {
     Control(Frame),
 }
 
+impl FrameEvent<'_> {
+    /// The wire kind byte of the frame this event was decoded from.
+    pub(crate) fn kind(&self) -> u8 {
+        match self {
+            FrameEvent::Beats(_) => crate::wire::KIND_BEATS,
+            FrameEvent::Control(frame) => frame.kind(),
+        }
+    }
+}
+
 /// Incremental frame decoder for non-blocking transports.
 ///
 /// The blocking [`FrameReader`] owns its transport and can simply block until

@@ -289,7 +289,8 @@ impl std::fmt::Display for HealthStatus {
 /// Machine-readable explanation attached to a non-healthy classification.
 ///
 /// Each reason has a stable bit (see [`HealthReason::bit`]) so a set of
-/// reasons travels on the wire as one `u16` bitmask.
+/// reasons travels on the wire as one `u16` bitmask. The variants are
+/// declared in bit order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthReason {
     /// No global beat has ever been received.
@@ -306,36 +307,34 @@ pub enum HealthReason {
     SequenceAnomaly,
 }
 
+/// Every reason with its canonical text, in wire-bit order: the reason at
+/// index `i` travels as bit `1 << i`.
+const REASONS: [(HealthReason, &str); 5] = [
+    (HealthReason::NoBeats, "no-beats"),
+    (HealthReason::Silent, "silent"),
+    (HealthReason::RateBelowTarget, "rate-below-target"),
+    (HealthReason::JitterSpike, "jitter-spike"),
+    (HealthReason::SequenceAnomaly, "sequence-anomaly"),
+];
+
 /// All reasons, in bit order.
 pub const ALL_REASONS: [HealthReason; 5] = [
-    HealthReason::NoBeats,
-    HealthReason::Silent,
-    HealthReason::RateBelowTarget,
-    HealthReason::JitterSpike,
-    HealthReason::SequenceAnomaly,
+    REASONS[0].0,
+    REASONS[1].0,
+    REASONS[2].0,
+    REASONS[3].0,
+    REASONS[4].0,
 ];
 
 impl HealthReason {
     /// The stable wire bit for this reason.
     pub fn bit(self) -> u16 {
-        match self {
-            HealthReason::NoBeats => 1 << 0,
-            HealthReason::Silent => 1 << 1,
-            HealthReason::RateBelowTarget => 1 << 2,
-            HealthReason::JitterSpike => 1 << 3,
-            HealthReason::SequenceAnomaly => 1 << 4,
-        }
+        1 << self as u16
     }
 
     /// Canonical text form, as served by the `HEALTH` query command.
     pub fn as_str(self) -> &'static str {
-        match self {
-            HealthReason::NoBeats => "no-beats",
-            HealthReason::Silent => "silent",
-            HealthReason::RateBelowTarget => "rate-below-target",
-            HealthReason::JitterSpike => "jitter-spike",
-            HealthReason::SequenceAnomaly => "sequence-anomaly",
-        }
+        REASONS[self as usize].1
     }
 
     /// Packs a set of reasons into the wire bitmask.
@@ -699,6 +698,22 @@ mod tests {
         assert_eq!(HealthStatus::from_u8(9), None);
         assert_eq!(HealthStatus::parse("fine"), None);
         assert!(HealthStatus::Healthy > HealthStatus::Stalled);
+    }
+
+    /// The wire bits and texts are protocol: pinned literally, not derived.
+    #[test]
+    fn reason_bits_and_texts_are_pinned() {
+        let pinned = [
+            (HealthReason::NoBeats, 1, "no-beats"),
+            (HealthReason::Silent, 2, "silent"),
+            (HealthReason::RateBelowTarget, 4, "rate-below-target"),
+            (HealthReason::JitterSpike, 8, "jitter-spike"),
+            (HealthReason::SequenceAnomaly, 16, "sequence-anomaly"),
+        ];
+        for (reason, bit, text) in pinned {
+            assert_eq!((reason.bit(), reason.as_str()), (bit, text), "{reason:?}");
+        }
+        assert_eq!(ALL_REASONS.map(|r| r.bit()), [1, 2, 4, 8, 16]);
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub mod client;
 pub mod collector;
 pub mod crc;
 mod error;
+mod federation;
 pub mod frame;
 pub mod health;
 pub mod query;

@@ -1,4 +1,5 @@
 //! Federation uplink: a collector re-exporting its registry to a parent.
+//! This is the child side of a link; the parent side is `federation.rs`.
 //!
 //! A leaf (or mid-tier) collector configured with an
 //! [`UpstreamConfig`] keeps one connection to the parent's *ingest* port
@@ -55,7 +56,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -63,7 +64,7 @@ use crate::auth;
 use crate::collector::CollectorState;
 use crate::frame::{FrameDecoder, FrameEvent};
 use crate::reactor::{Handler, OutBuf, PumpCause, PumpHandle};
-use crate::subscribe::{LocalSubscription, SubEntry};
+use crate::subscribe::LocalSubscription;
 use crate::telemetry::{self, Level};
 use crate::wire::{
     splice_event_cursor, EventFrame, EventPayload, Frame, SubscribeReq, WireBeat, MAX_EVENT_BEATS,
@@ -285,311 +286,6 @@ impl UpstreamStats {
     }
 }
 
-/// One downlink subscription route: the parent-side entry it feeds plus
-/// the resume watermark — the highest event cursor delivered through it.
-/// Routes persist across the child's reconnects so the watermark survives
-/// and the parent can ask the child to resume from `last_cursor + 1`.
-#[derive(Debug)]
-pub(crate) struct RouteState {
-    pub(crate) entry: Arc<SubEntry>,
-    /// Highest cursor accepted on this route (0 = none yet).
-    last_cursor: AtomicU64,
-}
-
-impl RouteState {
-    /// Highest cursor delivered through this route (the resume point is
-    /// one past it).
-    pub(crate) fn last_seen_cursor(&self) -> u64 {
-        self.last_cursor.load(Ordering::Acquire) // ordering: pairs with the AcqRel fetch_update that advances the cursor
-    }
-}
-
-/// Verdict of cursor-checking one relayed event against its route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CursorVerdict {
-    /// Next expected (or first) cursor — deliver it.
-    Fresh,
-    /// At or below the watermark: a replay overlap — drop it.
-    Duplicate,
-    /// Above `watermark + 1`: this many cursors were skipped (counted,
-    /// then delivered — the stream stays live past an accounted loss).
-    Gap(u64),
-}
-
-/// Parent-side state of one child link, keyed by node name and persistent
-/// across that child's reconnects (so `last_applied` survives and
-/// retransmitted sequences stay exactly-once).
-#[derive(Debug)]
-pub(crate) struct UpstreamLink {
-    pub(crate) node: String,
-    connected: AtomicBool,
-    /// Monotone session counter: each NodeHello bumps it, and only the
-    /// handler holding the current session may flip `connected` off — a
-    /// stale connection's close must not mark a fresh one down.
-    session: AtomicU64,
-    last_applied: AtomicU64,
-    /// Subscribe/Unsubscribe frames awaiting the serving connection's pump.
-    outbox: Mutex<Vec<u8>>,
-    /// Requests that pump when a frame is queued; belongs to whichever
-    /// connection serves the current session.
-    pump: Mutex<Option<PumpHandle>>,
-    next_downlink: AtomicU32,
-    /// Downlink subscription id → its route. Persistent across reconnects
-    /// (resume watermarks live here); entries are retired only when their
-    /// parent-side subscription lapses.
-    routes: Mutex<HashMap<u32, Arc<RouteState>>>,
-    /// The downstream path the child announced in its latest NodeHello
-    /// (its own node name plus everything below it) — folded into this
-    /// collector's own announced path for loop detection one tier up.
-    path: Mutex<Vec<String>>,
-    relayed_beats: AtomicU64,
-    relayed_events: AtomicU64,
-    duplicate_events: AtomicU64,
-    /// Cursored events dropped as replay overlaps (at/below watermark).
-    event_duplicates: AtomicU64,
-    /// Cursors skipped on this link's event streams (ring overflow at the
-    /// child while disconnected) — loss is counted, never silent.
-    event_gaps: AtomicU64,
-    /// Relayed names whose `node/` prefix overflowed the wire name limit
-    /// (dropped — bounded node names make this unreachable for valid
-    /// children, but the counter keeps it observable).
-    oversize_names: AtomicU64,
-}
-
-impl UpstreamLink {
-    pub(crate) fn new(node: &str) -> Self {
-        UpstreamLink {
-            node: node.to_string(),
-            connected: AtomicBool::new(false),
-            session: AtomicU64::new(0),
-            last_applied: AtomicU64::new(0),
-            outbox: Mutex::new(Vec::new()),
-            pump: Mutex::new(None),
-            next_downlink: AtomicU32::new(1),
-            routes: Mutex::new(HashMap::new()),
-            path: Mutex::new(Vec::new()),
-            relayed_beats: AtomicU64::new(0),
-            relayed_events: AtomicU64::new(0),
-            duplicate_events: AtomicU64::new(0),
-            event_duplicates: AtomicU64::new(0),
-            event_gaps: AtomicU64::new(0),
-            oversize_names: AtomicU64::new(0),
-        }
-    }
-
-    /// Starts a new link session: marks the link connected, clears the
-    /// stale outbox and returns the session token the serving handler must
-    /// present at close. Routes deliberately survive — their watermarks
-    /// are the resume points the new session subscribes from.
-    pub(crate) fn begin_session(&self) -> u64 {
-        let session = self.session.fetch_add(1, Ordering::AcqRel) + 1; // ordering: a new session orders after the old one's teardown and before its own stores
-        self.connected.store(true, Ordering::Release); // ordering: publishes the session flip; pairs with Acquire readers
-        self.outbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        session
-    }
-
-    /// The current session token (only the connection holding it may act
-    /// for the link).
-    pub(crate) fn current_session(&self) -> u64 {
-        self.session.load(Ordering::Acquire) // ordering: pairs with the AcqRel session bump; a stale session sees it lost
-    }
-
-    /// Ends `session` if it is still the current one. Routes are kept for
-    /// resume; stale ones are retired by `collect_dead_routes`.
-    pub(crate) fn end_session(&self, session: u64) {
-        if self.session.load(Ordering::Acquire) == session { // ordering: pairs with the AcqRel session bump; only the current session may clear the flag
-            self.connected.store(false, Ordering::Release); // ordering: publishes the disconnect; pairs with Acquire readers
-        }
-    }
-
-    /// Records the downstream path from the child's latest NodeHello.
-    pub(crate) fn set_path(&self, path: Vec<String>) {
-        *self.path.lock().unwrap_or_else(|e| e.into_inner()) = path;
-    }
-
-    /// The child's announced downstream path (empty until its first
-    /// NodeHello).
-    pub(crate) fn announced_path(&self) -> Vec<String> {
-        self.path.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    pub(crate) fn is_connected(&self) -> bool {
-        self.connected.load(Ordering::Acquire) // ordering: pairs with the Release writers so observers see applied state
-    }
-
-    pub(crate) fn last_applied(&self) -> u64 {
-        self.last_applied.load(Ordering::Acquire) // ordering: pairs with the AcqRel apply claim; readers see a fully applied seq
-    }
-
-    /// Atomically claims rollup sequence `seq`, returning `true` exactly
-    /// once per sequence across every connection serving this link. During
-    /// a reconnect the old socket's still-buffered copy of a window and
-    /// the new socket's retransmit of it can race on different reactor
-    /// shards; a load-then-store watermark would let both through and
-    /// apply the window twice.
-    pub(crate) fn claim_seq(&self, seq: u64) -> bool {
-        self.last_applied
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| { // ordering: CAS claim of the apply watermark; one winner per seq (the PR 9 reconnect-overlap fix)
-                (seq > cur).then_some(seq)
-            })
-            .is_ok()
-    }
-
-    pub(crate) fn count_duplicate(&self) {
-        self.duplicate_events.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-
-    pub(crate) fn count_relayed_beats(&self, n: u64) {
-        self.relayed_beats.fetch_add(n, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-
-    pub(crate) fn count_relayed_event(&self) {
-        self.relayed_events.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-
-    pub(crate) fn count_oversize(&self) {
-        self.oversize_names.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
-
-    /// Allocates a fresh downlink subscription id and records its route.
-    pub(crate) fn add_route(&self, entry: Arc<SubEntry>) -> u32 {
-        let id = self.next_downlink.fetch_add(1, Ordering::Relaxed); // ordering: downlink-id allocation; only atomicity matters
-        self.routes.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            id,
-            Arc::new(RouteState {
-                entry,
-                last_cursor: AtomicU64::new(0),
-            }),
-        );
-        id
-    }
-
-    pub(crate) fn route(&self, sub_id: u32) -> Option<Arc<RouteState>> {
-        self.routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&sub_id)
-            .cloned()
-    }
-
-    /// Existing downlink id for `entry`, if a route already feeds it (the
-    /// reconnect path re-subscribes the same id with a resume cursor).
-    pub(crate) fn route_for(&self, entry: &Arc<SubEntry>) -> Option<(u32, Arc<RouteState>)> {
-        self.routes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .find(|(_, r)| Arc::ptr_eq(&r.entry, entry))
-            .map(|(&id, r)| (id, Arc::clone(r)))
-    }
-
-    /// Removes every route feeding `entry`, returning the downlink ids to
-    /// unsubscribe at the child.
-    pub(crate) fn remove_routes_for(&self, entry: &Arc<SubEntry>) -> Vec<u32> {
-        let mut routes = self.routes.lock().unwrap_or_else(|e| e.into_inner());
-        let ids: Vec<u32> = routes
-            .iter()
-            .filter(|(_, r)| Arc::ptr_eq(&r.entry, entry))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &ids {
-            routes.remove(id);
-        }
-        ids
-    }
-
-    /// Removes routes whose entries went inactive without an explicit
-    /// retraction (e.g. a dropped [`LocalSubscription`]), returning their
-    /// downlink ids.
-    pub(crate) fn collect_dead_routes(&self) -> Vec<u32> {
-        let mut routes = self.routes.lock().unwrap_or_else(|e| e.into_inner());
-        let ids: Vec<u32> = routes
-            .iter()
-            .filter(|(_, r)| !r.entry.is_active())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &ids {
-            routes.remove(id);
-        }
-        ids
-    }
-
-    /// Cursor-checks one relayed event against its route's watermark,
-    /// advancing it for fresh (or gapped) deliveries and bumping the
-    /// link-wide duplicate/gap counters. Cursor 0 (an uncursored stream)
-    /// is always fresh.
-    pub(crate) fn check_cursor(&self, route: &RouteState, cursor: u64) -> CursorVerdict {
-        if cursor == 0 {
-            return CursorVerdict::Fresh;
-        }
-        // Claim the watermark atomically: during reconnect overlap the old
-        // and new connection race on different reactor shards, and a
-        // load-then-store pair would deliver the same cursor twice.
-        match route
-            .last_cursor
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |last| { // ordering: CAS claim of the event cursor; one winner per seq (the PR 9 reconnect-overlap fix)
-                (cursor > last).then_some(cursor)
-            }) {
-            Err(_) => {
-                self.event_duplicates.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                CursorVerdict::Duplicate
-            }
-            Ok(last) if cursor > last + 1 => {
-                let skipped = cursor - last - 1;
-                self.event_gaps.fetch_add(skipped, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                CursorVerdict::Gap(skipped)
-            }
-            Ok(_) => CursorVerdict::Fresh,
-        }
-    }
-
-    /// `(event_duplicates, event_gaps)` — the event plane's QoS ledger.
-    pub(crate) fn event_counters(&self) -> (u64, u64) {
-        (
-            self.event_duplicates.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-            self.event_gaps.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-        )
-    }
-
-    /// Binds the outbox to the connection serving the current session, so
-    /// queued frames wake that connection's shard instead of waiting for
-    /// its timed pass.
-    pub(crate) fn attach_pump(&self, handle: PumpHandle) {
-        *self.pump.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle.clone());
-        handle.request(); // for whatever was queued before the handle was in place
-    }
-
-    /// Appends a frame to the link's outbox and requests the serving
-    /// connection's pump, which drains it.
-    pub(crate) fn push_frame(&self, frame: &Frame) {
-        frame.encode_into(&mut self.outbox.lock().unwrap_or_else(|e| e.into_inner()));
-        if let Some(pump) = &*self.pump.lock().unwrap_or_else(|e| e.into_inner()) {
-            pump.request();
-        }
-    }
-
-    /// Moves the queued outbox bytes into `out`.
-    pub(crate) fn drain_outbox(&self, out: &mut Vec<u8>) {
-        let mut outbox = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
-        if !outbox.is_empty() {
-            out.extend_from_slice(&outbox);
-            outbox.clear();
-        }
-    }
-
-    /// `(last_applied, relayed_beats, relayed_events, duplicates,
-    /// oversize)` for STATS / Prometheus.
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.last_applied(),
-            self.relayed_beats.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-            self.relayed_events.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-            self.duplicate_events.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-            self.oversize_names.load(Ordering::Relaxed), // ordering: monitoring read; staleness is acceptable
-        )
-    }
-}
-
 /// Cap on buffered-but-unwritten uplink bytes before the uplink stops
 /// draining the tap (backpressure then sheds at the tap, exactly counted).
 const MAX_UPLINK_OUTBOX: usize = 1 << 20;
@@ -727,9 +423,10 @@ fn supervise(
         backoff = (backoff * 2).min(config.backoff_max);
     }
     // Only the stop path tears the held subscriptions down; across link
-    // failures they keep accumulating for the parent's resume.
+    // failures they keep accumulating for the parent's resume. Dropping
+    // them alone would skip retracting their own deeper propagations.
     for (_, p) in session.subs.drain() {
-        state.unsubscribe_propagated(&p.sub);
+        state.unregister_subscription(p.sub.queue(), p.sub.sub_id());
     }
 }
 
@@ -988,7 +685,8 @@ impl UplinkHandler {
 
     fn handle_unsubscribe(&mut self, sub_id: u32) {
         if let Some(p) = self.session.subs.remove(&sub_id) {
-            self.state.unsubscribe_propagated(&p.sub);
+            self.state
+                .unregister_subscription(p.sub.queue(), p.sub.sub_id());
         }
     }
 

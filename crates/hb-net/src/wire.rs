@@ -135,7 +135,7 @@ const KIND_HISTORY: u8 = 6;
 const KIND_HEALTH_REQ: u8 = 7;
 const KIND_HEALTH: u8 = 8;
 const KIND_HELLO_ACK: u8 = 9;
-const KIND_BEATS: u8 = 10;
+pub(crate) const KIND_BEATS: u8 = 10;
 const KIND_SUBSCRIBE: u8 = 11;
 const KIND_SUB_ACK: u8 = 12;
 const KIND_EVENT: u8 = 13;
@@ -1024,7 +1024,7 @@ fn encode_event_payload(buf: &mut Vec<u8>, event: &EventFrame) {
 }
 
 impl Frame {
-    fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Frame::Hello(_) => KIND_HELLO,
             Frame::Beats(_) => KIND_BEATS,
@@ -1405,7 +1405,7 @@ impl Frame {
                 let node = r.str(len, MAX_NODE_LEN, "node name", valid_node_name)?;
                 // The path vector is mandatory and led by the announcing
                 // node: an empty one would sail past the parent's cycle
-                // check (`uplink_would_loop`).
+                // check (`CollectorState::node_hello`).
                 if r.remaining() == 0 {
                     return Err(NetError::Protocol(
                         "node hello carries no path vector".into(),
@@ -3117,7 +3117,7 @@ mod tests {
 
     /// A hello without a path — the pre-loop-detection body that ends after
     /// the node name, an explicit empty vector, or a path led by another
-    /// node — would make `uplink_would_loop` vacuously false: refused.
+    /// node — would make the parent's cycle check vacuously pass: refused.
     #[test]
     fn node_hello_without_a_leading_own_name_is_rejected() {
         let restamp = |frame: &mut Vec<u8>| {
