@@ -15,7 +15,7 @@
 //! logged, retried on the backoff like an unreachable collector).
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use heartbeats::{Backend, BackendStats, BeatScope, HeartbeatRecord};
 
 use crate::error::{NetError, Result};
-use crate::frame::{FrameDecoder, FrameWriter};
+use crate::frame::FrameDecoder;
 use crate::telemetry::Level;
 use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
 
@@ -34,31 +34,30 @@ use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
 /// timeout. It also bounds how long dropping a backend mid-handshake blocks.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Most records shipped per [`Frame::Beats`]; far below what one frame
+/// holds even when every record is the longest the encoding allows.
+const BATCH_MAX: usize = 512;
+const _: () = assert!(BATCH_MAX <= (wire::MAX_PAYLOAD - 10) / wire::MAX_COMPACT_BEAT_LEN);
+
 /// Tuning knobs for a [`TcpBackend`].
 #[derive(Debug, Clone)]
 pub struct TcpBackendConfig {
     /// Maximum beats buffered while the collector is unreachable or slow;
     /// beyond this the oldest queued beat is shed (and counted).
     pub queue_capacity: usize,
-    /// Maximum records shipped per [`Frame::Beats`].
-    pub batch_max: usize,
     /// Delay between reconnection attempts while the collector is down.
     pub reconnect_backoff: Duration,
     /// The rate window advertised in the hello frame so the collector's
     /// server-side estimate matches the producer's default window.
     pub default_window: u32,
-    /// Process id advertised in the hello frame.
-    pub pid: u32,
 }
 
 impl Default for TcpBackendConfig {
     fn default() -> Self {
         TcpBackendConfig {
             queue_capacity: 8192,
-            batch_max: 512,
             reconnect_backoff: Duration::from_millis(100),
             default_window: heartbeats::DEFAULT_WINDOW as u32,
-            pid: std::process::id(),
         }
     }
 }
@@ -130,19 +129,15 @@ impl TcpBackend {
     /// Creates a backend with explicit tuning.
     ///
     /// The application name is sanitized to the wire's rules (no
-    /// whitespace/control/quote characters, bounded length) and
-    /// `batch_max` is clamped so every batch fits one frame — otherwise a
+    /// whitespace/control/quote characters, bounded length) — otherwise a
     /// collector would reject the stream on every connect.
     pub fn with_config(
         addr: impl Into<String>,
         app: impl Into<String>,
-        mut config: TcpBackendConfig,
+        config: TcpBackendConfig,
     ) -> Self {
         let addr = addr.into();
         let app = wire::sanitize_app_name(&app.into());
-        // Worst case: a 10-byte `dropped_total` varint, then maximal records.
-        let frame_max = (wire::MAX_PAYLOAD - 10) / wire::MAX_COMPACT_BEAT_LEN;
-        config.batch_max = config.batch_max.clamp(1, frame_max);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
@@ -277,11 +272,11 @@ enum Work {
     Shutdown,
 }
 
-fn collect_work(shared: &Shared, config: &TcpBackendConfig) -> Work {
+fn collect_work(shared: &Shared) -> Work {
     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         if !inner.queue.is_empty() || inner.target_dirty {
-            let n = inner.queue.len().min(config.batch_max);
+            let n = inner.queue.len().min(BATCH_MAX);
             let beats: Vec<WireBeat> = inner.queue.drain(..n).collect();
             let target = if inner.target_dirty {
                 inner.target_dirty = false;
@@ -305,11 +300,11 @@ fn collect_work(shared: &Shared, config: &TcpBackendConfig) -> Work {
 }
 
 fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfig) {
-    let mut connection: Option<FrameWriter<TcpStream>> = None;
+    let mut connection: Option<TcpStream> = None;
     let mut last_attempt: Option<Instant> = None;
     let mut encoder = BatchEncoder::new();
     loop {
-        let work = collect_work(shared, config);
+        let work = collect_work(shared);
         let (beats, target) = match work {
             Work::Batch { beats, target } => (beats, target),
             Work::Shutdown => break,
@@ -336,7 +331,7 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
             }
         }
 
-        let Some(writer) = connection.as_mut() else {
+        let Some(stream) = connection.as_ref() else {
             // Collector unreachable (or it refused the handshake): shed this
             // batch (counted) and let the target stay pending for the next
             // successful connect.
@@ -362,7 +357,7 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
         };
 
         let sent_len = beats.len() as u64;
-        match ship(writer, &mut encoder, &beats, target, shared) {
+        match ship(stream, &mut encoder, &beats, target, shared) {
             Ok(()) => {
                 shared.sent.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
             }
@@ -376,9 +371,8 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
         }
     }
     // Orderly goodbye if we still hold a link.
-    if let Some(writer) = connection.as_mut() {
-        let _ = writer.write_frame(&Frame::Bye);
-        let _ = writer.flush();
+    if let Some(mut stream) = connection.as_ref() {
+        let _ = stream.write_all(&Frame::Bye.encode());
     }
     // Anything left in the queue at shutdown is lost; account for it.
     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -393,27 +387,21 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
 /// Connects, sends the hello and completes the handshake. A peer that
 /// accepts but fails the handshake is logged: unlike a refused connection
 /// it looks alive to everything but this check.
-fn try_connect(
-    addr: &str,
-    app: &str,
-    config: &TcpBackendConfig,
-) -> Option<FrameWriter<TcpStream>> {
+fn try_connect(addr: &str, app: &str, config: &TcpBackendConfig) -> Option<TcpStream> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(2)))
-        .ok();
-    let mut writer = FrameWriter::new(stream);
-    let handshake = writer
-        .write_frame(&Frame::Hello(Hello {
-            app: app.to_string(),
-            pid: config.pid,
-            default_window: config.default_window,
-        }))
-        .and_then(|()| writer.flush())
-        .and_then(|()| await_hello_ack(writer.get_ref()));
+    stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
+    let hello = Frame::Hello(Hello {
+        app: app.to_string(),
+        pid: std::process::id(),
+        default_window: config.default_window,
+    });
+    let handshake = (&stream)
+        .write_all(&hello.encode())
+        .map_err(NetError::from)
+        .and_then(|()| await_hello_ack(&stream));
     match handshake {
-        Ok(()) => Some(writer),
+        Ok(()) => Some(stream),
         Err(err) => {
             crate::log!(
                 Level::Warn,
@@ -429,63 +417,38 @@ fn try_connect(
 /// once [`HANDSHAKE_TIMEOUT`] has passed however the bytes trickle in.
 fn await_hello_ack(stream: &TcpStream) -> Result<()> {
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 64];
-    let mut reader = stream;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::Error::from(io::ErrorKind::TimedOut).into());
-        }
-        stream.set_read_timeout(Some(left))?;
-        match reader.read(&mut buf) {
-            Ok(0) => return Err(NetError::UnexpectedEof),
-            Ok(n) => decoder.push(&buf[..n]),
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(err) => return Err(err.into()),
-        }
-        match decoder.next_frame()? {
-            Some(Frame::HelloAck { max_version }) if max_version >= wire::VERSION => return Ok(()),
-            Some(other) => {
-                return Err(NetError::Unsupported(format!(
-                    "expected a version-{} hello-ack, got {other:?}",
-                    wire::VERSION
-                )))
-            }
-            None => {}
-        }
+    match FrameDecoder::new().read_frame(stream, deadline)? {
+        Some(Frame::HelloAck { max_version }) if max_version >= wire::VERSION => Ok(()),
+        Some(other) => Err(NetError::Unsupported(format!(
+            "expected a version-{} hello-ack, got {other:?}",
+            wire::VERSION
+        ))),
+        None => Err(NetError::UnexpectedEof),
     }
 }
 
 /// Ships one drained flush: an optional target frame plus the beats,
 /// coalesced into a single beats frame by the streaming [`BatchEncoder`].
 fn ship(
-    writer: &mut FrameWriter<TcpStream>,
+    mut stream: &TcpStream,
     encoder: &mut BatchEncoder,
     beats: &[WireBeat],
     target: Option<(f64, f64)>,
     shared: &Shared,
-) -> Result<()> {
+) -> io::Result<()> {
     if let Some((min_bps, max_bps)) = target {
-        writer.write_frame(&Frame::Target { min_bps, max_bps })?;
+        stream.write_all(&Frame::Target { min_bps, max_bps }.encode())?;
     }
     if !beats.is_empty() {
         let dropped_total = shared.dropped.load(Ordering::Relaxed); // ordering: drop total piggybacks on the batch frame; cross-thread exactness is not required
         encoder.begin_compact(dropped_total);
         for beat in beats {
-            if !encoder.push(beat) {
-                // Backstop behind the `batch_max` clamp: seal and ship the
-                // full frame, then continue in a fresh one — no beat is ever
-                // silently lost to the frame bound.
-                writer.write_encoded(encoder.finish())?;
-                encoder.begin_compact(dropped_total);
-                let pushed = encoder.push(beat);
-                debug_assert!(pushed, "an empty frame must accept a record");
-            }
+            let pushed = encoder.push(beat);
+            debug_assert!(pushed, "BATCH_MAX records always fit one frame");
         }
-        writer.write_encoded(encoder.finish())?;
+        stream.write_all(encoder.finish())?;
     }
-    writer.flush()
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,16 +43,16 @@ use heartbeats::observe::{
 
 use crate::collector::AppSnapshot;
 use crate::error::{NetError, Result};
-use crate::frame::{FrameDecoder, FrameReader};
+use crate::frame::FrameDecoder;
 use crate::health::{HealthReport, HealthStatus};
 use crate::query::CollectorStats;
 use crate::reactor::{Handler, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig};
 use crate::telemetry::{self, HistoSnapshot, LatencyHisto};
 use crate::wire::{self, EventFrame, EventPayload, Frame, HistoryChunk, SubStatus, SubscribeReq};
 
-/// How long a synchronous query waits for its reply before treating the
-/// connection as dead (both the direct socket timeout and the demux reply
-/// queue's wait bound).
+/// How long a synchronous query waits for each reply frame before treating
+/// the connection as dead, on either path: the deadline of a direct
+/// connection's blocking read and the demux reply queue's wait bound.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Client-side bound on one subscription's undelivered events; beyond it
@@ -94,8 +94,8 @@ enum Conn {
     /// Never subscribed: the querying thread writes the request and reads
     /// the reply off the socket itself.
     Direct {
-        writer: TcpStream,
-        frames: FrameReader<BufReader<TcpStream>>,
+        stream: TcpStream,
+        decoder: FrameDecoder,
     },
     /// Subscribed: the client reactor owns the socket. Holding the handle
     /// lets a failed query tear the connection down with it (its
@@ -107,7 +107,9 @@ impl Conn {
     /// The next reply frame, waiting at most [`REPLY_TIMEOUT`] for it.
     fn next_frame(&mut self) -> Result<Frame> {
         match self {
-            Conn::Direct { frames, .. } => frames.read_frame()?.ok_or(NetError::UnexpectedEof),
+            Conn::Direct { stream, decoder } => decoder
+                .read_frame(stream, Instant::now() + REPLY_TIMEOUT)?
+                .ok_or(NetError::UnexpectedEof),
             Conn::Demux(demux) => demux.next_reply(),
         }
     }
@@ -122,7 +124,7 @@ impl Conn {
     ) -> Result<T> {
         let conn = slot.as_mut().ok_or(NetError::UnexpectedEof)?;
         let sent = match conn {
-            Conn::Direct { writer, .. } => writer.write_all(request).map_err(NetError::from),
+            Conn::Direct { stream, .. } => stream.write_all(request).map_err(NetError::from),
             Conn::Demux(demux) => demux.send(request),
         };
         let outcome = sent.and_then(|()| read(conn));
@@ -400,10 +402,9 @@ impl RemoteReader {
     }
 
     fn open(&self) -> Result<Conn> {
-        let stream = self.dial()?;
         Ok(Conn::Direct {
-            frames: FrameReader::new(BufReader::new(stream.try_clone()?)),
-            writer: stream,
+            stream: self.dial()?,
+            decoder: FrameDecoder::new(),
         })
     }
 
@@ -1165,6 +1166,47 @@ mod tests {
         assert!(handler.on_pump(&mut out, 0, PumpCause::Wake));
         assert_eq!(out.iter_slices().collect::<Vec<_>>().concat(), request);
         assert!(shared.link().requests.is_empty());
+    }
+
+    /// A query port that answers every request with the first 8 bytes of a
+    /// frame and then goes silent. A never-subscribed reader must give up
+    /// after `REPLY_TIMEOUT` per attempt, and `exchange` makes two attempts
+    /// (the connection `connect` opened, then one reconnect).
+    #[test]
+    fn a_stalled_reply_fails_within_the_reply_timeout() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let started = Frame::Metrics {
+                last: true,
+                text: "stalled".into(),
+            }
+            .encode();
+            let mut silent = Vec::new();
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.unwrap();
+                let mut request = [0u8; wire::HEADER_LEN];
+                stream.read_exact(&mut request).unwrap();
+                stream.write_all(&started[..8]).unwrap();
+                silent.push(stream);
+            }
+            // Open and silent until the reader has given up.
+            let _ = release_rx.recv();
+        });
+        let reader = RemoteReader::connect(addr).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        let caller = std::thread::spawn(move || done_tx.send(reader.stats().map(|_| ())));
+        let outcome = done_rx
+            .recv_timeout(Duration::from_secs(15))
+            .expect("stats() still blocked after 15 s");
+        assert!(outcome.is_err(), "a stalled reply is an error");
+        let bound = 2 * REPLY_TIMEOUT + Duration::from_secs(2);
+        assert!(started.elapsed() < bound, "took {:?}", started.elapsed());
+        caller.join().unwrap().unwrap();
+        drop(release_tx);
+        server.join().unwrap();
     }
 
     #[test]

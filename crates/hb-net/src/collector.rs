@@ -66,7 +66,7 @@ use heartbeats::observe::Interest;
 
 use crate::federation::{Federation, UpstreamLink};
 pub use crate::federation::{OriginRollup, OriginSnapshot, UplinkRejectReason};
-use crate::frame::{FrameDecoder, FrameEvent};
+use crate::frame::{split_frame, FrameDecoder, FrameEvent};
 use crate::health::{
     self, HealthConfig, HealthReport, HealthStatus, HistoryRing, HistorySample, WindowStats,
 };
@@ -81,17 +81,19 @@ use crate::wire::{
     EventPayload, Frame, SubStatus, SubscribeReq, WireBeat, MAX_HISTORY_SAMPLES, VERSION,
 };
 
+/// Number of registry partitions; applications hash to partitions so
+/// connections for different applications rarely contend.
+const REGISTRY_PARTITIONS: usize = 16;
+
+/// Cap on the server-side rate window (guards against absurd hellos).
+const MAX_WINDOW: usize = 1024;
+
 /// Tuning knobs for a [`Collector`].
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    /// Number of registry shards; connections for different applications
-    /// hash to different shards so they never contend.
-    pub shards: usize,
     /// An application whose last beat is older than this is reported as
     /// not alive in snapshots and metrics.
     pub stale_after: Duration,
-    /// Cap on the server-side rate window (guards against absurd hellos).
-    pub max_window: usize,
     /// Number of reactor I/O shards serving all producer and observer
     /// sockets — each shard is one thread owning its own epoll instance,
     /// timer wheel and connection table. `0` means **auto**: resolve to
@@ -137,9 +139,7 @@ pub struct CollectorConfig {
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
-            shards: 16,
             stale_after: Duration::from_secs(5),
-            max_window: 1024,
             io_threads: 0,
             idle_timeout: Duration::from_secs(60),
             history_capacity: 1024,
@@ -183,7 +183,7 @@ impl AppEntry {
         AppEntry {
             pid,
             default_window,
-            window: MovingRate::new((default_window as usize).clamp(2, config.max_window)),
+            window: MovingRate::new((default_window as usize).clamp(2, MAX_WINDOW)),
             intervals: OnlineStats::new(),
             last_timestamp_ns: None,
             total_beats: 0,
@@ -345,7 +345,7 @@ impl CollectorState {
     /// aggregation the daemon runs, usable embedded in another server, in
     /// tests, and in benchmarks ([`Collector`] wires one to its reactor).
     pub fn new(config: CollectorConfig) -> Self {
-        let shards = (0..config.shards.max(1))
+        let shards = (0..REGISTRY_PARTITIONS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
         let reactor_shards = Self::resolve_io_threads(config.io_threads);
@@ -1507,7 +1507,7 @@ impl Handler for ProducerHandler {
     }
 
     fn on_eof(&mut self, _out: &mut OutBuf) {
-        if self.decoder.has_partial() {
+        if self.decoder.buffered() > 0 {
             // The stream died mid-frame: truncation, not a clean goodbye.
             let app = self.peer.app();
             self.refuse(format_args!(
@@ -1667,6 +1667,14 @@ impl ObserverHandler {
     }
 }
 
+/// Whether `bytes` may be the start of a binary frame. Binary frames start
+/// with the 4-byte magic; no line command does (line commands are ASCII
+/// words like HELP/HISTORY, and the magic contains no newline).
+fn starts_like_frame(bytes: &[u8]) -> bool {
+    let magic = crate::wire::MAGIC.to_le_bytes();
+    magic.starts_with(bytes.get(..magic.len()).unwrap_or(bytes))
+}
+
 impl Handler for ObserverHandler {
     fn on_data(&mut self, input: &[u8], out: &mut OutBuf) -> bool {
         self.buf.extend_from_slice(input);
@@ -1681,22 +1689,13 @@ impl Handler for ObserverHandler {
             if out.pending() > MAX_PENDING_REPLIES {
                 return false; // pipelining flood: answers outpace the reads
             }
-            // Disambiguate the next message: binary frames start with the
-            // 4-byte magic; no line command does (line commands are ASCII
-            // words like HELP/HISTORY, and the magic contains no newline).
-            let magic = crate::wire::MAGIC.to_le_bytes();
-            let prefix_len = avail.len().min(magic.len());
-            if avail[..prefix_len] == magic[..prefix_len] { // hb-lint: allow(index): prefix_len is min(avail.len(), magic.len())
-                if avail.len() < crate::wire::HEADER_LEN {
-                    break; // could still become a frame; wait for more
-                }
-                let Ok((_, payload_len, _)) = Frame::decode_header(avail) else {
-                    return false;
+            if starts_like_frame(avail) {
+                let (kind, payload, used) = match split_frame(avail) {
+                    Ok(Some(split)) => split,
+                    Ok(None) => break, // incomplete frame; wait for more
+                    Err(_) => return false,
                 };
-                if avail.len() < crate::wire::HEADER_LEN + payload_len {
-                    break; // incomplete frame; wait for more
-                }
-                let Ok((frame, used)) = Frame::decode(avail) else {
+                let Ok(frame) = Frame::decode_payload_body(kind, payload) else {
                     return false;
                 };
                 if !self.handle_frame(frame, out) {
@@ -1720,9 +1719,7 @@ impl Handler for ObserverHandler {
         // The bound depends on what the pending bytes are: a binary frame
         // may legitimately reach HEADER_LEN + MAX_PAYLOAD, while a command
         // line is tiny.
-        let magic = crate::wire::MAGIC.to_le_bytes();
-        let prefix = self.buf.len().min(magic.len());
-        let limit = if self.buf[..prefix] == magic[..prefix] { // hb-lint: allow(index): prefix is min(buf.len(), magic.len())
+        let limit = if starts_like_frame(&self.buf) {
             crate::wire::HEADER_LEN + crate::wire::MAX_PAYLOAD
         } else {
             MAX_QUERY_LINE

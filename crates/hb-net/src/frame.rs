@@ -1,13 +1,38 @@
-//! Stream adapters: reading and writing [`Frame`]s over any
-//! `std::io::Read`/`Write` transport (TCP sockets in production, in-memory
-//! buffers in tests), plus the incremental [`FrameDecoder`] used by the
-//! non-blocking reactor path where reads arrive in arbitrary fragments.
+//! The frame layer: [`FrameDecoder`] turns a byte stream into [`Frame`]s,
+//! whether the bytes arrive as arbitrary fragments on a non-blocking
+//! reactor connection ([`push`](FrameDecoder::push) +
+//! [`next_event`](FrameDecoder::next_event)) or off a blocking socket with a
+//! deadline ([`read_frame`](FrameDecoder::read_frame)). Every frame hb-net
+//! reads is split off its stream by one step, `split_frame`: header, length,
+//! CRC.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
 use crate::error::{NetError, Result};
 use crate::wire::{is_beats_kind, BeatBatch, BeatsView, Frame, HEADER_LEN};
+
+/// Splits the frame at the front of `avail`: validates its header, waits
+/// for its whole payload and checks the payload's CRC. `Ok(None)` means
+/// more bytes are needed; `Some((kind, payload, total))` borrows the
+/// payload, and `total` counts the header too. Errors are permanent: a
+/// stream cannot be resynchronized after one.
+pub(crate) fn split_frame(avail: &[u8]) -> Result<Option<(u8, &[u8], usize)>> {
+    if avail.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let (kind, payload_len, crc) = Frame::decode_header(avail)?;
+    let total = HEADER_LEN + payload_len;
+    let Some(payload) = avail.get(HEADER_LEN..total) else {
+        return Ok(None);
+    };
+    if crc32(payload) != crc {
+        return Err(NetError::Protocol("payload CRC mismatch".into()));
+    }
+    Ok(Some((kind, payload, total)))
+}
 
 /// One decoded message from a [`FrameDecoder`], borrowing beat payloads in
 /// place.
@@ -34,16 +59,15 @@ impl FrameEvent<'_> {
     }
 }
 
-/// Incremental frame decoder for non-blocking transports.
+/// Incremental frame decoder: hb-net's one frame parser.
 ///
-/// The blocking [`FrameReader`] owns its transport and can simply block until
-/// a full frame arrives. An event-driven server cannot: `epoll` hands it
-/// arbitrary byte fragments — half a header, three frames and a tail, … — and
-/// the decoder must accumulate them and yield frames as they complete.
-///
-/// [`push`](FrameDecoder::push) appends freshly read bytes;
-/// [`next_frame`](FrameDecoder::next_frame) yields decoded frames until the
-/// buffered bytes no longer hold a complete one. Payloads are parsed in place
+/// `epoll` hands an event-driven connection arbitrary byte fragments — half
+/// a header, three frames and a tail, … — so the decoder accumulates them
+/// and yields frames as they complete. [`push`](FrameDecoder::push) appends
+/// freshly read bytes; [`next_frame`](FrameDecoder::next_frame) yields
+/// decoded frames until the buffered bytes no longer hold a complete one.
+/// A blocking socket reads through the same buffer with
+/// [`read_frame`](FrameDecoder::read_frame). Payloads are parsed in place
 /// from the accumulation buffer (no per-frame payload copy); the consumed
 /// prefix is compacted away lazily so steady-state decoding does not shift
 /// bytes on every frame.
@@ -70,6 +94,13 @@ pub struct FrameDecoder {
 /// buffer has been fully consumed, which makes compaction free).
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
+/// The least and the most a blocking [`read_frame`](FrameDecoder::read_frame)
+/// asks the socket for at once. The least is a `BufReader`'s capacity; in
+/// between, a read asks for as much as is buffered, so a large frame takes
+/// few reads, and the zero-filled room for one read stays bounded.
+const READ_CHUNK: usize = 8 * 1024;
+const READ_MAX: usize = 64 * 1024;
+
 impl FrameDecoder {
     /// Creates an empty decoder.
     pub fn new() -> Self {
@@ -78,6 +109,12 @@ impl FrameDecoder {
 
     /// Appends freshly received bytes to the accumulation buffer.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drops the consumed prefix when that is free or it has grown large.
+    fn compact(&mut self) {
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
@@ -85,7 +122,6 @@ impl FrameDecoder {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
     }
 
     /// Decodes the next complete frame, or `Ok(None)` if more bytes are
@@ -111,22 +147,13 @@ impl FrameDecoder {
     /// of a handler loop.
     pub fn next_event(&mut self) -> Result<Option<FrameEvent<'_>>> {
         let avail = &self.buf[self.start..]; // hb-lint: allow(index): start <= buf.len() is the FrameBuf invariant
-        if avail.len() < HEADER_LEN {
+        let Some((kind, payload, total)) = split_frame(avail)? else {
             return Ok(None);
-        }
-        let (kind, payload_len, crc) = Frame::decode_header(avail)?;
-        let total = HEADER_LEN + payload_len;
-        if avail.len() < total {
-            return Ok(None);
-        }
+        };
         // Consume the frame first; the returned view borrows the (now
         // dead-prefix) bytes, which outlive it because push() only compacts
         // on the *next* call.
         self.start += total;
-        let payload = &self.buf[self.start - payload_len..self.start]; // hb-lint: allow(index): start was just advanced past a frame of payload_len bytes
-        if crc32(payload) != crc {
-            return Err(NetError::Protocol("payload CRC mismatch".into()));
-        }
         if is_beats_kind(kind) {
             Ok(Some(FrameEvent::Beats(BeatsView::parse(kind, payload)?)))
         } else {
@@ -136,160 +163,61 @@ impl FrameDecoder {
         }
     }
 
-    /// Bytes buffered but not yet consumed by a decoded frame.
+    /// Blocks on `stream` for the next frame until `deadline`: each read
+    /// waits at most the time left. `Ok(None)` is a clean end of stream at a
+    /// frame boundary; a stream that ends mid-frame is
+    /// [`NetError::UnexpectedEof`], and one still short of a frame at the
+    /// deadline is an I/O error — however its bytes trickle in.
+    pub fn read_frame(&mut self, stream: &TcpStream, deadline: Instant) -> Result<Option<Frame>> {
+        self.read_frame_with(deadline, |buf, left| {
+            stream.set_read_timeout(Some(left))?;
+            let mut stream = stream;
+            stream.read(buf)
+        })
+    }
+
+    /// [`read_frame`](Self::read_frame) over any source: `read(buf, left)`
+    /// reads once into `buf`, waiting at most `left`.
+    fn read_frame_with(
+        &mut self,
+        deadline: Instant,
+        mut read: impl FnMut(&mut [u8], Duration) -> io::Result<usize>,
+    ) -> Result<Option<Frame>> {
+        loop {
+            if let Some(frame) = self.next_frame()? {
+                return Ok(Some(frame));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+            }
+            self.compact();
+            let len = self.buf.len();
+            self.buf
+                .resize(len + self.buffered().clamp(READ_CHUNK, READ_MAX), 0);
+            let got = read(&mut self.buf[len..], left); // hb-lint: allow(index): len is the length before the resize
+            self.buf.truncate(len + *got.as_ref().unwrap_or(&0));
+            match got {
+                Ok(0) if self.buffered() > 0 => return Err(NetError::UnexpectedEof),
+                Ok(0) => return Ok(None),
+                Ok(_) => {}
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err.into()),
+            }
+        }
+    }
+
+    /// Bytes buffered but not yet consumed by a decoded frame: after the
+    /// stream's end, more than 0 means it ended mid-frame.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.start
-    }
-
-    /// True if the stream ended mid-frame: bytes remain that do not form a
-    /// complete frame. Used to distinguish a clean EOF from truncation.
-    pub fn has_partial(&self) -> bool {
-        self.buffered() > 0
-    }
-}
-
-/// Reads frames off a byte stream, validating each one.
-#[derive(Debug)]
-pub struct FrameReader<R> {
-    inner: R,
-    payload: Vec<u8>,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps a readable transport.
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            payload: Vec::new(),
-        }
-    }
-
-    /// The underlying transport.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
-    /// Reads the next frame. Returns `Ok(None)` on a clean end-of-stream at
-    /// a frame boundary; an EOF mid-frame is [`NetError::UnexpectedEof`].
-    pub fn read_frame(&mut self) -> Result<Option<Frame>> {
-        let mut header = [0u8; HEADER_LEN];
-        match read_exact_or_eof(&mut self.inner, &mut header, false)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial => return Err(NetError::UnexpectedEof),
-            ReadOutcome::Full => {}
-        }
-        let (kind, payload_len, crc) = Frame::decode_header(&header)?;
-        self.payload.resize(payload_len, 0);
-        if payload_len > 0 {
-            // The payload is mid-frame by definition, so timeouts retry.
-            match read_exact_or_eof(&mut self.inner, &mut self.payload, true)? {
-                ReadOutcome::Full => {}
-                ReadOutcome::Eof | ReadOutcome::Partial => return Err(NetError::UnexpectedEof),
-            }
-        }
-        Ok(Some(Frame::decode_payload(kind, &self.payload, crc)?))
-    }
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// Fills `buf` completely, distinguishing "no bytes at all" (clean EOF) from
-/// "some but not all" (truncated frame).
-///
-/// Read timeouts (used by servers to poll a shutdown flag) are surfaced to
-/// the caller only between frames — `buf` still empty and not `mid_frame`.
-/// Once a frame has started arriving, timeouts are retried (boundedly) so a
-/// mid-frame pause never desynchronizes the stream.
-fn read_exact_or_eof<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    mid_frame: bool,
-) -> Result<ReadOutcome> {
-    let mut filled = 0;
-    let mut stalls = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) { // hb-lint: allow(index): filled < buf.len() is the loop condition
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err)
-                if (filled > 0 || mid_frame)
-                    && matches!(
-                        err.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                stalls += 1;
-                if stalls > 100 {
-                    return Err(NetError::UnexpectedEof);
-                }
-            }
-            Err(err) => return Err(NetError::Io(err)),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
-/// Writes frames onto a byte stream, reusing one encode buffer.
-#[derive(Debug)]
-pub struct FrameWriter<W> {
-    inner: W,
-    buf: Vec<u8>,
-}
-
-impl<W: Write> FrameWriter<W> {
-    /// Wraps a writable transport.
-    pub fn new(inner: W) -> Self {
-        FrameWriter {
-            inner,
-            buf: Vec::with_capacity(4096),
-        }
-    }
-
-    /// The underlying transport.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-
-    /// Encodes and writes one frame.
-    pub fn write_frame(&mut self, frame: &Frame) -> Result<()> {
-        self.buf.clear();
-        frame.encode_into(&mut self.buf);
-        self.inner.write_all(&self.buf)?;
-        Ok(())
-    }
-
-    /// Writes bytes that are already a fully encoded frame (e.g. produced by
-    /// a [`BatchEncoder`](crate::wire::BatchEncoder)), skipping re-encoding.
-    pub fn write_encoded(&mut self, frame_bytes: &[u8]) -> Result<()> {
-        self.inner.write_all(frame_bytes)?;
-        Ok(())
-    }
-
-    /// Flushes the transport.
-    pub fn flush(&mut self) -> Result<()> {
-        self.inner.flush()?;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{BeatBatch, Hello};
+    use crate::wire::Hello;
     use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 
     fn sample_frames() -> Vec<Frame> {
@@ -316,29 +244,38 @@ mod tests {
         ]
     }
 
+    /// The blocking read over an in-memory stream, its deadline out of
+    /// reach.
+    fn read_from(decoder: &mut FrameDecoder, stream: &mut &[u8]) -> Result<Option<Frame>> {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        decoder.read_frame_with(deadline, |buf, _| stream.read(buf))
+    }
+
     #[test]
     fn stream_roundtrip() {
         let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            for frame in sample_frames() {
-                writer.write_frame(&frame).unwrap();
-            }
-            writer.flush().unwrap();
+        for frame in sample_frames() {
+            frame.encode_into(&mut wire);
         }
-        let mut reader = FrameReader::new(wire.as_slice());
+        let (mut decoder, mut stream) = (FrameDecoder::new(), wire.as_slice());
         for expected in sample_frames() {
-            assert_eq!(reader.read_frame().unwrap(), Some(expected));
+            assert_eq!(
+                read_from(&mut decoder, &mut stream).unwrap(),
+                Some(expected)
+            );
         }
-        assert_eq!(reader.read_frame().unwrap(), None, "clean EOF");
+        assert_eq!(
+            read_from(&mut decoder, &mut stream).unwrap(),
+            None,
+            "clean EOF"
+        );
     }
 
     #[test]
     fn eof_mid_frame_is_an_error() {
         let bytes = Frame::Bye.encode();
-        let mut reader = FrameReader::new(&bytes[..HEADER_LEN - 2]);
         assert!(matches!(
-            reader.read_frame(),
+            read_from(&mut FrameDecoder::new(), &mut &bytes[..HEADER_LEN - 2]),
             Err(NetError::UnexpectedEof)
         ));
     }
@@ -351,20 +288,64 @@ mod tests {
             default_window: 20,
         })
         .encode();
-        let mut reader = FrameReader::new(&bytes[..bytes.len() - 3]);
         assert!(matches!(
-            reader.read_frame(),
+            read_from(&mut FrameDecoder::new(), &mut &bytes[..bytes.len() - 3]),
             Err(NetError::UnexpectedEof)
         ));
     }
 
     #[test]
     fn garbage_stream_is_a_protocol_error() {
-        let mut reader = FrameReader::new(&[0xFFu8; 64][..]);
         assert!(matches!(
-            reader.read_frame(),
+            read_from(&mut FrameDecoder::new(), &mut &[0xFFu8; 64][..]),
             Err(NetError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn a_read_timing_out_mid_frame_ends_the_read() {
+        // A socket read that times out is the deadline passing, wherever
+        // the frame stands: it is not retried.
+        let bytes = Frame::Bye.encode();
+        let mut sent = false;
+        let outcome = FrameDecoder::new().read_frame_with(
+            Instant::now() + Duration::from_secs(60),
+            |buf, _| {
+                if std::mem::replace(&mut sent, true) {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                buf[..8].copy_from_slice(&bytes[..8]);
+                Ok(8)
+            },
+        );
+        assert!(
+            matches!(outcome, Err(NetError::Io(err)) if err.kind() == io::ErrorKind::WouldBlock)
+        );
+    }
+
+    #[test]
+    fn a_large_frame_is_read_in_bounded_steps() {
+        let frame = Frame::Metrics {
+            last: true,
+            text: "x".repeat(3 * READ_MAX),
+        };
+        let wire = frame.encode();
+        let mut reads = Vec::new();
+        let mut stream = wire.as_slice();
+        let read = FrameDecoder::new().read_frame_with(
+            Instant::now() + Duration::from_secs(60),
+            |buf, _| {
+                reads.push(buf.len());
+                stream.read(buf)
+            },
+        );
+        assert_eq!(read.unwrap(), Some(frame));
+        // Reads grow with what is buffered, up to READ_MAX each.
+        assert_eq!(
+            reads[..4],
+            [READ_CHUNK, READ_CHUNK, 2 * READ_CHUNK, 4 * READ_CHUNK]
+        );
+        assert!(reads[4..].iter().all(|&n| n == READ_MAX), "{reads:?}");
     }
 
     #[test]
@@ -384,7 +365,7 @@ mod tests {
             }
         }
         assert_eq!(decoded, sample_frames());
-        assert!(!decoder.has_partial(), "stream ended at a frame boundary");
+        assert_eq!(decoder.buffered(), 0, "stream ended at a frame boundary");
     }
 
     #[test]
@@ -414,13 +395,13 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.push(&bytes[..bytes.len() - 1]);
         assert_eq!(decoder.next_frame().unwrap(), None);
-        assert!(decoder.has_partial());
+        assert!(decoder.buffered() > 0);
         decoder.push(&bytes[bytes.len() - 1..]);
         assert!(matches!(
             decoder.next_frame().unwrap(),
             Some(Frame::Hello(_))
         ));
-        assert!(!decoder.has_partial());
+        assert_eq!(decoder.buffered(), 0);
     }
 
     #[test]
@@ -518,7 +499,7 @@ mod tests {
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0], (5, beats.clone()));
         assert_eq!(batches[1], (6, beats));
-        assert!(!decoder.has_partial());
+        assert_eq!(decoder.buffered(), 0);
     }
 
     #[test]
@@ -537,20 +518,5 @@ mod tests {
             decoder.next_event(),
             Err(NetError::Protocol(msg)) if msg.contains("CRC")
         ));
-    }
-
-    #[test]
-    fn write_encoded_matches_write_frame() {
-        let frame = Frame::Target {
-            min_bps: 3.5,
-            max_bps: 4.5,
-        };
-        let mut via_frame = Vec::new();
-        FrameWriter::new(&mut via_frame).write_frame(&frame).unwrap();
-        let mut via_bytes = Vec::new();
-        FrameWriter::new(&mut via_bytes)
-            .write_encoded(&frame.encode())
-            .unwrap();
-        assert_eq!(via_frame, via_bytes);
     }
 }

@@ -11,9 +11,9 @@
 //!   changes and application hello/goodbye. Batches ship as delta/varint
 //!   records (~5–7 bytes per beat) and decode through the zero-allocation
 //!   [`wire::BeatsView`] iterator.
-//! * [`frame`] — frame readers/writers over any `Read`/`Write` transport,
-//!   plus the incremental decoder whose [`frame::FrameEvent`]s borrow beat
-//!   payloads in place.
+//! * [`frame`] — [`FrameDecoder`], the one frame parser: fed fragments by
+//!   a reactor connection (its [`frame::FrameEvent`]s borrow beat payloads
+//!   in place) or reading a blocking socket up to a deadline.
 //! * [`TcpBackend`] — a [`heartbeats::Backend`] that buffers beats in a
 //!   bounded queue and ships batches from a background flusher thread. The
 //!   `on_beat` hot path never blocks: when the collector is slow or down the
@@ -93,7 +93,7 @@ pub use collector::{
     UplinkRejectReason,
 };
 pub use error::{NetError, Result};
-pub use frame::{FrameDecoder, FrameReader, FrameWriter};
+pub use frame::FrameDecoder;
 pub use health::{
     HealthConfig, HealthReason, HealthReport, HealthStatus, HistoryRing, HistorySample,
 };

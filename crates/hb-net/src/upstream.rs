@@ -916,7 +916,7 @@ impl Handler for UplinkHandler {
 mod tests {
     use super::*;
     use crate::collector::{Collector, CollectorConfig};
-    use crate::frame::FrameReader;
+    use crate::frame::FrameDecoder;
     use crate::reactor::{Reactor, ReactorConfig};
     use crate::telemetry::ThreadStatsSnapshot;
     use crate::wire::{BeatBatch, Hello};
@@ -1107,7 +1107,8 @@ mod tests {
     /// handshake and from then on reads, acks and subscribes only when the
     /// test says so.
     struct FakeParent {
-        frames: FrameReader<TcpStream>,
+        stream: TcpStream,
+        decoder: FrameDecoder,
     }
 
     impl FakeParent {
@@ -1119,9 +1120,9 @@ mod tests {
         /// handshake through.
         fn accept(listener: &TcpListener, leaf: &Collector) -> FakeParent {
             let (stream, _) = listener.accept().unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
             let mut parent = FakeParent {
-                frames: FrameReader::new(stream),
+                stream,
+                decoder: FrameDecoder::new(),
             };
             assert!(matches!(parent.recv(), Frame::NodeHello { .. }));
             parent.send(&Frame::RelayAck { last_applied: 0 });
@@ -1131,12 +1132,15 @@ mod tests {
         }
 
         fn send(&self, frame: &Frame) {
-            let mut stream = self.frames.get_ref();
-            stream.write_all(&frame.encode()).unwrap();
+            (&self.stream).write_all(&frame.encode()).unwrap();
         }
 
         fn recv(&mut self) -> Frame {
-            self.frames.read_frame().expect("uplink frame").expect("uplink open")
+            let deadline = Instant::now() + Duration::from_secs(20);
+            self.decoder
+                .read_frame(&self.stream, deadline)
+                .expect("uplink frame")
+                .expect("uplink open")
         }
 
         /// The next rollup: `(seq, beats, dropped_total)`.

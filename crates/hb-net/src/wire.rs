@@ -1266,18 +1266,13 @@ impl Frame {
         Ok((kind, payload_len, read_u32(bytes, 10)?))
     }
 
-    /// Decodes a validated payload into a frame.
-    pub fn decode_payload(kind: u8, payload: &[u8], crc: u32) -> Result<Frame> {
-        if crc32(payload) != crc {
-            return Err(NetError::Protocol("payload CRC mismatch".into()));
-        }
-        Self::decode_payload_body(kind, payload)
-    }
-
-    /// Decodes a payload whose CRC has already been verified (the
-    /// incremental decoder checks it once and then dispatches between this
-    /// and the zero-copy [`BeatsView`] path). Each arm reads its fields in
-    /// the order [`encode_payload`](Frame::encode_payload) writes them.
+    /// Decodes a payload whose CRC has already been verified (the frame
+    /// layer's `split_frame` checks it once, and [`FrameDecoder`] then
+    /// dispatches between this and the zero-copy [`BeatsView`] path). Each
+    /// arm reads its fields in the order
+    /// [`encode_payload`](Frame::encode_payload) writes them.
+    ///
+    /// [`FrameDecoder`]: crate::frame::FrameDecoder
     pub(crate) fn decode_payload_body(kind: u8, payload: &[u8]) -> Result<Frame> {
         let mut r = Reader::new(payload);
         let frame = match kind {
@@ -1309,8 +1304,9 @@ impl Frame {
                 }
                 Frame::Hello(hello)
             }
-            // Materialized here for the blocking FrameReader path (the
-            // reactor iterates a BeatsView instead, never this Vec).
+            // Materialized here for `Frame::decode` and
+            // `FrameDecoder::next_frame` (the reactor iterates a BeatsView
+            // instead, never this Vec).
             KIND_BEATS => Frame::Beats(BeatBatch {
                 dropped_total: r.varint()?,
                 beats: r.beats()?,
@@ -1514,9 +1510,7 @@ impl Frame {
                 last: r.flag("metrics payload")?,
                 text: r.str(r.remaining(), MAX_PAYLOAD, "metrics text", |_| true)?,
             },
-            // decode_header validates the kind, but decode_payload is a
-            // public entry point — treat an unknown kind as the protocol
-            // error it is instead of trusting the caller.
+            // decode_header has refused every other kind.
             _ => return Err(NetError::Protocol(format!("unknown frame kind {kind}"))),
         };
         r.finish(kind)?;
@@ -1529,16 +1523,10 @@ impl Frame {
     /// See [`BatchEncoder`] for the allocation-free producer-side encoding
     /// of beat batches.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize)> {
-        let (kind, payload_len, crc) = Self::decode_header(bytes)?;
-        let total = HEADER_LEN + payload_len;
-        if bytes.len() < total {
-            return Err(NetError::Protocol(format!(
-                "frame truncated: have {} of {total} bytes",
-                bytes.len()
-            )));
-        }
-        let frame = Self::decode_payload(kind, &bytes[HEADER_LEN..total], crc)?; // hb-lint: allow(index): bytes.len() >= total checked just above
-        Ok((frame, total))
+        let Some((kind, payload, total)) = crate::frame::split_frame(bytes)? else {
+            return Err(truncated("frame"));
+        };
+        Ok((Self::decode_payload_body(kind, payload)?, total))
     }
 }
 

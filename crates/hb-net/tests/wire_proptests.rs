@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use hb_net::wire::{BatchEncoder, BeatBatch, BeatsView, Frame, Hello, WireBeat, HEADER_LEN};
-use hb_net::{FrameReader, FrameWriter};
+use hb_net::FrameDecoder;
 use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 
 /// Deterministically expands compact random tuples into a WireBeat.
@@ -180,9 +180,14 @@ proptest! {
         prop_assert_eq!(decoded, frame);
     }
 
-    /// A stream of many frames survives a writer/reader round trip in order.
+    /// A stream of many frames fed to the decoder in random chunk sizes
+    /// comes out in order, every frame exactly once, with nothing left
+    /// buffered.
     #[test]
-    fn stream_roundtrip(batch_sizes in prop::collection::vec(0usize..30, 1..20)) {
+    fn stream_roundtrip(
+        batch_sizes in prop::collection::vec(0usize..30, 1..20),
+        chunk_sizes in prop::collection::vec(1usize..200, 1..16),
+    ) {
         let frames: Vec<Frame> = batch_sizes
             .iter()
             .enumerate()
@@ -196,17 +201,25 @@ proptest! {
             })
             .collect();
         let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            for frame in &frames {
-                writer.write_frame(frame).unwrap();
+        for frame in &frames {
+            frame.encode_into(&mut wire);
+        }
+        let mut decoder = FrameDecoder::new();
+        let mut decoded = Vec::new();
+        let mut rest = wire.as_slice();
+        for &size in chunk_sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            decoder.push(chunk);
+            rest = tail;
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                decoded.push(frame);
             }
         }
-        let mut reader = FrameReader::new(wire.as_slice());
-        for frame in &frames {
-            prop_assert_eq!(reader.read_frame().unwrap().as_ref(), Some(frame));
-        }
-        prop_assert_eq!(reader.read_frame().unwrap(), None);
+        prop_assert_eq!(decoded, frames);
+        prop_assert_eq!(decoder.buffered(), 0);
     }
 
     /// Flipping any single byte of an encoded frame never yields a DIFFERENT

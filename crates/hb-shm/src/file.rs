@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use heartbeats::{Backend, BackendStats, BeatScope, BeatThreadId, HeartbeatRecord, Result, Tag};
 
@@ -144,7 +144,7 @@ impl FileBackend {
 impl Backend for FileBackend {
     fn on_beat(&self, _app: &str, record: &HeartbeatRecord, scope: BeatScope) {
         let line = beat_line(record, scope);
-        let mut writer = self.writer.lock();
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         // A failed mirror write must never take down the application; the
         // in-memory history is still intact and the observer will simply see
         // a truncated log. The loss is surfaced through the drop counter.
@@ -153,7 +153,7 @@ impl Backend for FileBackend {
             Err(_) => self.dropped.fetch_add(1, Ordering::Relaxed),
         };
         if let Some(every) = self.flush_every {
-            let mut written = self.written.lock();
+            let mut written = self.written.lock().unwrap_or_else(|e| e.into_inner());
             *written += 1;
             if (*written).is_multiple_of(every) {
                 let _ = writer.flush();
@@ -162,13 +162,16 @@ impl Backend for FileBackend {
     }
 
     fn on_target_change(&self, _app: &str, min_bps: f64, max_bps: f64) {
-        let mut writer = self.writer.lock();
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writer.write_all(target_line(min_bps, max_bps).as_bytes());
         let _ = writer.flush();
     }
 
     fn flush(&self) -> Result<()> {
-        self.writer.lock().flush()?;
+        self.writer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .flush()?;
         Ok(())
     }
 

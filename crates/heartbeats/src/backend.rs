@@ -90,8 +90,8 @@ impl Backend for NullBackend {
 /// backends.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
-    events: parking_lot::Mutex<std::collections::VecDeque<MirroredBeat>>,
-    targets: parking_lot::Mutex<Vec<(String, f64, f64)>>,
+    events: std::sync::Mutex<std::collections::VecDeque<MirroredBeat>>,
+    targets: std::sync::Mutex<Vec<(String, f64, f64)>>,
     capacity: Option<usize>,
     mirrored: std::sync::atomic::AtomicU64,
     dropped: std::sync::atomic::AtomicU64,
@@ -125,7 +125,7 @@ impl MemoryBackend {
 
     /// Number of mirrored beats.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// True if no beats were mirrored.
@@ -135,19 +135,27 @@ impl MemoryBackend {
 
     /// Returns a copy of all mirrored beats, oldest first.
     pub fn beats(&self) -> Vec<MirroredBeat> {
-        self.events.lock().iter().cloned().collect()
+        self.events
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Returns all recorded target changes as `(app, min, max)` tuples.
     pub fn target_changes(&self) -> Vec<(String, f64, f64)> {
-        self.targets.lock().clone()
+        self.targets
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 }
 
 impl Backend for MemoryBackend {
     fn on_beat(&self, app: &str, record: &HeartbeatRecord, scope: BeatScope) {
         use std::sync::atomic::Ordering;
-        let mut events = self.events.lock();
+        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(capacity) = self.capacity {
             if events.len() >= capacity {
                 events.pop_front();
@@ -163,7 +171,10 @@ impl Backend for MemoryBackend {
     }
 
     fn on_target_change(&self, app: &str, min_bps: f64, max_bps: f64) {
-        self.targets.lock().push((app.to_string(), min_bps, max_bps));
+        self.targets
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((app.to_string(), min_bps, max_bps));
     }
 
     fn stats(&self) -> BackendStats {

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::record::{BeatThreadId, HeartbeatRecord, Tag};
 
@@ -88,7 +88,7 @@ impl MutexRing {
 
 impl HistoryBuffer for MutexRing {
     fn push(&self, timestamp_ns: u64, tag: Tag, thread: BeatThreadId) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = inner.total;
         let record = HeartbeatRecord::new(seq, timestamp_ns, tag, thread);
         if inner.records.len() < self.capacity {
@@ -106,7 +106,7 @@ impl HistoryBuffer for MutexRing {
     }
 
     fn total(&self) -> u64 {
-        self.inner.lock().total
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).total
     }
 
     fn capacity(&self) -> usize {
@@ -114,7 +114,7 @@ impl HistoryBuffer for MutexRing {
     }
 
     fn last_n(&self, n: usize) -> Vec<HeartbeatRecord> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let len = inner.records.len();
         let take = n.min(len);
         let mut out = Vec::with_capacity(take);
@@ -126,7 +126,10 @@ impl HistoryBuffer for MutexRing {
     }
 
     fn first_timestamp_ns(&self) -> Option<u64> {
-        self.inner.lock().first_timestamp_ns
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .first_timestamp_ns
     }
 }
 

@@ -1,9 +1,7 @@
 //! Construction of [`Heartbeat`] producers — the Rust analogue of
 //! `HB_initialize(window, local)`.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::backend::Backend;
 use crate::buffer::DEFAULT_CAPACITY;

@@ -12,7 +12,7 @@
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_double, c_int, c_longlong};
 
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 use crate::backend::BeatScope;
 use crate::builder::HeartbeatBuilder;
@@ -48,7 +48,7 @@ fn with_handle<T>(handle: c_longlong, f: impl FnOnce(&Heartbeat) -> T) -> Option
     if handle < 0 {
         return None;
     }
-    let table = HANDLES.read();
+    let table = HANDLES.read().unwrap_or_else(|e| e.into_inner());
     table
         .entries
         .get(handle as usize)
@@ -69,7 +69,7 @@ fn with_handle<T>(handle: c_longlong, f: impl FnOnce(&Heartbeat) -> T) -> Option
 /// `name`, if non-null, must point to a valid NUL-terminated C string.
 #[no_mangle]
 pub unsafe extern "C" fn HB_initialize(name: *const c_char, window: c_longlong) -> c_longlong {
-    let mut table = HANDLES.write();
+    let mut table = HANDLES.write().unwrap_or_else(|e| e.into_inner());
     let index = table.entries.len();
     let name = if name.is_null() {
         format!("hb-ffi-{index}")
@@ -100,7 +100,7 @@ pub extern "C" fn HB_finalize(handle: c_longlong) -> c_int {
     if handle < 0 {
         return -1;
     }
-    let mut table = HANDLES.write();
+    let mut table = HANDLES.write().unwrap_or_else(|e| e.into_inner());
     match table.entries.get_mut(handle as usize) {
         Some(slot @ Some(_)) => {
             *slot = None;

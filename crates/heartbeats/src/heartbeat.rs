@@ -18,9 +18,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock, Weak};
 
 use crate::backend::{Backend, BeatScope};
 use crate::buffer::{AtomicRing, HistoryBuffer, MutexRing};
@@ -102,10 +100,15 @@ impl Shared {
 
 impl Shared {
     pub(crate) fn local_buffer(&self, thread: BeatThreadId) -> Arc<dyn HistoryBuffer> {
-        if let Some(buffer) = self.locals.read().get(&thread.index()) {
+        if let Some(buffer) = self
+            .locals
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&thread.index())
+        {
             return Arc::clone(buffer);
         }
-        let mut locals = self.locals.write();
+        let mut locals = self.locals.write().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
             locals
                 .entry(thread.index())
@@ -131,7 +134,7 @@ impl Shared {
     }
 
     pub(crate) fn notify_target(&self, min_bps: f64, max_bps: f64) {
-        let backends = self.backends.read();
+        let backends = self.backends.read().unwrap_or_else(|e| e.into_inner());
         for backend in backends.iter() {
             backend.on_target_change(&self.name, min_bps, max_bps);
         }
@@ -300,7 +303,14 @@ impl Heartbeat {
             };
             let epoch = self.shared.backends_epoch.load(Ordering::Acquire);
             if entry.epoch != epoch {
-                entry.backends = Arc::from(self.shared.backends.read().clone().into_boxed_slice());
+                entry.backends = Arc::from(
+                    self.shared
+                        .backends
+                        .read()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .clone()
+                        .into_boxed_slice(),
+                );
                 entry.epoch = epoch;
             }
             (seq, Arc::clone(&entry.backends))
@@ -416,7 +426,11 @@ impl Heartbeat {
 
     /// Attaches a mirroring backend (file, shared memory, in-memory probe).
     pub fn add_backend(&self, backend: Arc<dyn Backend>) {
-        self.shared.backends.write().push(backend);
+        self.shared
+            .backends
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(backend);
         // Invalidate every thread's cached snapshot; the release pairs with
         // the acquire load in `beat`.
         self.shared.backends_epoch.fetch_add(1, Ordering::Release);
@@ -425,7 +439,11 @@ impl Heartbeat {
     /// Sums the mirroring counters of all attached backends, making shed
     /// beats (backpressure) observable from the producer side.
     pub fn backend_stats(&self) -> crate::BackendStats {
-        let backends = self.shared.backends.read();
+        let backends = self
+            .shared
+            .backends
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         let mut total = crate::BackendStats::default();
         for backend in backends.iter() {
             let stats = backend.stats();
@@ -437,7 +455,11 @@ impl Heartbeat {
 
     /// Flushes all attached backends.
     pub fn flush(&self) -> Result<()> {
-        let backends = self.shared.backends.read();
+        let backends = self
+            .shared
+            .backends
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         for backend in backends.iter() {
             backend.flush()?;
         }
@@ -455,6 +477,7 @@ impl Heartbeat {
             .shared
             .locals
             .read()
+            .unwrap_or_else(|e| e.into_inner())
             .keys()
             .map(|&id| BeatThreadId(id))
             .collect();

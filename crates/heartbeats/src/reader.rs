@@ -84,7 +84,13 @@ impl HeartbeatReader {
     /// The last `n` local heartbeats of a specific thread, if that thread has
     /// produced any.
     pub fn history_of_thread(&self, thread: BeatThreadId, n: usize) -> Vec<HeartbeatRecord> {
-        match self.shared.locals.read().get(&thread.index()) {
+        match self
+            .shared
+            .locals
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&thread.index())
+        {
             Some(buffer) => buffer.last_n(n),
             None => Vec::new(),
         }
@@ -96,6 +102,7 @@ impl HeartbeatReader {
             .shared
             .locals
             .read()
+            .unwrap_or_else(|e| e.into_inner())
             .keys()
             .map(|&id| BeatThreadId(id))
             .collect();

@@ -9,9 +9,7 @@
 //! a [`HeartbeatReader`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::heartbeat::Shared;
 use crate::reader::HeartbeatReader;
@@ -38,7 +36,7 @@ impl Registry {
     }
 
     pub(crate) fn insert(&self, shared: Arc<Shared>) -> Result<()> {
-        let mut apps = self.apps.write();
+        let mut apps = self.apps.write().unwrap_or_else(|e| e.into_inner());
         if apps.contains_key(&shared.name) {
             return Err(HeartbeatError::AlreadyRegistered(shared.name.clone()));
         }
@@ -49,13 +47,18 @@ impl Registry {
     /// Removes an application from the registry. Returns `true` if it was
     /// present.
     pub fn unregister(&self, name: &str) -> bool {
-        self.apps.write().remove(name).is_some()
+        self.apps
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(name)
+            .is_some()
     }
 
     /// Looks up an application and returns an observer handle.
     pub fn attach(&self, name: &str) -> Result<HeartbeatReader> {
         self.apps
             .read()
+            .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .map(|shared| HeartbeatReader::from_shared(Arc::clone(shared)))
             .ok_or_else(|| HeartbeatError::NotRegistered(name.to_string()))
@@ -63,7 +66,13 @@ impl Registry {
 
     /// Names of all registered applications, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.apps.read().keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .apps
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .keys()
+            .cloned()
+            .collect();
         names.sort();
         names
     }
@@ -72,6 +81,7 @@ impl Registry {
     pub fn attach_all(&self) -> Vec<HeartbeatReader> {
         self.apps
             .read()
+            .unwrap_or_else(|e| e.into_inner())
             .values()
             .map(|shared| HeartbeatReader::from_shared(Arc::clone(shared)))
             .collect()
@@ -79,17 +89,20 @@ impl Registry {
 
     /// Number of registered applications.
     pub fn len(&self) -> usize {
-        self.apps.read().len()
+        self.apps.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// True if no applications are registered.
     pub fn is_empty(&self) -> bool {
-        self.apps.read().is_empty()
+        self.apps
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     /// Removes every registered application.
     pub fn clear(&self) {
-        self.apps.write().clear();
+        self.apps.write().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 

@@ -8,9 +8,7 @@
 //! the paper's affinity changes, without tearing threads down.
 
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -35,29 +33,32 @@ impl Gate {
     }
 
     fn acquire(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.running >= state.limit {
-            self.available.wait(&mut state);
+            state = self
+                .available
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner());
         }
         state.running += 1;
     }
 
     fn release(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.running -= 1;
         drop(state);
         self.available.notify_all();
     }
 
     fn set_limit(&self, limit: usize) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.limit = limit.max(1);
         drop(state);
         self.available.notify_all();
     }
 
     fn limit(&self) -> usize {
-        self.state.lock().limit
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).limit
     }
 }
 
@@ -75,20 +76,23 @@ struct CompletionState {
 
 impl Completion {
     fn submitted(&self) {
-        self.state.lock().submitted += 1;
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .submitted += 1;
     }
 
     fn completed(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.completed += 1;
         drop(state);
         self.done.notify_all();
     }
 
     fn wait_idle(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.completed < state.submitted {
-            self.done.wait(&mut state);
+            state = self.done.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -122,7 +126,7 @@ impl ResizablePool {
                     .spawn(move || loop {
                         // Its own statement: the lock is held to dequeue,
                         // never while the job runs.
-                        let job = receiver.lock().recv();
+                        let job = receiver.lock().unwrap_or_else(|e| e.into_inner()).recv();
                         let Ok(job) = job else { break };
                         gate.acquire();
                         job();

@@ -19,7 +19,7 @@ use app_heartbeats::heartbeats::observe::{Interest, ObserveFilter};
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
 use app_heartbeats::net::wire::{self, Frame, SubStatus};
 use app_heartbeats::net::{
-    Collector, CollectorConfig, EventPayload, FrameReader, RemoteReader, TcpBackend,
+    Collector, CollectorConfig, EventPayload, FrameDecoder, RemoteReader, TcpBackend,
 };
 
 const APPS: usize = 8;
@@ -175,8 +175,9 @@ fn dropping_a_subscribed_reader_closes_its_connection() {
         (&stream)
             .write_all(format!("VERSION {}\n", wire::VERSION).as_bytes())
             .expect("answer the probe");
-        let mut frames = FrameReader::new(&stream);
-        while let Ok(Some(frame)) = frames.read_frame() {
+        let mut decoder = FrameDecoder::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while let Ok(Some(frame)) = decoder.read_frame(&stream, deadline) {
             let sub_id = match frame {
                 Frame::Subscribe(req) => req.sub_id,
                 Frame::Unsubscribe { sub_id } => sub_id,
