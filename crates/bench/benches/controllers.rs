@@ -27,5 +27,9 @@ fn bench_scheduled_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_controller_decisions, bench_scheduled_scenarios);
+criterion_group!(
+    benches,
+    bench_controller_decisions,
+    bench_scheduled_scenarios
+);
 criterion_main!(benches);

@@ -8,12 +8,15 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use heartbeats::{BufferKind, HeartbeatBuilder, Tag};
 use hb_shm::{FileBackend, ShmBackend};
+use heartbeats::{BufferKind, HeartbeatBuilder, Tag};
 
 fn bench_heartbeat_buffers(c: &mut Criterion) {
     let mut group = c.benchmark_group("heartbeat_issue");
-    for (name, kind) in [("atomic_ring", BufferKind::Atomic), ("mutex_ring", BufferKind::Mutex)] {
+    for (name, kind) in [
+        ("atomic_ring", BufferKind::Atomic),
+        ("mutex_ring", BufferKind::Mutex),
+    ] {
         let hb = HeartbeatBuilder::new(format!("bench-{name}"))
             .window(20)
             .capacity(1 << 12)
@@ -30,7 +33,10 @@ fn bench_heartbeat_buffers(c: &mut Criterion) {
 fn bench_heartbeat_with_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("heartbeat_issue_backends");
 
-    let plain = HeartbeatBuilder::new("bench-plain").window(20).build().unwrap();
+    let plain = HeartbeatBuilder::new("bench-plain")
+        .window(20)
+        .build()
+        .unwrap();
     group.bench_function("no_backend", |b| {
         b.iter(|| std::hint::black_box(plain.heartbeat()));
     });
@@ -48,7 +54,9 @@ fn bench_heartbeat_with_backends(c: &mut Criterion) {
     let shm_name = format!("hb-bench-shm-{}", std::process::id());
     let shm_hb = HeartbeatBuilder::new("bench-shm")
         .window(20)
-        .backend(Arc::new(ShmBackend::create(&shm_name, 1 << 12, 20).unwrap()))
+        .backend(Arc::new(
+            ShmBackend::create(&shm_name, 1 << 12, 20).unwrap(),
+        ))
         .build()
         .unwrap();
     group.bench_function("shm_backend", |b| {

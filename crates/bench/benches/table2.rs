@@ -17,7 +17,11 @@ fn bench_full_table(c: &mut Criterion) {
 
 fn bench_individual_workloads(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_workloads");
-    for spec in [parsec::blackscholes(), parsec::x264(), parsec::streamcluster()] {
+    for spec in [
+        parsec::blackscholes(),
+        parsec::x264(),
+        parsec::streamcluster(),
+    ] {
         group.bench_with_input(
             BenchmarkId::from_parameter(spec.name.clone()),
             &spec,

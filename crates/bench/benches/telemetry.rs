@@ -83,8 +83,7 @@ impl Rig {
         for backend in &self.backends {
             for k in 0..BURST {
                 let seq = self.seq + k;
-                let record =
-                    HeartbeatRecord::new(seq, seq * 1_000_000, Tag::NONE, BeatThreadId(0));
+                let record = HeartbeatRecord::new(seq, seq * 1_000_000, Tag::NONE, BeatThreadId(0));
                 backend.on_beat("bench", &record, BeatScope::Global);
             }
         }

@@ -51,5 +51,10 @@ fn bench_moving_rate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_windowed_rate, bench_window_stats, bench_moving_rate);
+criterion_group!(
+    benches,
+    bench_windowed_rate,
+    bench_window_stats,
+    bench_moving_rate
+);
 criterion_main!(benches);

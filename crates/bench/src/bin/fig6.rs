@@ -13,6 +13,9 @@ fn main() {
         "settled beats in target:    {:.0}%",
         result.settled_fraction_in_target * 100.0
     );
-    println!("average heart rate:         {:.3} beat/s", result.average_rate_bps);
+    println!(
+        "average heart rate:         {:.3} beat/s",
+        result.average_rate_bps
+    );
     println!("\nCSV:\n{}", result.series.to_csv());
 }

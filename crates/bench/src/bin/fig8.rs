@@ -6,7 +6,9 @@ use hb_bench::experiments;
 
 fn main() {
     let result = experiments::fig8();
-    println!("== Figure 8: Heartbeats for fault tolerance (core failures at beats 160/320/480) ==\n");
+    println!(
+        "== Figure 8: Heartbeats for fault tolerance (core failures at beats 160/320/480) ==\n"
+    );
     println!(
         "healthy final rate:    {:>6.1} beat/s  (paper: >30)",
         result.healthy_final_bps

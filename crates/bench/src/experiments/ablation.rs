@@ -164,7 +164,11 @@ pub fn window_ablation(windows: &[usize], steady_beats: usize) -> Vec<WindowAbla
 
 /// Renders the window ablation as a text table.
 pub fn window_ablation_table() -> TextTable {
-    let mut table = TextTable::new(&["Window (beats)", "Detection delay (beats)", "Steady stddev (beat/s)"]);
+    let mut table = TextTable::new(&[
+        "Window (beats)",
+        "Detection delay (beats)",
+        "Steady stddev (beat/s)",
+    ]);
     for row in window_ablation(&[2, 5, 10, 20, 50, 100], 400) {
         table.add_row(vec![
             row.window.to_string(),

@@ -11,6 +11,4 @@ pub use ablation::{
 };
 pub use encoder_figs::{fig2, fig3_fig4, fig8, Fig2Result, Fig3Fig4Result, Fig8Result};
 pub use scheduler_figs::{fig5, fig6, fig7};
-pub use table2::{
-    overhead_study, overhead_table, table2, table2_rows, OverheadRow, Table2Row,
-};
+pub use table2::{overhead_study, overhead_table, table2, table2_rows, OverheadRow, Table2Row};

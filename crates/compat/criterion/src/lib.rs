@@ -238,7 +238,10 @@ fn run_benchmark<F>(
     bencher.iters = iters;
     f(&mut bencher);
     let per_iter_ns = bencher.elapsed.as_nanos() as f64 / iters as f64;
-    println!("{name:<60} time: {:>12.1} ns/iter  ({iters} iters)", per_iter_ns);
+    println!(
+        "{name:<60} time: {:>12.1} ns/iter  ({iters} iters)",
+        per_iter_ns
+    );
     if let Some(tp) = throughput {
         let (units, label) = match tp {
             Throughput::Elements(n) => (n, "elem/s"),

@@ -314,9 +314,17 @@ mod tests {
     #[test]
     fn epoll_event_layout_matches_kernel_abi() {
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(std::mem::size_of::<epoll_event>(), 12, "x86_64 packs epoll_event");
+        assert_eq!(
+            std::mem::size_of::<epoll_event>(),
+            12,
+            "x86_64 packs epoll_event"
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(std::mem::size_of::<epoll_event>(), 16, "other arches pad epoll_event");
+        assert_eq!(
+            std::mem::size_of::<epoll_event>(),
+            16,
+            "other arches pad epoll_event"
+        );
     }
 
     #[test]
@@ -355,7 +363,10 @@ mod tests {
             assert_ne!(got.events & EPOLLIN, 0);
             assert_eq!({ got.u64 }, 0x5EED, "token returned verbatim");
 
-            assert_eq!(epoll_ctl(epfd, EPOLL_CTL_DEL, rx.as_raw_fd(), std::ptr::null_mut()), 0);
+            assert_eq!(
+                epoll_ctl(epfd, EPOLL_CTL_DEL, rx.as_raw_fd(), std::ptr::null_mut()),
+                0
+            );
             assert_eq!(close(epfd), 0);
         }
     }

@@ -310,11 +310,7 @@ mod tests {
 
         // Recovery: the same below-target rate now describes a live app,
         // so the step controller asks for more resources.
-        control
-            .monitor
-            .reader()
-            .level
-            .set(HealthLevel::Degraded);
+        control.monitor.reader().level.set(HealthLevel::Degraded);
         let (level, event) = control.tick_guarded();
         assert_eq!(level, HealthLevel::Degraded);
         let event = event.expect("actionable health runs the controller");

@@ -167,9 +167,21 @@ mod tests {
     #[test]
     fn step_controller_moves_toward_target() {
         let mut c = StepController::new();
-        assert_eq!(c.desired_level(10.0, (30.0, 35.0), 3.0), 4.0, "too slow: add");
-        assert_eq!(c.desired_level(50.0, (30.0, 35.0), 3.0), 2.0, "too fast: remove");
-        assert_eq!(c.desired_level(32.0, (30.0, 35.0), 3.0), 3.0, "in range: hold");
+        assert_eq!(
+            c.desired_level(10.0, (30.0, 35.0), 3.0),
+            4.0,
+            "too slow: add"
+        );
+        assert_eq!(
+            c.desired_level(50.0, (30.0, 35.0), 3.0),
+            2.0,
+            "too fast: remove"
+        );
+        assert_eq!(
+            c.desired_level(32.0, (30.0, 35.0), 3.0),
+            3.0,
+            "in range: hold"
+        );
         assert_eq!(c.name(), "step");
     }
 

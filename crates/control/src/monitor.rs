@@ -280,7 +280,10 @@ mod tests {
         }
         let eager = monitor.observe_now();
         assert_eq!(eager.beat, 3);
-        assert!(monitor.poll().is_some(), "poll still fires after observe_now");
+        assert!(
+            monitor.poll().is_some(),
+            "poll still fires after observe_now"
+        );
     }
 
     #[test]

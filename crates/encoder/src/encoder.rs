@@ -49,7 +49,12 @@ impl HbEncoder {
     /// Creates an encoder on `machine`'s clock with the given starting
     /// configuration. The heartbeat window defaults to the 40-frame window
     /// the paper's adaptive encoder uses.
-    pub fn new(trace: VideoTrace, model: EncoderModel, config: EncoderConfig, machine: &Machine) -> Self {
+    pub fn new(
+        trace: VideoTrace,
+        model: EncoderModel,
+        config: EncoderConfig,
+        machine: &Machine,
+    ) -> Self {
         Self::with_window(trace, model, config, machine, 40)
     }
 
@@ -133,7 +138,8 @@ impl HbEncoder {
         let seconds = self.model.frame_seconds(&frame, &self.config, cores);
         let psnr_db = self.model.frame_psnr(&frame, &self.config);
         self.clock.advance_secs(seconds);
-        self.heartbeat.heartbeat_tagged(Tag::new(frame.frame_type.as_tag()));
+        self.heartbeat
+            .heartbeat_tagged(Tag::new(frame.frame_type.as_tag()));
         self.next_frame += 1;
         self.total_seconds += seconds;
         Some(EncodedFrame {
@@ -234,7 +240,10 @@ mod tests {
             frames.iter().map(|f| f.psnr_db).sum::<f64>() / frames.len() as f64
         };
         let quality_loss = mean_psnr(&demanding_frames) - mean_psnr(&fast_frames);
-        assert!(quality_loss > 0.3 && quality_loss < 1.5, "loss {quality_loss:.2} dB");
+        assert!(
+            quality_loss > 0.3 && quality_loss < 1.5,
+            "loss {quality_loss:.2} dB"
+        );
     }
 
     #[test]
@@ -267,7 +276,10 @@ mod tests {
         let reader = encoder.reader();
         encoder.encode_all(8);
         let windowed = reader.current_rate(0).unwrap();
-        assert!((6.0..12.0).contains(&windowed), "windowed rate {windowed:.2}");
+        assert!(
+            (6.0..12.0).contains(&windowed),
+            "windowed rate {windowed:.2}"
+        );
     }
 
     #[test]

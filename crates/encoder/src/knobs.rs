@@ -116,7 +116,8 @@ impl EncoderConfig {
         let me = self.motion_estimation.quality_penalty_db();
         let subpel = 0.045 * (MAX_SUBPIXEL - self.subpixel.min(MAX_SUBPIXEL)) as f64;
         let partitions = if self.subblock_partitions { 0.0 } else { 0.18 };
-        let refs = 0.03 * (MAX_REFERENCE_FRAMES - self.reference_frames.clamp(1, MAX_REFERENCE_FRAMES)) as f64;
+        let refs = 0.03
+            * (MAX_REFERENCE_FRAMES - self.reference_frames.clamp(1, MAX_REFERENCE_FRAMES)) as f64;
         me + subpel + partitions + refs
     }
 
@@ -177,7 +178,8 @@ mod tests {
                 > MotionEstimation::UnevenMultiHex.cost_factor()
         );
         assert!(
-            MotionEstimation::UnevenMultiHex.cost_factor() > MotionEstimation::Hexagon.cost_factor()
+            MotionEstimation::UnevenMultiHex.cost_factor()
+                > MotionEstimation::Hexagon.cost_factor()
         );
         assert!(MotionEstimation::Hexagon.cost_factor() > MotionEstimation::Diamond.cost_factor());
         assert_eq!(MotionEstimation::Diamond.cost_factor(), 1.0);
@@ -241,7 +243,10 @@ mod tests {
     #[test]
     fn ladder_walks_search_algorithms_first() {
         let ladder = EncoderConfig::ladder();
-        assert_eq!(ladder[1].motion_estimation, MotionEstimation::UnevenMultiHex);
+        assert_eq!(
+            ladder[1].motion_estimation,
+            MotionEstimation::UnevenMultiHex
+        );
         assert_eq!(ladder[2].motion_estimation, MotionEstimation::Hexagon);
         assert_eq!(ladder[3].motion_estimation, MotionEstimation::Diamond);
         assert!(ladder[3].subblock_partitions);

@@ -124,7 +124,10 @@ mod tests {
     fn figure8_calibration_sits_just_above_the_goal() {
         let model = EncoderModel::figure8();
         let healthy = model.expected_rate(&EncoderConfig::paper_demanding(), 8);
-        assert!(healthy > 30.0 && healthy < 36.0, "healthy rate {healthy:.1}");
+        assert!(
+            healthy > 30.0 && healthy < 36.0,
+            "healthy rate {healthy:.1}"
+        );
         // Losing three cores drops the unmodified encoder below 25 beat/s,
         // as in the paper's "Unhealthy" line.
         let unhealthy = model.expected_rate(&EncoderConfig::paper_demanding(), 5);
@@ -184,7 +187,10 @@ mod tests {
         assert_eq!(model.frame_psnr(&frame, &demanding), 42.0);
         let degraded = model.frame_psnr(&frame, &fastest);
         assert!(degraded < 42.0);
-        assert!(42.0 - degraded < 1.5, "loss stays near the paper's ~1 dB worst case");
+        assert!(
+            42.0 - degraded < 1.5,
+            "loss stays near the paper's ~1 dB worst case"
+        );
 
         let mut easy = frame;
         easy.complexity = 0.3;

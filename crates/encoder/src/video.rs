@@ -227,8 +227,16 @@ mod tests {
     #[test]
     fn demanding_trace_eases_at_the_end() {
         let trace = VideoTrace::demanding_uniform(800, 2);
-        let early: f64 = trace.frames()[100..300].iter().map(|f| f.complexity).sum::<f64>() / 200.0;
-        let late: f64 = trace.frames()[700..800].iter().map(|f| f.complexity).sum::<f64>() / 100.0;
+        let early: f64 = trace.frames()[100..300]
+            .iter()
+            .map(|f| f.complexity)
+            .sum::<f64>()
+            / 200.0;
+        let late: f64 = trace.frames()[700..800]
+            .iter()
+            .map(|f| f.complexity)
+            .sum::<f64>()
+            / 100.0;
         assert!(late < early, "end of the video should be slightly easier");
     }
 
@@ -236,7 +244,10 @@ mod tests {
     fn parsec_native_trace_has_three_phases() {
         let trace = VideoTrace::parsec_native(512, 3);
         let mean = |range: std::ops::Range<usize>| {
-            trace.frames()[range.clone()].iter().map(|f| f.complexity).sum::<f64>()
+            trace.frames()[range.clone()]
+                .iter()
+                .map(|f| f.complexity)
+                .sum::<f64>()
                 / range.len() as f64
         };
         let first = mean(0..100);
@@ -268,6 +279,9 @@ mod tests {
         assert_eq!(trace.frame(0).unwrap().frame_type, FrameType::I);
         assert!(trace.frame(1).is_none());
         assert_eq!(trace.mean_complexity(), 1.0);
-        assert_eq!(VideoTrace::from_frames("empty", vec![]).mean_complexity(), 0.0);
+        assert_eq!(
+            VideoTrace::from_frames("empty", vec![]).mean_complexity(),
+            0.0
+        );
     }
 }

@@ -135,11 +135,9 @@ mod tests {
 
     #[test]
     fn arc_clone_passes_plain_clone_flagged() {
-        let f = run(
-            "// hb-lint: hot-path\n\
+        let f = run("// hb-lint: hot-path\n\
              fn f(a: &Arc<u8>, v: &Vec<u8>) { let _x = Arc::clone(a); let _y = v.clone(); }\n\
-             // hb-lint: end-hot-path\n",
-        );
+             // hb-lint: end-hot-path\n");
         // The Arc on the line exempts it entirely — one line, one verdict.
         assert!(f.is_empty());
         let f = run(

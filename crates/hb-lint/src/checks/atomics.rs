@@ -151,13 +151,11 @@ mod tests {
 
     #[test]
     fn load_then_store_on_watermark_flagged() {
-        let f = run(
-            "fn apply(&self) {\n\
+        let f = run("fn apply(&self) {\n\
              let w = self.seq_watermark.load(Ordering::Acquire); // ordering: w\n\
              if w < next {\n\
              self.seq_watermark.store(next, Ordering::Release); // ordering: w\n\
-             }\n}\n",
-        );
+             }\n}\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::Claim);
         assert_eq!(f[0].line, 4);
@@ -165,13 +163,11 @@ mod tests {
 
     #[test]
     fn cas_claim_passes() {
-        let f = run(
-            "fn apply(&self) {\n\
+        let f = run("fn apply(&self) {\n\
              let w = self.cursor.load(Ordering::Acquire); // ordering: w\n\
              // ordering: w\n\
              self.cursor.compare_exchange(w, n, Ordering::AcqRel, Ordering::Acquire).ok();\n\
-             }\n",
-        );
+             }\n");
         assert!(f.is_empty());
     }
 

@@ -189,8 +189,11 @@ fn strip_series_suffix(name: &str) -> &str {
 /// Does the doc mention `name` as a token (not merely as a substring of a
 /// longer series name)?
 fn doc_mentions(doc: &str, name: &str) -> bool {
-    doc.lines()
-        .any(|line| doc_tokens(line).iter().any(|t| strip_series_suffix(t) == name || t == name))
+    doc.lines().any(|line| {
+        doc_tokens(line)
+            .iter()
+            .any(|t| strip_series_suffix(t) == name || t == name)
+    })
 }
 
 #[cfg(test)]
@@ -268,7 +271,8 @@ mod tests {
         let src = "fn f(out: &mut String) {\n\
             out.push_str(\"# HELP hb_x_seconds Latency.\\n\");\n\
             out.push_str(\"hb_x_seconds 1\\n\");\n}\n";
-        let md = "`hb_x_seconds_count` and `hb_net::telemetry` and labels `hb_x_seconds{le=\"1\"}`\n";
+        let md =
+            "`hb_x_seconds_count` and `hb_net::telemetry` and labels `hb_x_seconds{le=\"1\"}`\n";
         assert!(run(src, md).is_empty());
     }
 

@@ -182,9 +182,8 @@ mod tests {
 
     #[test]
     fn fn_bodies_and_trait_decls() {
-        let lx = Lexed::lex(
-            "trait T {\n    fn decl(&self) -> u8;\n}\nfn real() {\n    inner();\n}\n",
-        );
+        let lx =
+            Lexed::lex("trait T {\n    fn decl(&self) -> u8;\n}\nfn real() {\n    inner();\n}\n");
         let bodies = fn_bodies(&lx);
         assert_eq!(bodies.len(), 1);
         assert_eq!(bodies[0].0, "real");

@@ -76,7 +76,10 @@ pub fn check(
                     rule: Rule::WireKind,
                     file: wire_rel.to_string(),
                     line: kind.def_line + 1,
-                    message: format!("{} (kind {}) has no decoder match arm", kind.name, kind.value),
+                    message: format!(
+                        "{} (kind {}) has no decoder match arm",
+                        kind.name, kind.value
+                    ),
                 },
             );
         }
@@ -112,8 +115,8 @@ pub fn check(
                     },
                 );
             }
-            let mentioned = proptests.contains(variant.as_str())
-                || proptests.contains(kind.name.as_str());
+            let mentioned =
+                proptests.contains(variant.as_str()) || proptests.contains(kind.name.as_str());
             if !mentioned {
                 sup.emit(
                     wire,

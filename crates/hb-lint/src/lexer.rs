@@ -36,9 +36,13 @@ enum State {
     /// Nested block comment depth (Rust block comments nest).
     BlockComment(u32),
     /// Inside `"…"`; the flag is whether a backslash escape is pending.
-    Str { escape: bool },
+    Str {
+        escape: bool,
+    },
     /// Inside `r"…"`/`r#"…"#`; the payload is the hash-fence length.
-    RawStr { hashes: u32 },
+    RawStr {
+        hashes: u32,
+    },
 }
 
 impl Lexed {
@@ -339,7 +343,10 @@ mod tests {
     #[test]
     fn raw_and_byte_strings() {
         let lx = Lexed::lex("let a = r#\"x \"q\" y\"#; let b = b\"z\";\n");
-        assert_eq!(lx.strings[0], vec!["x \"q\" y".to_string(), "z".to_string()]);
+        assert_eq!(
+            lx.strings[0],
+            vec!["x \"q\" y".to_string(), "z".to_string()]
+        );
         assert!(!lx.code[0].contains('q'));
     }
 

@@ -120,9 +120,7 @@ impl Suppressor {
     /// Emits `finding` unless an inline allow or allowlist entry covers it.
     pub fn emit(&mut self, lx: &Lexed, findings: &mut Vec<Finding>, finding: Finding) {
         let lineno = finding.line.saturating_sub(1);
-        if finding.line > 0
-            && lineno < lx.len()
-            && allow::inline_allowed(lx, lineno, finding.rule)
+        if finding.line > 0 && lineno < lx.len() && allow::inline_allowed(lx, lineno, finding.rule)
         {
             self.suppressed += 1;
             return;
@@ -132,10 +130,7 @@ impl Suppressor {
         } else {
             ""
         };
-        if self
-            .allowlist
-            .suppresses(finding.rule, &finding.file, raw)
-        {
+        if self.allowlist.suppresses(finding.rule, &finding.file, raw) {
             self.suppressed += 1;
             return;
         }
@@ -229,7 +224,14 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
             let wire_md = std::fs::read_to_string(opts.root.join("docs/WIRE.md"))?;
             let proptests =
                 std::fs::read_to_string(opts.root.join("crates/hb-net/tests/wire_proptests.rs"))?;
-            checks::wire_kinds::check(rel, lx, &wire_md, &proptests, &mut sup, &mut report.findings);
+            checks::wire_kinds::check(
+                rel,
+                lx,
+                &wire_md,
+                &proptests,
+                &mut sup,
+                &mut report.findings,
+            );
             report.files_scanned += 2;
         }
     }

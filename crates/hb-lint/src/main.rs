@@ -90,7 +90,8 @@ fn cli(args: Vec<String>) -> Result<ExitCode, String> {
         Some(r) => r,
         None => {
             let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            find_root(&cwd).ok_or("not inside the workspace (crates/hb-net not found); pass --root")?
+            find_root(&cwd)
+                .ok_or("not inside the workspace (crates/hb-net not found); pass --root")?
         }
     };
 

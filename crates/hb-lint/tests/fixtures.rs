@@ -44,7 +44,10 @@ fn bad_fixture_trips_every_rule() {
     assert_eq!(report.stale_allows.len(), 1, "{}", report.render());
     // Source-anchored findings render as file:line.
     let rendered = report.render();
-    assert!(rendered.contains("crates/hb-net/src/wire.rs:"), "{rendered}");
+    assert!(
+        rendered.contains("crates/hb-net/src/wire.rs:"),
+        "{rendered}"
+    );
     assert!(
         rendered.contains("crates/hb-net/src/reactor.rs:"),
         "{rendered}"

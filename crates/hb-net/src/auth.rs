@@ -202,7 +202,10 @@ pub fn fresh_nonce() -> [u8; DIGEST_LEN] {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
-    let mut state = now ^ COUNTER.fetch_add(1, Ordering::Relaxed).wrapping_mul(0x9e3779b97f4a7c15); // ordering: uniqueness only; the counter feeds a nonce mix, nothing synchronizes on it
+    let mut state = now
+        ^ COUNTER
+            .fetch_add(1, Ordering::Relaxed) // ordering: uniqueness only; the counter feeds a nonce mix, nothing synchronizes on it
+            .wrapping_mul(0x9e3779b97f4a7c15);
     let mut out = [0u8; DIGEST_LEN];
     for chunk in out.chunks_exact_mut(8) {
         state = state.wrapping_add(0x9e3779b97f4a7c15);

@@ -196,7 +196,12 @@ impl TcpBackend {
 
     /// Beats currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
-        self.shared.inner.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
+        self.shared
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queue
+            .len()
     }
 }
 

@@ -94,10 +94,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--ingest" => args.ingest = value("--ingest")?,
             "--query" => args.query = value("--query")?,
@@ -126,16 +123,18 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--idle-timeout expects a number of seconds".to_string())?;
             }
             "--history-capacity" => {
-                args.history_capacity = value("--history-capacity")?
-                    .parse()
-                    .map_err(|_| "--history-capacity expects a sample count (0 disables)".to_string())?;
+                args.history_capacity = value("--history-capacity")?.parse().map_err(|_| {
+                    "--history-capacity expects a sample count (0 disables)".to_string()
+                })?;
             }
             "--health-window" => {
                 args.health_window = value("--health-window")?
                     .parse()
                     .ok()
                     .filter(|&s: &f64| s.is_finite() && s > 0.0)
-                    .ok_or_else(|| "--health-window expects a positive number of seconds".to_string())?;
+                    .ok_or_else(|| {
+                        "--health-window expects a positive number of seconds".to_string()
+                    })?;
             }
             "--sub-queue-capacity" => {
                 args.sub_queue_capacity = value("--sub-queue-capacity")?
@@ -224,7 +223,11 @@ fn main() {
         args.log_level.map_or("off", |l| l.as_str()),
         args.upstream.as_deref().unwrap_or("none"),
         args.node_name.as_deref().unwrap_or("none"),
-        if args.cluster_secret.is_some() { "set" } else { "none" },
+        if args.cluster_secret.is_some() {
+            "set"
+        } else {
+            "none"
+        },
     );
     let config = CollectorConfig {
         io_threads: args.io_threads,
@@ -263,7 +266,9 @@ fn main() {
 
     let state = collector.state();
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(args.print_every.unwrap_or(60)));
+        std::thread::sleep(std::time::Duration::from_secs(
+            args.print_every.unwrap_or(60),
+        ));
         if args.print_every.is_some() {
             let snapshots = state.snapshots();
             println!(

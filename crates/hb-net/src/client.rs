@@ -242,7 +242,8 @@ struct SubShared {
 impl SubShared {
     /// Queues one event; the caller wakes the waiter (once per batch).
     fn push(&self, event: EventFrame) {
-        if self.closed.load(Ordering::Acquire) { // ordering: pairs with the Release in close(); everything enqueued before close stays visible
+        // ordering: pairs with the Release in close(); everything enqueued before close stays visible
+        if self.closed.load(Ordering::Acquire) {
             return;
         }
         // sent_at_ns == 0 marks a pre-telemetry collector: no lag sample.
@@ -277,7 +278,8 @@ impl SubShared {
             if let Some(event) = queue.pop_front() {
                 return Some(event);
             }
-            if self.closed.load(Ordering::Acquire) { // ordering: pairs with the Release in close()
+            // ordering: pairs with the Release in close()
+            if self.closed.load(Ordering::Acquire) {
                 return None;
             }
             let now = Instant::now();
@@ -818,7 +820,8 @@ impl Iterator for Subscription {
             if let Some(event) = self.shared.wait_next(Duration::from_millis(250)) {
                 return Some(event);
             }
-            if self.shared.closed.load(Ordering::Acquire) || self.done { // ordering: pairs with the Release in close()
+            // ordering: pairs with the Release in close()
+            if self.shared.closed.load(Ordering::Acquire) || self.done {
                 return None;
             }
         }

@@ -358,7 +358,9 @@ impl CollectorState {
                 ))
             }))
             .collect();
-        let shard_counters = (0..reactor_shards).map(|_| ShardCounters::default()).collect();
+        let shard_counters = (0..reactor_shards)
+            .map(|_| ShardCounters::default())
+            .collect();
         let upstream_tap = config
             .upstream
             .as_ref()
@@ -1913,7 +1915,14 @@ mod tests {
         state.ingest_batch(
             "vips",
             0,
-            beats(&[0, 100_000_000, 200_000_000, 300_000_000, 400_000_000, 500_000_000]),
+            beats(&[
+                0,
+                100_000_000,
+                200_000_000,
+                300_000_000,
+                400_000_000,
+                500_000_000,
+            ]),
         );
         let (total, samples) = state.history("vips", 0).unwrap();
         assert_eq!(total, 6);
@@ -1979,7 +1988,11 @@ mod tests {
         let state = CollectorState::new(CollectorConfig::default());
         state.target("slow", 100.0, 200.0);
         // 10 bps, far below the 100 bps floor.
-        state.ingest_batch("slow", 0, beats(&[0, 100_000_000, 200_000_000, 300_000_000]));
+        state.ingest_batch(
+            "slow",
+            0,
+            beats(&[0, 100_000_000, 200_000_000, 300_000_000]),
+        );
         let report = state.health("slow").unwrap();
         assert_eq!(report.status, crate::health::HealthStatus::Degraded);
         assert!(report
@@ -2039,8 +2052,14 @@ mod tests {
         state.ingest_batch("live", 0, beats(&[0, 1_000_000, 2_000_000]));
         let text = state.prometheus();
         assert!(text.contains("# TYPE hb_app_health gauge"));
-        assert!(text.contains("hb_app_health{app=\"live\"} 3"), "healthy = 3");
-        assert!(text.contains("hb_app_health{app=\"quiet\"} 0"), "no signal = 0");
+        assert!(
+            text.contains("hb_app_health{app=\"live\"} 3"),
+            "healthy = 3"
+        );
+        assert!(
+            text.contains("hb_app_health{app=\"quiet\"} 0"),
+            "no signal = 0"
+        );
     }
 
     #[test]
@@ -2086,10 +2105,7 @@ mod tests {
         match decoder.next_frame().unwrap().unwrap() {
             Frame::Health(health) => {
                 assert!(!health.known);
-                assert_eq!(
-                    health.report.status,
-                    crate::health::HealthStatus::NoSignal
-                );
+                assert_eq!(health.report.status, crate::health::HealthStatus::NoSignal);
             }
             other => panic!("expected health, got {other:?}"),
         }
@@ -2440,7 +2456,9 @@ mod tests {
         let text = state.prometheus();
         for shard in 0..4 {
             assert!(
-                text.contains(&format!("hb_collector_shard_connections{{shard=\"{shard}\"}}")),
+                text.contains(&format!(
+                    "hb_collector_shard_connections{{shard=\"{shard}\"}}"
+                )),
                 "missing connections gauge for shard {shard}"
             );
             assert!(
@@ -2462,7 +2480,10 @@ mod tests {
             series_sum("hb_collector_shard_connections"),
             state.connections_total()
         );
-        assert_eq!(series_sum("hb_collector_shard_frames"), state.frames_total());
+        assert_eq!(
+            series_sum("hb_collector_shard_frames"),
+            state.frames_total()
+        );
         assert_eq!(
             series_sum("hb_collector_shard_apps"),
             state.app_names().len() as u64

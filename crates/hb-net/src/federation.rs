@@ -323,10 +323,7 @@ impl CollectorState {
             sub_id,
             pattern,
             interests: entry.interests(),
-            min_interval_ns: entry
-                .min_interval()
-                .as_nanos()
-                .min(u64::MAX as u128) as u64,
+            min_interval_ns: entry.min_interval().as_nanos().min(u64::MAX as u128) as u64,
             resume_from,
         }));
     }
@@ -356,8 +353,7 @@ impl CollectorState {
         {
             return (!rest.is_empty()).then(|| rest.to_string());
         }
-        crate::wire::glob_overlaps_prefix(pattern, &format!("{node}/"))
-            .then(|| "*".to_string())
+        crate::wire::glob_overlaps_prefix(pattern, &format!("{node}/")).then(|| "*".to_string())
     }
 
     /// Applies one child rollup event ([`Frame::RelayEvent`]): absorbs the
@@ -606,7 +602,10 @@ impl UpstreamLink {
     pub(crate) fn begin_session(&self) -> u64 {
         let session = self.session.fetch_add(1, Ordering::AcqRel) + 1; // ordering: a new session orders after the old one's teardown and before its own stores
         self.connected.store(true, Ordering::Release); // ordering: publishes the session flip; pairs with Acquire readers
-        self.outbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        self.outbox
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
         session
     }
 
@@ -619,7 +618,8 @@ impl UpstreamLink {
     /// Ends `session` if it is still the current one. Routes are kept for
     /// resume; stale ones are retired by `collect_dead_routes`.
     pub(crate) fn end_session(&self, session: u64) {
-        if self.session.load(Ordering::Acquire) == session { // ordering: pairs with the AcqRel session bump; only the current session may clear the flag
+        // ordering: pairs with the AcqRel session bump; only the current session may clear the flag
+        if self.session.load(Ordering::Acquire) == session {
             self.connected.store(false, Ordering::Release); // ordering: publishes the disconnect; pairs with Acquire readers
         }
     }
@@ -640,7 +640,8 @@ impl UpstreamLink {
     /// apply the window twice.
     pub(crate) fn claim_seq(&self, seq: u64) -> bool {
         self.last_applied
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| { // ordering: CAS claim of the apply watermark; one winner per seq across reconnect-overlapping sessions
+            // ordering: CAS claim of the apply watermark; one winner per seq across reconnect-overlapping sessions
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
                 (seq > cur).then_some(seq)
             })
             .is_ok()
@@ -649,13 +650,16 @@ impl UpstreamLink {
     /// Allocates a fresh downlink subscription id and records its route.
     pub(crate) fn add_route(&self, entry: Arc<SubEntry>) -> u32 {
         let id = self.downlinks.fetch_add(1, Ordering::Relaxed) + 1; // ordering: downlink-id allocation; only atomicity matters
-        self.routes.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            id,
-            Arc::new(RouteState {
-                entry,
-                last_cursor: AtomicU64::new(0),
-            }),
-        );
+        self.routes
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(
+                id,
+                Arc::new(RouteState {
+                    entry,
+                    last_cursor: AtomicU64::new(0),
+                }),
+            );
         id
     }
 
@@ -713,7 +717,8 @@ impl UpstreamLink {
         // load-then-store pair would deliver the same cursor twice.
         match route
             .last_cursor
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |last| { // ordering: CAS claim of the event cursor; one winner per seq across reconnect-overlapping sessions
+            // ordering: CAS claim of the event cursor; one winner per seq across reconnect-overlapping sessions
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |last| {
                 (cursor > last).then_some(cursor)
             }) {
             Err(_) => {

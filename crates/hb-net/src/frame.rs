@@ -408,10 +408,7 @@ mod tests {
     fn decoder_surfaces_protocol_errors() {
         let mut decoder = FrameDecoder::new();
         decoder.push(&[0xFFu8; 64]);
-        assert!(matches!(
-            decoder.next_frame(),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(decoder.next_frame(), Err(NetError::Protocol(_))));
     }
 
     #[test]

@@ -100,11 +100,11 @@ pub use health::{
 pub use query::{CollectorStats, UplinkStats};
 pub use reactor::{Reactor, ReactorConfig};
 pub use subscribe::{LocalSubscription, SubscriptionRegistry};
-pub use upstream::{UpstreamConfig, UpstreamRelay, UpstreamStats, UpstreamTap};
 pub use telemetry::{
     HistoSnapshot, Journal, JournalEntry, LatencyHisto, Level, PipelineTelemetry, ReactorThreads,
     ThreadStats, ThreadStatsSnapshot,
 };
+pub use upstream::{UpstreamConfig, UpstreamRelay, UpstreamStats, UpstreamTap};
 pub use wire::{
     BatchEncoder, BeatBatch, EventFrame, EventPayload, Frame, HealthFrame, Hello, HistoryChunk,
     SubStatus, SubscribeReq, WireBeat,

@@ -579,7 +579,10 @@ impl Reactor {
                 };
                 // Registration order matches spawn order, so stats index N
                 // is always thread `hb-reactor-N`.
-                let stats = config.thread_stats.as_ref().map(|threads| threads.register());
+                let stats = config
+                    .thread_stats
+                    .as_ref()
+                    .map(|threads| threads.register());
                 let io_thread = IoThread::build(
                     index,
                     Arc::clone(&wakers),
@@ -635,10 +638,15 @@ impl Reactor {
         let stop = Arc::clone(&self.stop);
         move |stream, handler| {
             let out = OutBuf::new();
-            waker.send(Work::Install(Box::new(Injected { stream, handler, out })));
+            waker.send(Work::Install(Box::new(Injected {
+                stream,
+                handler,
+                out,
+            })));
             // Published before the flag is read: a shutdown that began
             // earlier is swept here, a later one sweeps after its joins.
-            if stop.load(Ordering::SeqCst) { // ordering: shutdown flag; SeqCst orders this read after the publish above against shutdown's store-then-sweep
+            // ordering: shutdown flag; SeqCst orders this read after the publish above against shutdown's store-then-sweep
+            if stop.load(Ordering::SeqCst) {
                 close_undelivered(&waker);
             }
         }
@@ -785,11 +793,13 @@ impl IoThread {
         CURRENT_WAKER.with(|cell| cell.set(Arc::as_ptr(&self.waker)));
         let listener_count = self.listeners.len() as u64;
         let mut events = Vec::with_capacity(128);
-        while !self.stop.load(Ordering::SeqCst) { // ordering: shutdown flag; SeqCst keeps the rare path simple
+        // ordering: shutdown flag; SeqCst keeps the rare path simple
+        while !self.stop.load(Ordering::SeqCst) {
             events.clear();
             // Raised without a write(eventfd) by work this thread queued for
             // itself after its last pump pass: do not sleep on it.
-            let timeout = if self.waker.pending.load(Ordering::Acquire) { // ordering: pairs with the AcqRel swap in Waker::wake
+            // ordering: pairs with the AcqRel swap in Waker::wake
+            let timeout = if self.waker.pending.load(Ordering::Acquire) {
                 Duration::ZERO
             } else {
                 POLL_TIMEOUT
@@ -943,7 +953,8 @@ impl IoThread {
                             break;
                         }
                         Ok(n) => {
-                            if !conn.handler.on_data(&self.scratch[..n], &mut conn.out) { // hb-lint: allow(index): read() never returns more than scratch.len()
+                            // hb-lint: allow(index): read() never returns more than scratch.len()
+                            if !conn.handler.on_data(&self.scratch[..n], &mut conn.out) {
                                 conn.closing = true;
                                 break;
                             }
@@ -1294,7 +1305,14 @@ mod sys {
             Ok(Poller { epfd })
         }
 
-        fn ctl(&self, op: i32, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        fn ctl(
+            &self,
+            op: i32,
+            fd: i32,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
             let mut event = libc::epoll_event {
                 events: interest_bits(readable, writable),
                 u64: token,
@@ -1306,11 +1324,23 @@ mod sys {
             Ok(())
         }
 
-        pub fn register(&self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        pub fn register(
+            &self,
+            fd: i32,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
             self.ctl(libc::EPOLL_CTL_ADD, fd, token, readable, writable)
         }
 
-        pub fn modify(&self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+        pub fn modify(
+            &self,
+            fd: i32,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
             self.ctl(libc::EPOLL_CTL_MOD, fd, token, readable, writable)
         }
 
@@ -1452,7 +1482,8 @@ mod sys {
             if count == iov.len() {
                 break;
             }
-            iov[count] = libc::iovec { // hb-lint: allow(index): count == iov.len() breaks the loop just above
+            // hb-lint: allow(index): count == iov.len() breaks the loop just above
+            iov[count] = libc::iovec {
                 iov_base: slice.as_ptr() as *mut libc::c_void,
                 iov_len: slice.len(),
             };
@@ -1510,8 +1541,7 @@ mod tests {
                 }) as Box<dyn Handler>
             }),
         };
-        let reactor =
-            Reactor::spawn(vec![spec], config, Arc::new(AtomicU64::new(0))).unwrap();
+        let reactor = Reactor::spawn(vec![spec], config, Arc::new(AtomicU64::new(0))).unwrap();
         (reactor, addr, log)
     }
 
@@ -1564,7 +1594,9 @@ mod tests {
     fn echoes_bytes_back() {
         let (_reactor, addr, _log) = echo_reactor(ReactorConfig::default());
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         stream.write_all(b"heartbeat").unwrap();
         let mut buf = [0u8; 9];
         stream.read_exact(&mut buf).unwrap();
@@ -1581,7 +1613,9 @@ mod tests {
         });
         assert_eq!(threads.snapshot().len(), 2, "one entry per I/O thread");
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         stream.write_all(b"tick").unwrap();
         let mut buf = [0u8; 4];
         stream.read_exact(&mut buf).unwrap();
@@ -1607,7 +1641,9 @@ mod tests {
     fn handler_requested_close_closes_after_flush() {
         let (_reactor, addr, log) = echo_reactor(ReactorConfig::default());
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         stream.write_all(b"quit").unwrap();
         // The response still arrives, then the peer closes.
         let mut buf = Vec::new();
@@ -1627,7 +1663,9 @@ mod tests {
     fn peer_eof_fires_eof_then_close() {
         let (_reactor, addr, log) = echo_reactor(ReactorConfig::default());
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         stream.write_all(b"bye").unwrap();
         // Drain the echo before dropping: closing with the reply still
         // unsent would race the reactor's write into an RST, which is a
@@ -1641,7 +1679,10 @@ mod tests {
             {
                 let log = log.lock().unwrap();
                 if log.contains(&"close".to_string()) {
-                    assert!(log.contains(&"eof".to_string()), "eof precedes close: {log:?}");
+                    assert!(
+                        log.contains(&"eof".to_string()),
+                        "eof precedes close: {log:?}"
+                    );
                     break;
                 }
             }
@@ -1673,7 +1714,9 @@ mod tests {
             ..ReactorConfig::default()
         });
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         // Keep talking for several multiples of the idle timeout.
         let until = Instant::now() + Duration::from_millis(1200);
         let mut buf = [0u8; 1];
@@ -1688,8 +1731,7 @@ mod tests {
     #[test]
     fn shutdown_closes_live_connections() {
         let (mut reactor, addr, log) = echo_reactor(ReactorConfig::default());
-        let _streams: Vec<TcpStream> =
-            (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let _streams: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
         // Give the reactor a moment to accept them all.
         let deadline = Instant::now() + Duration::from_secs(5);
         std::thread::sleep(Duration::from_millis(100));
@@ -1804,7 +1846,9 @@ mod tests {
     fn connections_migrate_to_their_home_shard() {
         let (_reactor, addr, served_by) = probe_reactor(2, Some(1));
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let mut buf = [0u8; 1];
         // First chunk is served wherever round-robin placed us and primes
         // the home-shard request; subsequent chunks must run on shard 1.
@@ -2237,7 +2281,10 @@ mod tests {
         stream.write_all(b"bye").unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while reactor.evicted_total() == 0 {
-            assert!(Instant::now() < deadline, "closing connection was never evicted");
+            assert!(
+                Instant::now() < deadline,
+                "closing connection was never evicted"
+            );
             std::thread::sleep(Duration::from_millis(10));
         }
         drop(stream);

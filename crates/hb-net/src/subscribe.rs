@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use crate::health::HealthStatus;
 use crate::reactor::{OutBuf, PumpHandle};
 use crate::telemetry::{self, LatencyHisto, Level};
-use crate::wire::{self, EventFrame, EventPayload, Frame, SubscribeReq, SubStatus};
+use crate::wire::{self, EventFrame, EventPayload, Frame, SubStatus, SubscribeReq};
 
 /// Most subscriptions one connection may hold; beyond this a subscribe is
 /// answered [`SubStatus::TooManySubscriptions`].
@@ -170,11 +170,7 @@ impl SubscriberQueue {
     /// queued, so huge events still drain). Cursored events are retained
     /// in the per-subscription replay ring on the way out. Returns the
     /// number of events moved.
-    pub fn drain_events(
-        &self,
-        max_bytes: usize,
-        mut push: impl FnMut(Arc<[u8]>, u64),
-    ) -> usize {
+    pub fn drain_events(&self, max_bytes: usize, mut push: impl FnMut(Arc<[u8]>, u64)) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut moved = 0;
         let mut budget = max_bytes;
@@ -356,11 +352,13 @@ impl SubEntry {
     /// classification is unchanged — nothing to emit). The very first
     /// assessment reports a transition from [`HealthStatus::NoSignal`], so
     /// a fresh subscriber immediately learns the current state.
-    pub(crate) fn health_transition(&self, app: &str, status: HealthStatus) -> Option<HealthStatus> {
+    pub(crate) fn health_transition(
+        &self,
+        app: &str,
+        status: HealthStatus,
+    ) -> Option<HealthStatus> {
         let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
-        let watch = watches
-            .entry(app.to_string())
-            .or_insert_with(AppWatch::new);
+        let watch = watches.entry(app.to_string()).or_insert_with(AppWatch::new);
         match watch.last_health {
             None => {
                 watch.last_health = Some(status);
@@ -535,7 +533,8 @@ impl SubscriptionRegistry {
     /// fast path — the common case on a collector nobody subscribed to —
     /// is one atomic load and an unallocated empty `Vec`.
     pub fn matching(&self, app: &str) -> Vec<Arc<SubEntry>> {
-        if self.count.load(Ordering::Acquire) == 0 { // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        if self.count.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -548,7 +547,8 @@ impl SubscriptionRegistry {
 
     /// The active subscriptions registered against `queue`.
     pub fn entries_for(&self, queue: &Arc<SubscriberQueue>) -> Vec<Arc<SubEntry>> {
-        if self.count.load(Ordering::Acquire) == 0 { // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        if self.count.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -567,7 +567,8 @@ impl SubscriptionRegistry {
     /// Every currently active subscription, regardless of queue. Federation
     /// replays these down a freshly (re)connected child link.
     pub fn all_active(&self) -> Vec<Arc<SubEntry>> {
-        if self.count.load(Ordering::Acquire) == 0 { // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        // ordering: pairs with the Release store of the rebuilt table; zero short-circuits the fan-out
+        if self.count.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -841,7 +842,10 @@ mod tests {
     fn register_match_deliver_drain() {
         let registry = SubscriptionRegistry::new();
         let queue = Arc::new(SubscriberQueue::new(16));
-        assert!(registry.matching("cam7").is_empty(), "fast path before subs");
+        assert!(
+            registry.matching("cam7").is_empty(),
+            "fast path before subs"
+        );
 
         let entry = registry.register(&queue, &req(1, "cam*", 0b001)).unwrap();
         assert_eq!(registry.active(), 1);
@@ -1091,8 +1095,15 @@ mod tests {
             })
             .collect();
         let encodes = registry.deliver_beats(&entries, "shared", 3, &beats);
-        assert_eq!(encodes, 2, "one encode per distinct sub_id, not per subscriber");
-        assert_eq!(registry.events_enqueued(), 3, "every subscriber still enqueued");
+        assert_eq!(
+            encodes, 2,
+            "one encode per distinct sub_id, not per subscriber"
+        );
+        assert_eq!(
+            registry.events_enqueued(),
+            3,
+            "every subscriber still enqueued"
+        );
         for (queue, want_id) in queues.iter().zip([1u32, 1, 7]) {
             let mut out = Vec::new();
             assert_eq!(queue.drain_to_vec(&mut out, usize::MAX), 1);
@@ -1158,7 +1169,11 @@ mod tests {
             registry.deliver(&entry, "a", snapshot_payload(i));
         }
         let mut out = Vec::new();
-        assert_eq!(queue.drain_to_vec(&mut out, 1), 1, "budget floor is one event");
+        assert_eq!(
+            queue.drain_to_vec(&mut out, 1),
+            1,
+            "budget floor is one event"
+        );
         let before = out.len();
         assert_eq!(queue.drain_to_vec(&mut out, usize::MAX), 4);
         assert!(out.len() > before);
@@ -1264,7 +1279,9 @@ mod tests {
         let mut chunk = [0u8; 64 * 1024];
         let mut held = 0;
         while held < ENQUEUERS as u64 * EVENTS {
-            let n = stream.read(&mut chunk).expect("lost wake-up: event missing");
+            let n = stream
+                .read(&mut chunk)
+                .expect("lost wake-up: event missing");
             assert!(n > 0, "reactor closed the connection");
             bytes.extend_from_slice(&chunk[..n]);
             let mut at = 0;

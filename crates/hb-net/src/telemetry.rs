@@ -245,7 +245,8 @@ impl PipelineTelemetry {
     /// load) when disabled.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
-        if self.enabled.load(Ordering::Relaxed) { // ordering: sampling toggle; a stale read just samples one extra loop
+        // ordering: sampling toggle; a stale read just samples one extra loop
+        if self.enabled.load(Ordering::Relaxed) {
             Some(Instant::now())
         } else {
             None
@@ -290,15 +291,19 @@ impl ThreadStats {
     /// Adds time spent working (everything outside the poller wait).
     #[inline]
     pub fn add_busy(&self, elapsed: Duration) {
-        self.busy_ns
-            .fetch_add(elapsed.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+        self.busy_ns.fetch_add(
+            elapsed.as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed, // ordering: relaxed counter; read only for monitoring totals
+        );
     }
 
     /// Adds time spent parked in the poller.
     #[inline]
     pub fn add_wait(&self, elapsed: Duration) {
-        self.wait_ns
-            .fetch_add(elapsed.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+        self.wait_ns.fetch_add(
+            elapsed.as_nanos().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed, // ordering: relaxed counter; read only for monitoring totals
+        );
     }
 
     /// Counts one readiness-loop iteration and the events it dispatched.
@@ -602,7 +607,8 @@ impl Journal {
         for n in (head - span)..head {
             let slot = &self.slots[(n % capacity) as usize];
             let committed = 2 * n + 2;
-            if slot.seq.load(Ordering::Acquire) != committed { // ordering: acquires the payload published by the even-seq Release store
+            // ordering: acquires the payload published by the even-seq Release store
+            if slot.seq.load(Ordering::Acquire) != committed {
                 continue;
             }
             let ts_ms = slot.ts_ms.load(Ordering::Relaxed); // ordering: slot payload; torn reads are rejected by the seq re-check below
@@ -610,10 +616,13 @@ impl Journal {
             let mut raw = [0u8; JOURNAL_MSG_CAP];
             for (index, word) in slot.msg.iter().enumerate() {
                 raw[index * 8..(index + 1) * 8]
-                    .copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes()); // ordering: slot payload; torn reads are rejected by the seq re-check below
+                    // ordering: slot payload; torn reads are rejected by the seq re-check below
+                    .copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
             }
-            std::sync::atomic::fence(Ordering::Acquire); // ordering: orders the payload reads before the seq re-check (seqlock reader idiom)
-            if slot.seq.load(Ordering::Relaxed) != committed { // ordering: the fence above orders the payload reads; a relaxed re-check suffices
+            // ordering: orders the payload reads before the seq re-check (seqlock reader idiom)
+            std::sync::atomic::fence(Ordering::Acquire);
+            // ordering: the fence above orders the payload reads; a relaxed re-check suffices
+            if slot.seq.load(Ordering::Relaxed) != committed {
                 continue; // overwritten while copying
             }
             let len = ((meta >> 8) as usize).min(JOURNAL_MSG_CAP);
@@ -662,7 +671,10 @@ pub fn set_journal_level(level: Level) {
 /// Echoes journal entries at `level` and above to stderr; `None` silences
 /// stderr (the library default — embedding programs own their stderr).
 pub fn set_stderr_level(level: Option<Level>) {
-    STDERR_LEVEL.store(level.map(|l| l as u8).unwrap_or(STDERR_OFF), Ordering::Relaxed); // ordering: log-level gate; stale reads keep the old verbosity briefly
+    STDERR_LEVEL.store(
+        level.map(|l| l as u8).unwrap_or(STDERR_OFF),
+        Ordering::Relaxed, // ordering: log-level gate; stale reads keep the old verbosity briefly
+    );
 }
 
 /// True if `level` passes either sink's threshold — the one check the
@@ -676,10 +688,12 @@ pub fn level_enabled(level: Level) -> bool {
 /// Routes one formatted record to the enabled sinks. Called by
 /// [`log!`](crate::log!); prefer the macro.
 pub fn dispatch(level: Level, args: fmt::Arguments<'_>) {
-    if level as u8 >= JOURNAL_LEVEL.load(Ordering::Relaxed) { // ordering: log-level gate; stale reads keep the old verbosity briefly
+    // ordering: log-level gate; stale reads keep the old verbosity briefly
+    if level as u8 >= JOURNAL_LEVEL.load(Ordering::Relaxed) {
         journal().record(level, args);
     }
-    if level as u8 >= STDERR_LEVEL.load(Ordering::Relaxed) { // ordering: log-level gate; stale reads keep the old verbosity briefly
+    // ordering: log-level gate; stale reads keep the old verbosity briefly
+    if level as u8 >= STDERR_LEVEL.load(Ordering::Relaxed) {
         eprintln!("hb-collector[{level}] {args}");
     }
 }
@@ -720,7 +734,8 @@ mod tests {
         for i in 1..HISTO_BUCKETS {
             assert!(
                 LatencyHisto::bucket_upper_ns(i) > LatencyHisto::bucket_upper_ns(i - 1),
-                "bucket {i} upper bound must exceed bucket {}", i - 1
+                "bucket {i} upper bound must exceed bucket {}",
+                i - 1
             );
         }
         for value in [0u64, 1, 2, 3, 4, 127, 128, 1_000_000, u64::MAX] {
@@ -729,7 +744,8 @@ mod tests {
             if index > 0 {
                 assert!(
                     value > LatencyHisto::bucket_upper_ns(index - 1),
-                    "{value} must not also fit bucket {}", index - 1
+                    "{value} must not also fit bucket {}",
+                    index - 1
                 );
             }
         }

@@ -366,9 +366,12 @@ fn supervise(
     let mut session = Session::default();
     // FNV-1a over the node name seeds the jitter stream: reproducible per
     // node, spread across nodes (no thundering herd).
-    let mut jitter = config.node.bytes().fold(0xcbf2_9ce4_8422_2325u64, |seed, byte| {
-        (seed ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let mut jitter = config
+        .node
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |seed, byte| {
+            (seed ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
     let mut backoff = config.backoff_min;
     loop {
         // A session only resets the backoff once it was *established*
@@ -504,7 +507,11 @@ impl RollupWindow {
 
     /// Applies a cumulative ack, pruning every covered send.
     pub(crate) fn ack(&mut self, last_applied: u64) {
-        while self.unacked.front().is_some_and(|(seq, _)| *seq <= last_applied) {
+        while self
+            .unacked
+            .front()
+            .is_some_and(|(seq, _)| *seq <= last_applied)
+        {
             self.unacked.pop_front();
             self.sent = self.sent.saturating_sub(1);
         }
@@ -584,8 +591,12 @@ impl UplinkHandler {
             p.synced = false;
         }
         UplinkHandler {
-            tap: state.upstream_tap().expect("relay requires an upstream tap"),
-            stats: state.upstream_stats().expect("relay requires upstream stats"),
+            tap: state
+                .upstream_tap()
+                .expect("relay requires an upstream tap"),
+            stats: state
+                .upstream_stats()
+                .expect("relay requires upstream stats"),
             state,
             config,
             decoder: FrameDecoder::new(),
@@ -608,7 +619,9 @@ impl UplinkHandler {
         }
         self.resumed = true;
         let retransmits = self.session.window.resume(last_applied);
-        self.stats.retransmits.fetch_add(retransmits, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+        self.stats
+            .retransmits
+            .fetch_add(retransmits, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         self.session.links += 1;
         if self.session.links > 1 {
             self.stats.reconnects.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
@@ -846,7 +859,10 @@ impl Handler for UplinkHandler {
                     self.handle_unsubscribe(sub_id);
                 }
                 Ok(Some(_)) => {
-                    crate::log!(Level::Warn, "unexpected frame on upstream link, reconnecting");
+                    crate::log!(
+                        Level::Warn,
+                        "unexpected frame on upstream link, reconnecting"
+                    );
                     return false;
                 }
                 Ok(None) => break,
@@ -897,7 +913,8 @@ impl Handler for UplinkHandler {
     /// accumulating (bounded, counted) so the parent's resume re-subscribe
     /// finds the stream intact — as are unacked rollups, for retransmission.
     fn on_close(&mut self) {
-        if self.stats.connected.swap(false, Ordering::AcqRel) { // ordering: single teardown winner; orders the disconnect against the session state
+        // ordering: single teardown winner; orders the disconnect against the session state
+        if self.stats.connected.swap(false, Ordering::AcqRel) {
             crate::log!(
                 Level::Warn,
                 "upstream link down parent={} node={} ({} rollups unacked, {} subs held)",
@@ -928,7 +945,12 @@ mod tests {
     fn beats(n: usize) -> Vec<WireBeat> {
         (0..n)
             .map(|i| WireBeat {
-                record: HeartbeatRecord::new(i as u64, i as u64 * 1_000, Tag::NONE, BeatThreadId(0)),
+                record: HeartbeatRecord::new(
+                    i as u64,
+                    i as u64 * 1_000,
+                    Tag::NONE,
+                    BeatThreadId(0),
+                ),
                 scope: BeatScope::Global,
             })
             .collect()
@@ -948,7 +970,10 @@ mod tests {
         let (item, tap_dropped) = tap.pop_item().unwrap();
         assert_eq!((item.beats.len(), tap_dropped), (4, 3));
         let (item, tap_dropped) = tap.pop_item().unwrap();
-        assert_eq!((item.beats.len(), item.producer_dropped, tap_dropped), (2, 5, 3));
+        assert_eq!(
+            (item.beats.len(), item.producer_dropped, tap_dropped),
+            (2, 5, 3)
+        );
         assert!(tap.pop_item().is_none());
     }
 
@@ -971,7 +996,10 @@ mod tests {
             assert_eq!(window.send(payload(seq)), seq);
         }
         assert_eq!(transmit(&mut window), vec![1, 2, 3, 4, 5]);
-        assert!(transmit(&mut window).is_empty(), "each send goes out once per session");
+        assert!(
+            transmit(&mut window).is_empty(),
+            "each send goes out once per session"
+        );
         window.ack(2);
         assert_eq!(window.in_flight(), 3);
         assert_eq!(window.resume(3), 2, "4 and 5 retransmit");
@@ -1150,7 +1178,11 @@ mod tests {
                     seq,
                     event:
                         EventFrame {
-                            payload: EventPayload::Beats { dropped_total, beats },
+                            payload:
+                                EventPayload::Beats {
+                                    dropped_total,
+                                    beats,
+                                },
                             ..
                         },
                 } => (seq, beats.len(), dropped_total),
@@ -1221,23 +1253,31 @@ mod tests {
             "127.0.0.1:0",
             CollectorConfig {
                 io_threads: 1,
-                upstream: Some(UpstreamConfig::new(parent.ingest_addr().to_string(), "leaf")),
+                upstream: Some(UpstreamConfig::new(
+                    parent.ingest_addr().to_string(),
+                    "leaf",
+                )),
                 ..CollectorConfig::default()
             },
         )
         .unwrap();
         let (state, link) = (leaf.state(), leaf.state().upstream_stats().unwrap());
         wait_until("the uplink", || link.connected());
-        let reader = Arc::new(crate::RemoteReader::connect(parent.query_addr().to_string()).unwrap());
+        let reader =
+            Arc::new(crate::RemoteReader::connect(parent.query_addr().to_string()).unwrap());
         let events = reader
             .subscribe("leaf/app", &ObserveFilter::new(Interest::BEATS))
             .unwrap();
-        wait_until("the propagated subscription", || state.subscriptions().active() == 1);
+        wait_until("the propagated subscription", || {
+            state.subscriptions().active() == 1
+        });
 
         let before = shard0(&leaf);
         for round in 0..ROUNDS {
             state.ingest_batch("app", 0, beats(1));
-            let event = events.next_timeout(Duration::from_secs(20)).expect("pushed event");
+            let event = events
+                .next_timeout(Duration::from_secs(20))
+                .expect("pushed event");
             assert_eq!(event.app, "leaf/app", "round {round}");
         }
         // The drain that follows an ack's `on_data` may carry the next
@@ -1245,7 +1285,10 @@ mod tests {
         // still armed: two rounds can share one pump.
         assert_woken(&leaf, &before, ROUNDS, ROUNDS / 2);
         wait_until("the rollups", || {
-            parent.state().snapshot("leaf/app").is_some_and(|app| app.total_beats == ROUNDS)
+            parent
+                .state()
+                .snapshot("leaf/app")
+                .is_some_and(|app| app.total_beats == ROUNDS)
         });
         assert_eq!((link.retransmits(), link.reconnects()), (0, 0));
     }
@@ -1270,7 +1313,9 @@ mod tests {
         // Events enqueued past the tap (as a mid tier's routed events are):
         // only the propagated queue's pump asks for these.
         parent.subscribe(5, "app");
-        wait_until("the propagated subscription", || state.subscriptions().active() == 1);
+        wait_until("the propagated subscription", || {
+            state.subscriptions().active() == 1
+        });
         let entry = state.subscriptions().matching("app").remove(0);
         let before = shard0(&leaf);
         for round in 1..=ROUNDS {
@@ -1349,7 +1394,10 @@ mod tests {
         std::thread::sleep(Duration::from_millis(200));
         let after = shard0(collector);
         let idle_loops = since.elapsed().as_millis() as u64 / 20 + 2;
-        assert_eq!(after.pumps_wake, before.pumps_wake, "{before:?} -> {after:?}");
+        assert_eq!(
+            after.pumps_wake, before.pumps_wake,
+            "{before:?} -> {after:?}"
+        );
         assert!(
             after.loops - before.loops <= 2 * idle_loops,
             "loop must idle, not spin: {} turns in {:?}",
@@ -1457,8 +1505,12 @@ mod tests {
             for seq in 1..=3 {
                 session.window.send(payload(seq));
             }
-            let handler =
-                UplinkHandler::new(Arc::clone(&state), Arc::clone(&config), session, signals.clone());
+            let handler = UplinkHandler::new(
+                Arc::clone(&state),
+                Arc::clone(&config),
+                session,
+                signals.clone(),
+            );
             let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             reactor.installer(0)(stream, Box::new(handler));
             listener.accept().unwrap().0
@@ -1466,11 +1518,18 @@ mod tests {
         let returned = |what: &str| {
             match parked.recv_timeout(Duration::from_secs(20)) {
                 Ok(Signal::Closed(session, established)) => {
-                    assert_eq!((session.window.in_flight(), established), (3, false), "{what}");
+                    assert_eq!(
+                        (session.window.in_flight(), established),
+                        (3, false),
+                        "{what}"
+                    );
                 }
                 _ => panic!("{what}: the session never came back"),
             }
-            assert!(parked.try_recv().is_err(), "{what}: the session came back twice");
+            assert!(
+                parked.try_recv().is_err(),
+                "{what}: the session came back twice"
+            );
         };
         let spawn = || {
             let config = ReactorConfig {
@@ -1486,7 +1545,8 @@ mod tests {
         returned("peer close");
         // Shutdown closes an installed connection.
         let mut peer = lend(&reactor);
-        peer.read_exact(&mut [0u8; crate::wire::HEADER_LEN]).expect("the install's NodeHello");
+        peer.read_exact(&mut [0u8; crate::wire::HEADER_LEN])
+            .expect("the install's NodeHello");
         reactor.shutdown();
         returned("shutdown");
         // A reactor that has shut down refuses the hand-off.

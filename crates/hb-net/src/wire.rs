@@ -210,11 +210,13 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
     // match currently extends to.
     let (mut star, mut mark) = (usize::MAX, 0usize);
     while ni < n.len() {
-        if pi < p.len() && p[pi] == b'*' { // hb-lint: allow(index): pi < p.len() guards on this line
+        // hb-lint: allow(index): pi < p.len() guards on this line
+        if pi < p.len() && p[pi] == b'*' {
             star = pi;
             mark = ni;
             pi += 1;
-        } else if pi < p.len() && p[pi] == n[ni] { // hb-lint: allow(index): pi/ni bounded by the matcher loop conditions
+        // hb-lint: allow(index): pi/ni bounded by the matcher loop conditions
+        } else if pi < p.len() && p[pi] == n[ni] {
             pi += 1;
             ni += 1;
         } else if star != usize::MAX {
@@ -226,7 +228,8 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == b'*' { // hb-lint: allow(index): pi < p.len() guards on this line
+    // hb-lint: allow(index): pi < p.len() guards on this line
+    while pi < p.len() && p[pi] == b'*' {
         pi += 1;
     }
     pi == p.len()
@@ -254,11 +257,13 @@ pub fn glob_overlaps_prefix(pattern: &str, prefix: &str) -> bool {
     let (mut pi, mut ni) = (0usize, 0usize);
     let (mut star, mut mark) = (usize::MAX, 0usize);
     while ni < n.len() {
-        if pi < p.len() && p[pi] == b'*' { // hb-lint: allow(index): pi < p.len() guards on this line
+        // hb-lint: allow(index): pi < p.len() guards on this line
+        if pi < p.len() && p[pi] == b'*' {
             star = pi;
             mark = ni;
             pi += 1;
-        } else if pi < p.len() && p[pi] == n[ni] { // hb-lint: allow(index): pi/ni bounded by the matcher loop conditions
+        // hb-lint: allow(index): pi/ni bounded by the matcher loop conditions
+        } else if pi < p.len() && p[pi] == n[ni] {
             pi += 1;
             ni += 1;
         } else if star != usize::MAX {
@@ -687,9 +692,9 @@ impl<'a> BeatsView<'a> {
         }
         let (dropped_total, prefix) = get_varint(payload, 0)?;
         let records = &payload[prefix..]; // hb-lint: allow(index): payload.len() >= prefix checked above
-        // Walk every record once: the count is implicit (the payload length
-        // delimits the batch) and the walk rejects malformed varints,
-        // unknown flags and trailing garbage.
+                                          // Walk every record once: the count is implicit (the payload length
+                                          // delimits the batch) and the walk rejects malformed varints,
+                                          // unknown flags and trailing garbage.
         let mut state = DeltaState::default();
         let mut at = 0;
         let mut count = 0;
@@ -1222,9 +1227,12 @@ impl Frame {
         let payload_at = buf.len();
         self.encode_payload(buf);
         let payload_len = (buf.len() - payload_at) as u32;
-        let crc = crc32(&buf[payload_at..]); // hb-lint: allow(index): payload_at <= buf.len(): the payload was appended above
-        buf[header_at + 6..header_at + 10].copy_from_slice(&payload_len.to_le_bytes()); // hb-lint: allow(index): patches the header this function wrote at header_at
-        buf[header_at + 10..header_at + 14].copy_from_slice(&crc.to_le_bytes()); // hb-lint: allow(index): patches the header this function wrote at header_at
+        // hb-lint: allow(index): payload_at <= buf.len(): the payload was appended above
+        let crc = crc32(&buf[payload_at..]);
+        // hb-lint: allow(index): patches the header this function wrote at header_at
+        buf[header_at + 6..header_at + 10].copy_from_slice(&payload_len.to_le_bytes());
+        // hb-lint: allow(index): patches the header this function wrote at header_at
+        buf[header_at + 10..header_at + 14].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Encodes the frame into a fresh buffer.
@@ -1773,12 +1781,16 @@ impl<'a> Reader<'a> {
 pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> Result<()> {
     let (kind, payload_len, _crc) = Frame::decode_header(&buf[frame_at..])?; // hb-lint: allow(index): decode_header re-validates the slice it is given
     if kind != KIND_EVENT {
-        return Err(NetError::Protocol("cursor splice on a non-event frame".into()));
+        return Err(NetError::Protocol(
+            "cursor splice on a non-event frame".into(),
+        ));
     }
     let payload_at = frame_at + HEADER_LEN;
     let payload_end = payload_at + payload_len;
     if buf.len() < payload_end {
-        return Err(NetError::Protocol("cursor splice on a truncated frame".into()));
+        return Err(NetError::Protocol(
+            "cursor splice on a truncated frame".into(),
+        ));
     }
     // Walk to the cursor field: sub_id varint, event-kind byte, name,
     // sent_at varint — the prefix Reader::event consumes, here unchecked.
@@ -2077,7 +2089,13 @@ mod tests {
 
     #[test]
     fn whitespace_and_quote_names_are_rejected_on_decode() {
-        for bad in ["two words", "line\nbreak", "tab\there", "quo\"te", "back\\slash"] {
+        for bad in [
+            "two words",
+            "line\nbreak",
+            "tab\there",
+            "quo\"te",
+            "back\\slash",
+        ] {
             let bytes = Frame::Hello(Hello {
                 app: bad.into(),
                 pid: 1,
@@ -2109,7 +2127,16 @@ mod tests {
     #[test]
     fn batch_encoder_matches_frame_encoding() {
         let beats: Vec<WireBeat> = (0..100)
-            .map(|i| beat(i, if i % 3 == 0 { BeatScope::Local } else { BeatScope::Global }))
+            .map(|i| {
+                beat(
+                    i,
+                    if i % 3 == 0 {
+                        BeatScope::Local
+                    } else {
+                        BeatScope::Global
+                    },
+                )
+            })
             .collect();
         let via_frame = Frame::Beats(BeatBatch {
             dropped_total: 7,
@@ -2122,7 +2149,11 @@ mod tests {
             assert!(encoder.push(b));
         }
         assert_eq!(encoder.beats(), 100);
-        assert_eq!(encoder.finish(), via_frame.as_slice(), "byte-identical encodings");
+        assert_eq!(
+            encoder.finish(),
+            via_frame.as_slice(),
+            "byte-identical encodings"
+        );
     }
 
     #[test]
@@ -2171,7 +2202,10 @@ mod tests {
         encoder.begin_compact(0);
         let sample = beat(0, BeatScope::Global);
         while encoder.push(&sample) {}
-        assert!(!encoder.push(&sample), "frame at capacity rejects more beats");
+        assert!(
+            !encoder.push(&sample),
+            "frame at capacity rejects more beats"
+        );
         let beats = encoder.beats();
         assert!(beats > MAX_PAYLOAD / MAX_COMPACT_BEAT_LEN, "{beats} beats");
         // Still decodable at the payload ceiling.
@@ -2215,7 +2249,9 @@ mod tests {
                 total: 0,
                 samples: vec![],
             }),
-            Frame::HealthReq { app: "dedup".into() },
+            Frame::HealthReq {
+                app: "dedup".into(),
+            },
             Frame::Health(HealthFrame {
                 app: "dedup".into(),
                 known: true,
@@ -2342,14 +2378,12 @@ mod tests {
             "48 42 57 54 03 04 00 00 00 00 00 00 00 00"
         );
         assert_eq!(
-            hex(
-                &Frame::Hello(Hello {
-                    app: "cam".into(),
-                    pid: 7,
-                    default_window: 20,
-                })
-                .encode()
-            ),
+            hex(&Frame::Hello(Hello {
+                app: "cam".into(),
+                pid: 7,
+                default_window: 20,
+            })
+            .encode()),
             "48 42 57 54 03 01 0d 00 00 00 0d 1b ff c1 \
              07 00 00 00 14 00 00 00 03 00 63 61 6d"
         );
@@ -2358,13 +2392,11 @@ mod tests {
             "48 42 57 54 03 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
         );
         assert_eq!(
-            hex(
-                &Frame::HistoryReq {
-                    app: "cam".into(),
-                    limit: 2,
-                }
-                .encode()
-            ),
+            hex(&Frame::HistoryReq {
+                app: "cam".into(),
+                limit: 2,
+            }
+            .encode()),
             "48 42 57 54 03 05 09 00 00 00 82 74 2b 8a \
              02 00 00 00 03 00 63 61 6d"
         );
@@ -2438,7 +2470,17 @@ mod tests {
 
     #[test]
     fn zigzag_roundtrips() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 1_000_000, -1_000_000] {
+        for v in [
+            0i64,
+            1,
+            -1,
+            2,
+            -2,
+            i64::MAX,
+            i64::MIN,
+            1_000_000,
+            -1_000_000,
+        ] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
         assert_eq!(zigzag(0), 0);
@@ -2448,7 +2490,9 @@ mod tests {
 
     #[test]
     fn hello_ack_roundtrip() {
-        let frame = Frame::HelloAck { max_version: VERSION };
+        let frame = Frame::HelloAck {
+            max_version: VERSION,
+        };
         let bytes = frame.encode();
         let (decoded, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
@@ -2529,7 +2573,9 @@ mod tests {
         let beats: Vec<WireBeat> = (0..64u64)
             .map(|i| {
                 // 1 ms nominal period, ±128 µs deterministic jitter.
-                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ts += 1_000_000 - 128_000 + (lcg >> 40) % 256_000;
                 WireBeat {
                     record: HeartbeatRecord::new(i, ts, Tag::NONE, BeatThreadId(0)),
@@ -2558,7 +2604,16 @@ mod tests {
         let batch = BeatBatch {
             dropped_total: 3,
             beats: (0..50)
-                .map(|i| beat(i, if i % 2 == 0 { BeatScope::Global } else { BeatScope::Local }))
+                .map(|i| {
+                    beat(
+                        i,
+                        if i % 2 == 0 {
+                            BeatScope::Global
+                        } else {
+                            BeatScope::Local
+                        },
+                    )
+                })
                 .collect(),
         };
         let bytes = encode_compact(&batch);
@@ -2569,7 +2624,10 @@ mod tests {
         let iter = view.iter();
         assert_eq!(iter.len(), 50, "ExactSizeIterator agrees with the view");
         let collected: Vec<WireBeat> = iter.collect();
-        assert_eq!(collected, batch.beats, "view iteration == materialized decode");
+        assert_eq!(
+            collected, batch.beats,
+            "view iteration == materialized decode"
+        );
     }
 
     #[test]
@@ -2873,45 +2931,39 @@ mod tests {
                 .join(" ")
         }
         assert_eq!(
-            hex(
-                &Frame::Subscribe(SubscribeReq {
-                    sub_id: 1,
-                    pattern: "cam*".into(),
-                    interests: 0b010,
-                    min_interval_ns: 1_000_000_000,
-                    resume_from: 0,
-                })
-                .encode()
-            ),
+            hex(&Frame::Subscribe(SubscribeReq {
+                sub_id: 1,
+                pattern: "cam*".into(),
+                interests: 0b010,
+                min_interval_ns: 1_000_000_000,
+                resume_from: 0,
+            })
+            .encode()),
             "48 42 57 54 03 0b 14 00 00 00 72 1d 45 30 \
              01 00 00 00 02 00 ca 9a 3b 00 00 00 00 04 00 63 61 6d 2a 00"
         );
         assert_eq!(
-            hex(
-                &Frame::SubAck {
-                    sub_id: 1,
-                    status: SubStatus::Ok,
-                }
-                .encode()
-            ),
+            hex(&Frame::SubAck {
+                sub_id: 1,
+                status: SubStatus::Ok,
+            }
+            .encode()),
             "48 42 57 54 03 0c 05 00 00 00 ad de 42 fb 01 00 00 00 00"
         );
         assert_eq!(
-            hex(
-                &Frame::Event(EventFrame {
-                    sub_id: 1,
-                    sent_at_ns: 0,
-                    cursor: 0,
-                    app: "cam7".into(),
-                    payload: EventPayload::HealthTransition {
-                        from: crate::health::HealthStatus::Healthy,
-                        to: crate::health::HealthStatus::Stalled,
-                        reasons: vec![crate::health::HealthReason::Silent],
-                        window_beats: 42,
-                    },
-                })
-                .encode()
-            ),
+            hex(&Frame::Event(EventFrame {
+                sub_id: 1,
+                sent_at_ns: 0,
+                cursor: 0,
+                app: "cam7".into(),
+                payload: EventPayload::HealthTransition {
+                    from: crate::health::HealthStatus::Healthy,
+                    to: crate::health::HealthStatus::Stalled,
+                    reasons: vec![crate::health::HealthReason::Silent],
+                    window_beats: 42,
+                },
+            })
+            .encode()),
             "48 42 57 54 03 0d 12 00 00 00 ba dd 8e b6 \
              01 02 04 00 63 61 6d 37 00 00 03 01 02 00 2a 00 00 00"
         );
@@ -2980,14 +3032,12 @@ mod tests {
                 .join(" ")
         }
         assert_eq!(
-            hex(
-                &Frame::NodeHello {
-                    node: "leaf0".into(),
-                    pid: 7,
-                    path: vec!["leaf0".into(), "edge".into()],
-                }
-                .encode()
-            ),
+            hex(&Frame::NodeHello {
+                node: "leaf0".into(),
+                pid: 7,
+                path: vec!["leaf0".into(), "edge".into()],
+            }
+            .encode()),
             "48 42 57 54 03 0f 17 00 00 00 00 8f 09 06 \
              07 00 00 00 05 00 6c 65 61 66 30 02 05 6c 65 61 66 30 04 65 64 67 65"
         );
@@ -3011,35 +3061,31 @@ mod tests {
         // child to replay from cursor 43; the first replayed Event carries
         // that cursor.
         assert_eq!(
-            hex(
-                &Frame::Subscribe(SubscribeReq {
-                    sub_id: 1,
-                    pattern: "cam*".into(),
-                    interests: 0b010,
-                    min_interval_ns: 1_000_000_000,
-                    resume_from: 43,
-                })
-                .encode()
-            ),
+            hex(&Frame::Subscribe(SubscribeReq {
+                sub_id: 1,
+                pattern: "cam*".into(),
+                interests: 0b010,
+                min_interval_ns: 1_000_000_000,
+                resume_from: 43,
+            })
+            .encode()),
             "48 42 57 54 03 0b 14 00 00 00 32 e4 f9 9c \
              01 00 00 00 02 00 ca 9a 3b 00 00 00 00 04 00 63 61 6d 2a 2b"
         );
         assert_eq!(
-            hex(
-                &Frame::Event(EventFrame {
-                    sub_id: 1,
-                    sent_at_ns: 0,
-                    cursor: 43,
-                    app: "cam7".into(),
-                    payload: EventPayload::HealthTransition {
-                        from: crate::health::HealthStatus::Healthy,
-                        to: crate::health::HealthStatus::Stalled,
-                        reasons: vec![crate::health::HealthReason::Silent],
-                        window_beats: 42,
-                    },
-                })
-                .encode()
-            ),
+            hex(&Frame::Event(EventFrame {
+                sub_id: 1,
+                sent_at_ns: 0,
+                cursor: 43,
+                app: "cam7".into(),
+                payload: EventPayload::HealthTransition {
+                    from: crate::health::HealthStatus::Healthy,
+                    to: crate::health::HealthStatus::Stalled,
+                    reasons: vec![crate::health::HealthReason::Silent],
+                    window_beats: 42,
+                },
+            })
+            .encode()),
             "48 42 57 54 03 0d 12 00 00 00 c4 c1 2a b6 \
              01 02 04 00 63 61 6d 37 00 2b 03 01 02 00 2a 00 00 00"
         );
@@ -3078,7 +3124,11 @@ mod tests {
     fn node_hello_roundtrip_and_rejections() {
         for path in [
             vec!["leaf-1".to_string()],
-            vec!["leaf-1".to_string(), "rack07.eu".to_string(), "x".to_string()],
+            vec![
+                "leaf-1".to_string(),
+                "rack07.eu".to_string(),
+                "x".to_string(),
+            ],
         ] {
             let frame = Frame::NodeHello {
                 node: "leaf-1".into(),

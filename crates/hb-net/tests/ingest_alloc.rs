@@ -98,7 +98,11 @@ fn beats_decode_to_ingest_allocates_nothing_at_steady_state() {
     let before = ALLOC_OPS.load(Ordering::Relaxed);
     drive(&mut decoder, &measured_frames);
     let after = ALLOC_OPS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "decode→ingest of 256 frames must not allocate");
+    assert_eq!(
+        after - before,
+        0,
+        "decode→ingest of 256 frames must not allocate"
+    );
 
     // The beats really arrived.
     let snap = state.snapshot("alloc-probe").unwrap();

@@ -8,8 +8,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 use hb_net::{BeatBatch, Collector, Frame, Hello, WireBeat};
+use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 
 const PRODUCERS: u32 = 64;
 const BATCHES_PER_PRODUCER: u64 = 8;

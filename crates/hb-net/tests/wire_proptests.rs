@@ -345,7 +345,9 @@ fn federation_stream() -> Vec<u8> {
         app: "edge/camera".into(),
         payload: EventPayload::Beats {
             dropped_total: 3,
-            beats: (0..4).map(|i| adversarial_beat(i, 0x9E37_79B9 + i as u64)).collect(),
+            beats: (0..4)
+                .map(|i| adversarial_beat(i, 0x9E37_79B9 + i as u64))
+                .collect(),
         },
     };
     let frames = vec![
@@ -354,8 +356,12 @@ fn federation_stream() -> Vec<u8> {
             pid: 4242,
             path: vec!["edge".into(), "leaf-a".into(), "leaf-b".into()],
         },
-        Frame::NodeChallenge { nonce: [0xA5; AUTH_LEN] },
-        Frame::NodeAuth { mac: [0x5A; AUTH_LEN] },
+        Frame::NodeChallenge {
+            nonce: [0xA5; AUTH_LEN],
+        },
+        Frame::NodeAuth {
+            mac: [0x5A; AUTH_LEN],
+        },
         Frame::Subscribe(SubscribeReq {
             sub_id: 7,
             pattern: "edge/*".into(),
@@ -368,7 +374,9 @@ fn federation_stream() -> Vec<u8> {
         Frame::RelayAck { last_applied: 9 },
         Frame::Beats(BeatBatch {
             dropped_total: 1,
-            beats: (0..8).map(|i| adversarial_beat(i, i as u64 * 0x517C_C1B7)).collect(),
+            beats: (0..8)
+                .map(|i| adversarial_beat(i, i as u64 * 0x517C_C1B7))
+                .collect(),
         }),
     ];
     let mut stream = Vec::new();

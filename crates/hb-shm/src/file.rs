@@ -80,7 +80,12 @@ pub fn parse_line(line: &str) -> Option<LogEntry> {
                 _ => return None,
             };
             Some(LogEntry::Beat {
-                record: HeartbeatRecord::new(seq, timestamp_ns, Tag::new(tag), BeatThreadId(thread)),
+                record: HeartbeatRecord::new(
+                    seq,
+                    timestamp_ns,
+                    Tag::new(tag),
+                    BeatThreadId(thread),
+                ),
                 scope,
             })
         }
@@ -289,7 +294,10 @@ mod tests {
         let record = HeartbeatRecord::new(3, 123_456, Tag::new(9), BeatThreadId(2));
         let line = beat_line(&record, BeatScope::Global);
         match parse_line(&line).unwrap() {
-            LogEntry::Beat { record: parsed, scope } => {
+            LogEntry::Beat {
+                record: parsed,
+                scope,
+            } => {
                 assert_eq!(parsed, record);
                 assert_eq!(scope, BeatScope::Global);
             }
@@ -303,7 +311,10 @@ mod tests {
         let line = beat_line(&record, BeatScope::Local);
         assert!(matches!(
             parse_line(&line).unwrap(),
-            LogEntry::Beat { scope: BeatScope::Local, .. }
+            LogEntry::Beat {
+                scope: BeatScope::Local,
+                ..
+            }
         ));
     }
 
@@ -312,7 +323,10 @@ mod tests {
         let line = target_line(2.5, 3.5);
         assert_eq!(
             parse_line(&line).unwrap(),
-            LogEntry::Target { min_bps: 2.5, max_bps: 3.5 }
+            LogEntry::Target {
+                min_bps: 2.5,
+                max_bps: 3.5
+            }
         );
     }
 

@@ -10,9 +10,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use heartbeats::{
-    Backend, BeatScope, BeatThreadId, HeartbeatRecord, Result, Tag,
-};
+use heartbeats::{Backend, BeatScope, BeatThreadId, HeartbeatRecord, Result, Tag};
 
 use crate::layout::{self, offsets, slot_offsets};
 use crate::posix::ShmRegion;
@@ -108,7 +106,9 @@ impl ShmSegment {
 
     /// Total number of beats recorded so far.
     pub fn total(&self) -> u64 {
-        self.region.atomic_u64(offsets::HEAD).load(Ordering::Acquire)
+        self.region
+            .atomic_u64(offsets::HEAD)
+            .load(Ordering::Acquire)
     }
 
     /// Timestamp of the first beat, if any.
@@ -176,14 +176,20 @@ impl ShmSegment {
     /// number. Used when the segment *is* the primary buffer (no in-process
     /// heartbeat object).
     pub fn push(&self, timestamp_ns: u64, tag: Tag, thread: BeatThreadId) -> u64 {
-        let seq = self.region.atomic_u64(offsets::HEAD).fetch_add(1, Ordering::AcqRel);
+        let seq = self
+            .region
+            .atomic_u64(offsets::HEAD)
+            .fetch_add(1, Ordering::AcqRel);
         if seq == 0 {
-            let _ = self.region.atomic_u64(offsets::FIRST_TIMESTAMP).compare_exchange(
-                layout::NO_TIMESTAMP,
-                timestamp_ns,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            let _ = self
+                .region
+                .atomic_u64(offsets::FIRST_TIMESTAMP)
+                .compare_exchange(
+                    layout::NO_TIMESTAMP,
+                    timestamp_ns,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                );
         }
         self.write_slot(seq, timestamp_ns, tag.value(), thread.index() as u64);
         seq
@@ -195,12 +201,15 @@ impl ShmSegment {
     /// tolerated.
     pub fn mirror(&self, record: &HeartbeatRecord) {
         if record.seq == 0 {
-            let _ = self.region.atomic_u64(offsets::FIRST_TIMESTAMP).compare_exchange(
-                layout::NO_TIMESTAMP,
-                record.timestamp_ns,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            let _ = self
+                .region
+                .atomic_u64(offsets::FIRST_TIMESTAMP)
+                .compare_exchange(
+                    layout::NO_TIMESTAMP,
+                    record.timestamp_ns,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                );
         }
         self.write_slot(
             record.seq,

@@ -155,11 +155,13 @@ impl FaultProxy {
             thread::spawn(move || {
                 let mut index = 0u64;
                 for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) { // ordering: control-plane toggle; SeqCst keeps the rare path simple
+                    if shutdown.load(Ordering::SeqCst) {
+                        // ordering: control-plane toggle; SeqCst keeps the rare path simple
                         break;
                     }
                     let Ok(client) = stream else { break };
-                    if partitioned.load(Ordering::SeqCst) { // ordering: control-plane toggle; SeqCst keeps the rare path simple
+                    if partitioned.load(Ordering::SeqCst) {
+                        // ordering: control-plane toggle; SeqCst keeps the rare path simple
                         stats.refused.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
                         let _ = client.shutdown(Shutdown::Both);
                         continue;

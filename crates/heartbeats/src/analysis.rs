@@ -50,7 +50,12 @@ pub fn longest_gap(records: &[HeartbeatRecord]) -> Option<(usize, u64)> {
     records
         .windows(2)
         .enumerate()
-        .map(|(i, pair)| (i + 1, pair[1].timestamp_ns.saturating_sub(pair[0].timestamp_ns)))
+        .map(|(i, pair)| {
+            (
+                i + 1,
+                pair[1].timestamp_ns.saturating_sub(pair[0].timestamp_ns),
+            )
+        })
         .max_by_key(|&(_, gap)| gap)
 }
 
@@ -152,7 +157,12 @@ mod tests {
 
     #[test]
     fn filter_and_count_by_tag() {
-        let records = vec![record(0, 0, 1), record(1, 10, 2), record(2, 20, 1), record(3, 30, 3)];
+        let records = vec![
+            record(0, 0, 1),
+            record(1, 10, 2),
+            record(2, 20, 1),
+            record(3, 30, 3),
+        ];
         assert_eq!(filter_by_tag(&records, Tag::new(1)).len(), 2);
         assert_eq!(filter_by_tag(&records, Tag::new(9)).len(), 0);
         let counts = count_by_tag(&records);
@@ -164,7 +174,12 @@ mod tests {
     #[test]
     fn rate_by_tag_ignores_singletons() {
         // Tag 1 beats every 100 ms (10/s); tag 2 appears once.
-        let records = vec![record(0, 0, 1), record(1, 50, 2), record(2, 100, 1), record(3, 200, 1)];
+        let records = vec![
+            record(0, 0, 1),
+            record(1, 50, 2),
+            record(2, 100, 1),
+            record(3, 200, 1),
+        ];
         let rates = rate_by_tag(&records);
         assert_eq!(rates.len(), 1);
         assert!((rates[&Tag::new(1)] - 10.0).abs() < 1e-9);
@@ -172,7 +187,12 @@ mod tests {
 
     #[test]
     fn longest_gap_finds_the_stall() {
-        let records = vec![record(0, 0, 0), record(1, 10, 0), record(2, 500, 0), record(3, 510, 0)];
+        let records = vec![
+            record(0, 0, 0),
+            record(1, 10, 0),
+            record(2, 500, 0),
+            record(3, 510, 0),
+        ];
         let (index, gap) = longest_gap(&records).unwrap();
         assert_eq!(index, 2);
         assert_eq!(gap, 490 * 1_000_000);
@@ -206,7 +226,12 @@ mod tests {
 
     #[test]
     fn reordered_beats_are_counted() {
-        let records = vec![record(0, 0, 0), record(1, 10, 2), record(2, 20, 1), record(3, 30, 3)];
+        let records = vec![
+            record(0, 0, 0),
+            record(1, 10, 2),
+            record(2, 20, 1),
+            record(3, 30, 3),
+        ];
         let report = check_sequence(&records, 0);
         assert_eq!(report.reordered, 1);
         assert!(report.missing.is_empty());
@@ -220,7 +245,12 @@ mod tests {
     #[test]
     fn interval_histogram_buckets_and_overflow() {
         // Intervals: 10ms, 10ms, 35ms with 10ms buckets x 3.
-        let records = vec![record(0, 0, 0), record(1, 10, 0), record(2, 20, 0), record(3, 55, 0)];
+        let records = vec![
+            record(0, 0, 0),
+            record(1, 10, 0),
+            record(2, 20, 0),
+            record(3, 55, 0),
+        ];
         let histogram = interval_histogram(&records, 10_000_000, 3);
         assert_eq!(histogram.counts, vec![0, 2, 0]);
         assert_eq!(histogram.overflow, 1);

@@ -172,7 +172,8 @@ impl Slot {
         // Publish "write in progress" before touching the payload so a reader
         // that observes partially updated fields will also observe an odd (or
         // different) state and discard the read.
-        self.state.store(Self::writing_state(seq), Ordering::Release);
+        self.state
+            .store(Self::writing_state(seq), Ordering::Release);
         fence(Ordering::Release);
         self.timestamp_ns.store(timestamp_ns, Ordering::Relaxed);
         self.tag.store(tag.value(), Ordering::Relaxed);
@@ -334,7 +335,9 @@ mod tests {
         assert_eq!(hist[0].seq, 2);
         assert_eq!(hist[2].seq, 4);
         // Chronological order.
-        assert!(hist.windows(2).all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
+        assert!(hist
+            .windows(2)
+            .all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
     }
 
     fn check_wraparound(buffer: &dyn HistoryBuffer, capacity: usize) {
@@ -378,7 +381,10 @@ mod tests {
 
     #[test]
     fn atomic_ring_default_capacity() {
-        assert_eq!(AtomicRing::with_default_capacity().capacity(), DEFAULT_CAPACITY);
+        assert_eq!(
+            AtomicRing::with_default_capacity().capacity(),
+            DEFAULT_CAPACITY
+        );
     }
 
     #[test]

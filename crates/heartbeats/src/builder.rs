@@ -201,9 +201,15 @@ mod tests {
 
     #[test]
     fn initial_target_is_applied_and_validated() {
-        let hb = HeartbeatBuilder::new("a").target(5.0, 10.0).build().unwrap();
+        let hb = HeartbeatBuilder::new("a")
+            .target(5.0, 10.0)
+            .build()
+            .unwrap();
         assert_eq!(hb.target(), Some((5.0, 10.0)));
-        assert!(HeartbeatBuilder::new("b").target(10.0, 5.0).build().is_err());
+        assert!(HeartbeatBuilder::new("b")
+            .target(10.0, 5.0)
+            .build()
+            .is_err());
     }
 
     #[test]

@@ -144,7 +144,10 @@ mod tests {
     #[test]
     fn monotonic_clock_starts_near_zero() {
         let clock = MonotonicClock::new();
-        assert!(clock.now_ns() < 1_000_000_000, "origin should be creation time");
+        assert!(
+            clock.now_ns() < 1_000_000_000,
+            "origin should be creation time"
+        );
     }
 
     #[test]

@@ -36,7 +36,10 @@ impl fmt::Display for HeartbeatError {
                 write!(f, "application `{name}` is already registered")
             }
             HeartbeatError::HistoryTruncated(avail) => {
-                write!(f, "requested more history than retained ({avail} available)")
+                write!(
+                    f,
+                    "requested more history than retained ({avail} available)"
+                )
             }
             HeartbeatError::Backend(msg) => write!(f, "backend error: {msg}"),
             HeartbeatError::Io(err) => write!(f, "I/O error: {err}"),

@@ -129,7 +129,11 @@ pub extern "C" fn HB_heartbeat(handle: c_longlong, tag: c_longlong, local: c_int
 /// window), or a negative value if the handle is invalid or fewer than two
 /// beats exist.
 #[no_mangle]
-pub extern "C" fn HB_current_rate(handle: c_longlong, window: c_longlong, local: c_int) -> c_double {
+pub extern "C" fn HB_current_rate(
+    handle: c_longlong,
+    window: c_longlong,
+    local: c_int,
+) -> c_double {
     with_handle(handle, |hb| {
         let window = window.max(0) as usize;
         let rate = if local != 0 {

@@ -542,7 +542,10 @@ mod tests {
         }
         let default_rate = hb.current_rate(0).unwrap();
         let wide_rate = hb.current_rate(14).unwrap();
-        assert!(default_rate > 50.0, "default (4-beat) window sees the fast tail");
+        assert!(
+            default_rate > 50.0,
+            "default (4-beat) window sees the fast tail"
+        );
         assert!(wide_rate < default_rate);
     }
 
@@ -661,7 +664,10 @@ mod tests {
         assert_eq!(beats[0].scope, BeatScope::Global);
         assert_eq!(beats[0].record.tag, Tag::new(9));
         assert_eq!(beats[1].scope, BeatScope::Local);
-        assert_eq!(probe.target_changes(), vec![("test-app".to_string(), 5.0, 6.0)]);
+        assert_eq!(
+            probe.target_changes(),
+            vec![("test-app".to_string(), 5.0, 6.0)]
+        );
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub use clock::{Clock, ManualClock, MonotonicClock, SharedClock};
 pub use error::{HeartbeatError, Result};
 pub use heartbeat::{current_thread_id, BufferKind, Heartbeat};
 pub use observe::{
-    Interest, Observe, ObserveError, ObserveEvent, ObserveEventKind, ObserveFilter,
-    ObserveStream, ObservedBeat, ObservedHealth, ObservedSnapshot,
+    Interest, Observe, ObserveError, ObserveEvent, ObserveEventKind, ObserveFilter, ObserveStream,
+    ObservedBeat, ObservedHealth, ObservedSnapshot,
 };
 pub use reader::{HealthStatus, HeartbeatReader};
 pub use record::{BeatThreadId, HeartbeatRecord, Tag};

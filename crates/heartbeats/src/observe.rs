@@ -648,8 +648,8 @@ mod tests {
             total: Arc::clone(&total),
             rate: 1.0,
         };
-        let filter = ObserveFilter::new(Interest::SNAPSHOTS)
-            .min_interval(Duration::from_secs(3600));
+        let filter =
+            ObserveFilter::new(Interest::SNAPSHOTS).min_interval(Duration::from_secs(3600));
         let mut stream = source.subscribe(&filter).unwrap();
         // First poll emits (fresh progress, no prior emission)...
         total.store(2, Ordering::Relaxed);

@@ -198,7 +198,11 @@ mod tests {
         };
         let result = run_scheduled_step(parsec::streamcluster_fig6(), &mut machine, &config);
         // The scheduler needs about five cores for this target.
-        assert!((4..=6).contains(&result.final_cores), "final {}", result.final_cores);
+        assert!(
+            (4..=6).contains(&result.final_cores),
+            "final {}",
+            result.final_cores
+        );
         // The rate first enters the target window within ~25 beats.
         let rate = result.series.get("heart_rate").unwrap();
         let first_in_target = rate

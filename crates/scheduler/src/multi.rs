@@ -96,11 +96,12 @@ impl MultiAppScheduler {
             let observation = app.monitor.observe_now();
             let current = app.desired as f64;
             let desired = match (observation.rate_bps, observation.target) {
-                (Some(rate), Some(target)) => app
-                    .controller
-                    .desired_level(rate, target, current)
-                    .round()
-                    .clamp(1.0, self.ledger.total() as f64) as usize,
+                (Some(rate), Some(target)) => {
+                    app.controller
+                        .desired_level(rate, target, current)
+                        .round()
+                        .clamp(1.0, self.ledger.total() as f64) as usize
+                }
                 _ => app.desired,
             };
             app.desired = desired;

@@ -41,7 +41,12 @@ impl ExternalScheduler<StepController> {
     /// Creates the paper's scheduler: starts the application on one core,
     /// samples the heart rate every `check_every` beats over `window` beats,
     /// and moves one core at a time.
-    pub fn paper_defaults(reader: HeartbeatReader, max_cores: usize, window: usize, check_every: u64) -> Self {
+    pub fn paper_defaults(
+        reader: HeartbeatReader,
+        max_cores: usize,
+        window: usize,
+        check_every: u64,
+    ) -> Self {
         Self::with_controller(
             reader,
             max_cores,
@@ -172,7 +177,10 @@ mod tests {
         let (cores, rate) = run_plant(5.0, (30.0, 35.0), 300, |reader| {
             ExternalScheduler::paper_defaults(reader, 8, 10, 5)
         });
-        assert!((30.0..=35.0).contains(&rate), "rate {rate} with {cores} cores");
+        assert!(
+            (30.0..=35.0).contains(&rate),
+            "rate {rate} with {cores} cores"
+        );
     }
 
     #[test]
@@ -201,7 +209,10 @@ mod tests {
         }
         assert_eq!(scheduler.cores(), 1);
         assert_eq!(scheduler.changes(), 0);
-        assert!(!scheduler.events().is_empty(), "observations are still taken");
+        assert!(
+            !scheduler.events().is_empty(),
+            "observations are still taken"
+        );
     }
 
     #[test]

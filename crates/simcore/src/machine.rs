@@ -95,7 +95,10 @@ impl FailurePlan {
     /// Events must be in increasing beat order.
     pub fn at_beats(events: Vec<(u64, usize)>) -> Self {
         for pair in events.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "failure events must be ordered by beat");
+            assert!(
+                pair[0].0 < pair[1].0,
+                "failure events must be ordered by beat"
+            );
         }
         FailurePlan { events, next: 0 }
     }
@@ -313,7 +316,11 @@ mod tests {
         let mut ledger = CoreLedger::new(8);
         assert_eq!(ledger.total(), 8);
         assert_eq!(ledger.set_allocation("x264", 5), 5);
-        assert_eq!(ledger.set_allocation("dedup", 5), 3, "clamped to free cores");
+        assert_eq!(
+            ledger.set_allocation("dedup", 5),
+            3,
+            "clamped to free cores"
+        );
         assert_eq!(ledger.free(), 0);
         assert_eq!(ledger.allocated("x264"), 5);
         assert_eq!(ledger.allocated("unknown"), 0);

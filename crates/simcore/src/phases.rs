@@ -123,7 +123,14 @@ mod tests {
     fn phases_accessor_exposes_bounds() {
         let schedule = PhaseSchedule::from_breakpoints(&[(0, 2.0), (10, 3.0)]);
         let phases = schedule.phases();
-        assert_eq!(phases[0], Phase { start: 0, end: 10, work_multiplier: 2.0 });
+        assert_eq!(
+            phases[0],
+            Phase {
+                start: 0,
+                end: 10,
+                work_multiplier: 2.0
+            }
+        );
         assert_eq!(phases[1].end, u64::MAX);
     }
 

@@ -280,7 +280,10 @@ mod tests {
             });
         }
         pool.wait_idle();
-        assert!(peak.load(Ordering::SeqCst) > 2, "full pool should exceed 2-way concurrency");
+        assert!(
+            peak.load(Ordering::SeqCst) > 2,
+            "full pool should exceed 2-way concurrency"
+        );
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl Series {
     /// y value at the largest x not exceeding `x`, if any.
     pub fn value_at(&self, x: f64) -> Option<f64> {
         self.points
-            .iter().rfind(|&&(px, _)| px <= x)
+            .iter()
+            .rfind(|&&(px, _)| px <= x)
             .map(|&(_, y)| y)
     }
 
@@ -301,7 +302,11 @@ mod tests {
             "Every 25000 options".into(),
             "561.03".into(),
         ]);
-        table.add_row(vec!["bodytrack".into(), "Every frame".into(), "4.31".into()]);
+        table.add_row(vec![
+            "bodytrack".into(),
+            "Every frame".into(),
+            "4.31".into(),
+        ]);
         assert_eq!(table.len(), 2);
         let csv = table.to_csv();
         assert!(csv.starts_with("Benchmark,Heartbeat Location,Average Heart Rate\n"));

@@ -169,7 +169,10 @@ mod tests {
         let model = Linear::new(0.5);
         assert!((model.speedup(1) - 1.0).abs() < 1e-12);
         assert!((model.speedup(5) - 3.0).abs() < 1e-12);
-        assert!(Linear::new(2.0).speedup(2) <= 2.0, "efficiency clamped to 1");
+        assert!(
+            Linear::new(2.0).speedup(2) <= 2.0,
+            "efficiency clamped to 1"
+        );
     }
 
     #[test]

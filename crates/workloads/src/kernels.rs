@@ -63,7 +63,9 @@ pub fn canneal_moves(moves: usize, seed: u64) -> f64 {
     let mut state = seed | 1;
     let mut cost = 1_000.0;
     for _ in 0..moves {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let delta = ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
         // Accept improving moves, and worsening ones with a fixed temperature.
         if delta < 0.0 || delta < 0.3 {
@@ -80,7 +82,9 @@ pub fn dedup_chunk(buffer_len: usize, seed: u64) -> f64 {
     let mut rolling: u64 = 0;
     let mut boundaries = 0u64;
     for _ in 0..buffer_len {
-        state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        state = state
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
         let byte = (state >> 56) as u8;
         rolling = rolling.rotate_left(1) ^ u64::from(byte);
         if rolling & 0xFFF == 0 {
@@ -252,7 +256,10 @@ mod tests {
     #[test]
     fn dedup_chunk_finds_boundaries() {
         let boundaries = dedup_chunk(200_000, 42);
-        assert!(boundaries > 0.0, "a 200 kB buffer should contain boundaries");
+        assert!(
+            boundaries > 0.0,
+            "a 200 kB buffer should contain boundaries"
+        );
         assert_eq!(dedup_chunk(50_000, 1), dedup_chunk(50_000, 1));
     }
 

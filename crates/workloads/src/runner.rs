@@ -283,8 +283,7 @@ mod tests {
 
     #[test]
     fn overhead_measurement_returns_three_timings() {
-        let (base, coarse, fine) =
-            measure_overhead(Kernel::Blackscholes, 200, 20, 100, 1);
+        let (base, coarse, fine) = measure_overhead(Kernel::Blackscholes, 200, 20, 100, 1);
         assert!(base > 0.0 && coarse > 0.0 && fine > 0.0);
         assert!(base.is_finite() && coarse.is_finite() && fine.is_finite());
         // The three runs differ in how often they beat, which is exact;

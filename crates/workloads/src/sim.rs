@@ -68,7 +68,12 @@ impl SimWorkload {
 
     /// Creates a workload registered in `registry` so external observers can
     /// discover it by name.
-    pub fn registered(spec: WorkloadSpec, machine: &Machine, registry: &Registry, window: usize) -> Self {
+    pub fn registered(
+        spec: WorkloadSpec,
+        machine: &Machine,
+        registry: &Registry,
+        window: usize,
+    ) -> Self {
         let clock = machine.clock();
         let heartbeat = HeartbeatBuilder::new(spec.name.clone())
             .window(window)
@@ -287,12 +292,8 @@ mod tests {
     fn registered_workload_is_discoverable() {
         let machine = Machine::paper_testbed();
         let registry = Registry::new();
-        let mut workload = SimWorkload::registered(
-            simple_spec(0.0).with_items(10),
-            &machine,
-            &registry,
-            20,
-        );
+        let mut workload =
+            SimWorkload::registered(simple_spec(0.0).with_items(10), &machine, &registry, 20);
         let reader = registry.attach("sim-test").unwrap();
         workload.run_to_completion(8);
         assert_eq!(reader.total_beats(), 10);

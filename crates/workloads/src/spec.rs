@@ -135,7 +135,12 @@ impl WorkloadSpec {
     /// Smallest core count whose noise-free steady-state rate reaches
     /// `target_bps` at phase multiplier `multiplier`, if any core count up to
     /// `max_cores` suffices.
-    pub fn cores_needed_for(&self, target_bps: f64, multiplier: f64, max_cores: usize) -> Option<usize> {
+    pub fn cores_needed_for(
+        &self,
+        target_bps: f64,
+        multiplier: f64,
+        max_cores: usize,
+    ) -> Option<usize> {
         (1..=max_cores).find(|&cores| self.expected_rate(cores, multiplier) >= target_bps)
     }
 }

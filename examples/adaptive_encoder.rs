@@ -13,8 +13,15 @@ fn main() {
     let trace = VideoTrace::demanding_uniform(640, 42);
     let mut encoder = AdaptiveEncoder::paper_configuration(trace, &machine);
 
-    println!("encoding {} frames; goal: >= {} frames/s\n", 640, encoder.target_min_bps());
-    println!("{:>6}  {:>10}  {:>8}  config", "frame", "rate (f/s)", "ladder");
+    println!(
+        "encoding {} frames; goal: >= {} frames/s\n",
+        640,
+        encoder.target_min_bps()
+    );
+    println!(
+        "{:>6}  {:>10}  {:>8}  config",
+        "frame", "rate (f/s)", "ladder"
+    );
 
     let mut moving = MovingRate::new(40);
     while let Some(_frame) = encoder.encode_next(8) {

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --example fault_tolerance`
 
-use app_heartbeats::encoder::{AdaptiveEncoder, EncoderConfig, EncoderModel, HbEncoder, VideoTrace};
+use app_heartbeats::encoder::{
+    AdaptiveEncoder, EncoderConfig, EncoderModel, HbEncoder, VideoTrace,
+};
 use app_heartbeats::heartbeats::MovingRate;
 use app_heartbeats::scheduler::FaultInjector;
 use app_heartbeats::sim::Machine;
@@ -33,7 +35,8 @@ fn run_unmodified(trace: VideoTrace) -> Vec<(u64, f64)> {
 fn run_adaptive(trace: VideoTrace) -> Vec<(u64, f64)> {
     let mut machine = Machine::paper_testbed();
     let mut injector = FaultInjector::paper_figure8();
-    let mut encoder = AdaptiveEncoder::new(trace, EncoderModel::figure8(), &machine.clone(), 40, 30.0);
+    let mut encoder =
+        AdaptiveEncoder::new(trace, EncoderModel::figure8(), &machine.clone(), 40, 30.0);
     let mut moving = MovingRate::new(20);
     let mut samples = Vec::new();
     while !encoder.is_done() {

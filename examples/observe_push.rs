@@ -11,9 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use app_heartbeats::heartbeats::observe::{
-    Interest, Observe, ObserveEventKind, ObserveFilter,
-};
+use app_heartbeats::heartbeats::observe::{Interest, Observe, ObserveEventKind, ObserveFilter};
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
 use app_heartbeats::net::{Collector, RemoteReader, TcpBackend};
 

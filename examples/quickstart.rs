@@ -51,7 +51,10 @@ fn main() {
     // application: rate, history, goals and liveness.
     println!("\n-- external observer --");
     println!("total beats:        {}", observer.total_beats());
-    println!("lifetime average:   {:.1} beats/s", observer.global_average_rate().unwrap());
+    println!(
+        "lifetime average:   {:.1} beats/s",
+        observer.global_average_rate().unwrap()
+    );
     println!(
         "declared goal:      {:?} beats/s",
         observer.target().expect("goal was declared")

@@ -110,7 +110,10 @@ fn main() {
         if let Some(obs) = monitor.poll() {
             if let (Some(rate), Some(target)) = (obs.rate_bps, obs.target) {
                 let level = services[0].workers.load(Ordering::Relaxed) as f64;
-                let desired = controller.desired_level(rate, target, level).round().max(1.0);
+                let desired = controller
+                    .desired_level(rate, target, level)
+                    .round()
+                    .max(1.0);
                 if (desired - level).abs() >= 1.0 {
                     services[0].workers.store(desired as u64, Ordering::Relaxed);
                 }

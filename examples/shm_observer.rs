@@ -22,7 +22,9 @@ fn main() {
         .backend(Arc::new(
             ShmBackend::create(&shm_name, 4096, 20).expect("shared memory available"),
         ))
-        .backend(Arc::new(FileBackend::create(&log_path).expect("log file writable")))
+        .backend(Arc::new(
+            FileBackend::create(&log_path).expect("log file writable"),
+        ))
         .build()
         .expect("valid heartbeat configuration");
     hb.set_target_rate(90.0, 110.0).expect("valid target");
@@ -45,7 +47,10 @@ fn main() {
     println!("\n-- file-log observer --");
     println!("total beats:   {}", file.total_beats());
     println!("target:        {:?}", file.target());
-    println!("current rate:  {:.1} beats/s", file.current_rate(20).unwrap());
+    println!(
+        "current rate:  {:.1} beats/s",
+        file.current_rate(20).unwrap()
+    );
 
     // Clean up the named resources created by the example.
     ShmSegment::unlink(&shm_name).ok();

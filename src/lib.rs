@@ -62,12 +62,12 @@ pub use hb_net as net;
 /// Most commonly used items across the workspace.
 pub mod prelude {
     pub use control::{Controller, PiController, RateMonitor, RateSource, StepController};
+    pub use encoder::{AdaptiveEncoder, EncoderConfig, EncoderModel, HbEncoder, VideoTrace};
     pub use hb_net::{Collector, RemoteApp, RemoteReader, Subscription, TcpBackend};
     pub use heartbeats::observe::{
         Interest, Observe, ObserveEvent, ObserveEventKind, ObserveFilter, ObserveStream,
         ObservedHealth, ObservedSnapshot,
     };
-    pub use encoder::{AdaptiveEncoder, EncoderConfig, EncoderModel, HbEncoder, VideoTrace};
     pub use heartbeats::prelude::*;
     pub use heartbeats::HeartbeatBuilder;
     pub use scheduler::{ExternalScheduler, FaultInjector, MultiAppScheduler};

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use app_heartbeats::control::{DiscreteActuator, PiController, RateMonitor, StepController};
 use app_heartbeats::control::{Actuator, ControlLoop, Controller};
+use app_heartbeats::control::{DiscreteActuator, PiController, RateMonitor, StepController};
 use app_heartbeats::heartbeats::{
     BeatScope, HeartbeatBuilder, ManualClock, Registry, Tag, TargetStatus,
 };
@@ -92,7 +92,11 @@ fn local_beats_stay_out_of_global_observers() {
     assert_eq!(hb.total_beats(), 1);
     assert_eq!(hb.total_local_beats(), 1);
     let shm = ShmObserver::attach(&shm_name).unwrap();
-    assert_eq!(shm.total_beats(), 1, "local beats must not be mirrored globally");
+    assert_eq!(
+        shm.total_beats(),
+        1,
+        "local beats must not be mirrored globally"
+    );
     ShmSegment::unlink(&shm_name).unwrap();
 }
 
@@ -143,7 +147,9 @@ fn step_and_pi_controllers_agree_on_steady_state() {
         let mut level = 1.0f64;
         for _ in 0..60 {
             let rate = plant(level);
-            level = controller.desired_level(rate, target, level).clamp(1.0, 8.0);
+            level = controller
+                .desired_level(rate, target, level)
+                .clamp(1.0, 8.0);
         }
         plant(level)
     };
@@ -151,7 +157,10 @@ fn step_and_pi_controllers_agree_on_steady_state() {
     let mut pi = PiController::default_gains();
     let step_rate = run(&mut step);
     let pi_rate = run(&mut pi);
-    assert!((target.0..=target.1).contains(&step_rate), "step: {step_rate}");
+    assert!(
+        (target.0..=target.1).contains(&step_rate),
+        "step: {step_rate}"
+    );
     assert!((target.0..=target.1).contains(&pi_rate), "pi: {pi_rate}");
 }
 

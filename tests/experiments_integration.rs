@@ -5,9 +5,7 @@
 use app_heartbeats::encoder::{
     AdaptiveEncoder, EncoderConfig, EncoderModel, HbEncoder, VideoTrace,
 };
-use app_heartbeats::scheduler::{
-    run_scheduled_step, FaultInjector, ScheduledRunConfig,
-};
+use app_heartbeats::scheduler::{run_scheduled_step, FaultInjector, ScheduledRunConfig};
 use app_heartbeats::sim::{FailurePlan, Machine};
 use app_heartbeats::workloads::{parsec, SimWorkload, PAPER_TESTBED_CORES};
 
@@ -121,7 +119,8 @@ fn fault_injector_and_adaptive_encoder_compose() {
     let mut machine = Machine::paper_testbed();
     let mut injector = FaultInjector::paper_figure8();
     let trace = VideoTrace::demanding_uniform(640, 123);
-    let mut encoder = AdaptiveEncoder::new(trace, EncoderModel::figure8(), &machine.clone(), 40, 30.0);
+    let mut encoder =
+        AdaptiveEncoder::new(trace, EncoderModel::figure8(), &machine.clone(), 40, 30.0);
     while !encoder.is_done() {
         injector.apply(encoder.frames_encoded(), &mut machine);
         encoder.encode_next(machine.working_cores());

@@ -28,9 +28,7 @@ use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::observe::Interest;
 use app_heartbeats::heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
-use app_heartbeats::net::{
-    Collector, CollectorConfig, EventPayload, UpstreamConfig, WireBeat,
-};
+use app_heartbeats::net::{Collector, CollectorConfig, EventPayload, UpstreamConfig, WireBeat};
 use hb_testkit::faultnet::{FaultConfig, FaultProxy};
 
 const SECRET: &str = "chaos-cluster-secret";
@@ -133,9 +131,7 @@ fn chaos_tree_balances_ledgers_and_resumes_events() {
     let root_proxy = FaultProxy::spawn(root.ingest_addr().to_string(), faults(seed, 0x01));
     let mut mid = collector(Some(uplink(root_proxy.addr().to_string(), "mid")));
     let leaf_proxies: Vec<FaultProxy> = (0..2)
-        .map(|i| {
-            FaultProxy::spawn(mid.ingest_addr().to_string(), faults(seed, 0x10 + i as u64))
-        })
+        .map(|i| FaultProxy::spawn(mid.ingest_addr().to_string(), faults(seed, 0x10 + i as u64)))
         .collect();
     let mut leaves: Vec<Collector> = leaf_proxies
         .iter()
@@ -152,7 +148,9 @@ fn chaos_tree_balances_ledgers_and_resumes_events() {
     assert!(
         wait_until(Duration::from_secs(30), || {
             mid.state().subscriptions().active() == 1
-                && leaves.iter().all(|l| l.state().subscriptions().active() == 1)
+                && leaves
+                    .iter()
+                    .all(|l| l.state().subscriptions().active() == 1)
         }),
         "the root subscription never propagated through the faulty tree"
     );
@@ -179,7 +177,8 @@ fn chaos_tree_balances_ledgers_and_resumes_events() {
             for a in 0..APPS_PER_LEAF {
                 let app = format!("app{a}");
                 let sent = produced.entry(format!("mid/{node}/{app}")).or_insert(0);
-                leaf.state().ingest_batch(&app, 0, batch(*sent, BEATS_PER_BATCH));
+                leaf.state()
+                    .ingest_batch(&app, 0, batch(*sent, BEATS_PER_BATCH));
                 *sent += BEATS_PER_BATCH as u64;
             }
         }
@@ -205,7 +204,10 @@ fn chaos_tree_balances_ledgers_and_resumes_events() {
             }
         }
     }
-    assert!(balanced, "root ledger never balanced under chaos (seed {seed:#x})");
+    assert!(
+        balanced,
+        "root ledger never balanced under chaos (seed {seed:#x})"
+    );
 
     // Event plane: exactly-once delivery converges despite the resets.
     let converged = wait_until(Duration::from_secs(120), || {
@@ -271,7 +273,10 @@ fn chaos_tree_balances_ledgers_and_resumes_events() {
         .chain(leaf_proxies.iter())
         .map(|p| p.stats().total_faults())
         .sum();
-    assert!(injected > 0, "the fault schedule never fired (seed {seed:#x})");
+    assert!(
+        injected > 0,
+        "the fault schedule never fired (seed {seed:#x})"
+    );
 
     for leaf in &mut leaves {
         leaf.shutdown();
@@ -316,7 +321,11 @@ fn cycle_is_refused() {
         refused,
         "no loop rejection fired (seed {seed:#x}): a={a_rej:?} b={b_rej:?}"
     );
-    assert_eq!(a_rej.1 + b_rej.1, 0, "a cycle must be refused as loop, not auth");
+    assert_eq!(
+        a_rej.1 + b_rej.1,
+        0,
+        "a cycle must be refused as loop, not auth"
+    );
 
     // The refusal is visible on the metrics surface too.
     let metrics = a.state().prometheus() + &b.state().prometheus();

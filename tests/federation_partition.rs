@@ -58,12 +58,19 @@ impl Proxy {
                     live.push(client.try_clone().expect("clone"));
                     live.push(server.try_clone().expect("clone"));
                 }
-                let (c, s) = (client.try_clone().expect("clone"), server.try_clone().expect("clone"));
+                let (c, s) = (
+                    client.try_clone().expect("clone"),
+                    server.try_clone().expect("clone"),
+                );
                 thread::spawn(move || pipe(client, server));
                 thread::spawn(move || pipe(s, c));
             }
         });
-        Proxy { addr, conns, paused }
+        Proxy {
+            addr,
+            conns,
+            paused,
+        }
     }
 
     fn sever(&self) {
@@ -182,7 +189,10 @@ fn partition_recovery_accounts_loss_exactly() {
     while tap.dropped_beats() == 0 || outage_rounds < 10 {
         feed_round(&mut produced);
         outage_rounds += 1;
-        assert!(outage_rounds < 10_000, "tap never shed despite a dead uplink");
+        assert!(
+            outage_rounds < 10_000,
+            "tap never shed despite a dead uplink"
+        );
         thread::sleep(Duration::from_millis(1));
     }
     let shed_during_outage = tap.dropped_beats();
@@ -224,7 +234,9 @@ fn partition_recovery_accounts_loss_exactly() {
     let mut parent_total = 0u64;
     let mut parent_dropped = 0u64;
     for (app, &sent) in &produced {
-        let snap = parent_state.snapshot(&format!("edge/{app}")).expect("snapshot");
+        let snap = parent_state
+            .snapshot(&format!("edge/{app}"))
+            .expect("snapshot");
         assert_eq!(
             snap.total_beats + snap.producer_dropped,
             sent,
@@ -258,7 +270,10 @@ fn partition_recovery_accounts_loss_exactly() {
     assert_eq!(origins.len(), 1);
     assert_eq!(origins[0].node, "edge");
     assert!(origins[0].connected);
-    assert_eq!(origins[0].relayed_beats, parent_total, "relayed == absorbed");
+    assert_eq!(
+        origins[0].relayed_beats, parent_total,
+        "relayed == absorbed"
+    );
 
     leaf.shutdown();
     parent.shutdown();

@@ -82,12 +82,19 @@ impl Proxy {
                     live.push(client.try_clone().expect("clone"));
                     live.push(server.try_clone().expect("clone"));
                 }
-                let (c, s) = (client.try_clone().expect("clone"), server.try_clone().expect("clone"));
+                let (c, s) = (
+                    client.try_clone().expect("clone"),
+                    server.try_clone().expect("clone"),
+                );
                 thread::spawn(move || pipe(client, server));
                 thread::spawn(move || pipe(s, c));
             }
         });
-        Proxy { addr, conns, paused }
+        Proxy {
+            addr,
+            conns,
+            paused,
+        }
     }
 
     /// Cut every live connection through the proxy.
@@ -250,7 +257,10 @@ fn three_level_tree_exact_accounting_across_reconnect() {
 
     // The outage must have forced the leaf0 relay through at least one
     // reconnect (it was up before round KILL_ROUND, and converges after).
-    let leaf0_stats = leaves[0].state().upstream_stats().expect("leaf0 uplink stats");
+    let leaf0_stats = leaves[0]
+        .state()
+        .upstream_stats()
+        .expect("leaf0 uplink stats");
 
     // Quiesce: every application's ledger at the root must balance exactly
     // — delivered plus accounted-dropped equals produced.
@@ -275,7 +285,10 @@ fn three_level_tree_exact_accounting_across_reconnect() {
                 }
             }
         }
-        panic!("{missing} of {} apps never balanced at the root", produced.len());
+        panic!(
+            "{missing} of {} apps never balanced at the root",
+            produced.len()
+        );
     }
 
     assert!(
@@ -293,7 +306,12 @@ fn three_level_tree_exact_accounting_across_reconnect() {
         .sum();
     let taps_shed: u64 = leaves
         .iter()
-        .map(|leaf| leaf.state().upstream_tap().expect("leaf tap").dropped_beats())
+        .map(|leaf| {
+            leaf.state()
+                .upstream_tap()
+                .expect("leaf tap")
+                .dropped_beats()
+        })
         .sum::<u64>()
         + mid.state().upstream_tap().expect("mid tap").dropped_beats();
     assert_eq!(
@@ -305,13 +323,25 @@ fn three_level_tree_exact_accounting_across_reconnect() {
         .map(|key| root_state.snapshot(key).expect("snapshot").total_beats)
         .sum();
     let sent_total: u64 = produced.values().sum();
-    assert_eq!(root_total + root_dropped, sent_total, "global ledger must balance");
+    assert_eq!(
+        root_total + root_dropped,
+        sent_total,
+        "global ledger must balance"
+    );
 
     // Auth hygiene: every link in the tree carries the shared secret, so
     // the whole soak — including every forced reconnect — must complete
     // without a single uplink rejection of either kind.
-    assert_eq!(root_state.uplink_rejections(), (0, 0), "root rejected an uplink");
-    assert_eq!(mid.state().uplink_rejections(), (0, 0), "mid rejected an uplink");
+    assert_eq!(
+        root_state.uplink_rejections(),
+        (0, 0),
+        "root rejected an uplink"
+    );
+    assert_eq!(
+        mid.state().uplink_rejections(),
+        (0, 0),
+        "mid rejected an uplink"
+    );
 
     // Origin topology: the root sees exactly one connected child ("mid");
     // the mid tier sees all four leaves, all connected after the heal.
@@ -350,7 +380,10 @@ fn three_level_tree_exact_accounting_across_reconnect() {
             })
         })
     });
-    assert!(stalled_ok, "quiet apps must be reported Stalled at the root");
+    assert!(
+        stalled_ok,
+        "quiet apps must be reported Stalled at the root"
+    );
     for key in produced.keys() {
         let report = root_state.health(key).expect("health report");
         assert_ne!(

@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 
 use app_heartbeats::heartbeats::observe::Interest;
 use app_heartbeats::heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
-use app_heartbeats::net::{
-    Collector, CollectorConfig, EventPayload, UpstreamConfig, WireBeat,
-};
+use app_heartbeats::net::{Collector, CollectorConfig, EventPayload, UpstreamConfig, WireBeat};
 
 const APPS_PER_LEAF: usize = 5;
 const ROUNDS: usize = 10;
@@ -123,7 +121,8 @@ fn root_glob_spans_two_leaves_exactly_once() {
             for a in 0..APPS_PER_LEAF {
                 let app = format!("app{a}");
                 let sent = produced.entry(format!("{node}/{app}")).or_insert(0);
-                leaf.state().ingest_batch(&app, 0, batch(*sent, BEATS_PER_BATCH));
+                leaf.state()
+                    .ingest_batch(&app, 0, batch(*sent, BEATS_PER_BATCH));
                 *sent += BEATS_PER_BATCH as u64;
             }
         }
@@ -144,7 +143,10 @@ fn root_glob_spans_two_leaves_exactly_once() {
     // (e.g. a replayed event) would push a count past production.
     thread::sleep(Duration::from_millis(300));
     drain(&mut delivered);
-    assert_eq!(delivered, produced, "late events broke exactly-once delivery");
+    assert_eq!(
+        delivered, produced,
+        "late events broke exactly-once delivery"
+    );
     assert_eq!(sub.dropped(), 0, "the root queue must not have shed events");
 
     // Unsubscribe at the root; the retraction propagates and each child's
@@ -190,7 +192,8 @@ fn node_scoped_pattern_selects_one_leaf() {
     for round in 0..ROUNDS {
         for (leaf, node) in leaves.iter().zip(["leaf-a", "leaf-b"]) {
             let sent = (round * BEATS_PER_BATCH) as u64;
-            leaf.state().ingest_batch("cam", 0, batch(sent, BEATS_PER_BATCH));
+            leaf.state()
+                .ingest_batch("cam", 0, batch(sent, BEATS_PER_BATCH));
             if node == "leaf-a" {
                 produced_a += BEATS_PER_BATCH as u64;
             }

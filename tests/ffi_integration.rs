@@ -4,8 +4,8 @@
 use std::ffi::CString;
 
 use app_heartbeats::heartbeats::ffi::{
-    HB_current_rate, HB_finalize, HB_get_history, HB_get_target_max, HB_get_target_min,
-    HB_heartbeat, HB_initialize, HB_set_target_rate, HB_total_beats, HBRecord,
+    HBRecord, HB_current_rate, HB_finalize, HB_get_history, HB_get_target_max, HB_get_target_min,
+    HB_heartbeat, HB_initialize, HB_set_target_rate, HB_total_beats,
 };
 
 #[test]

@@ -32,7 +32,14 @@ fn wait_for<T>(timeout: Duration, mut probe: impl FnMut() -> Option<T>) -> Optio
 }
 
 /// A collector with a short health window, plus a connected producer.
-fn rig(app: &str, window: Duration) -> (Collector, Arc<TcpBackend>, app_heartbeats::heartbeats::Heartbeat) {
+fn rig(
+    app: &str,
+    window: Duration,
+) -> (
+    Collector,
+    Arc<TcpBackend>,
+    app_heartbeats::heartbeats::Heartbeat,
+) {
     let collector = Collector::with_config(
         "127.0.0.1:0",
         "127.0.0.1:0",
@@ -234,7 +241,9 @@ fn history_and_help_over_the_line_protocol() {
 
     send(&conn, "HELP\n");
     let help = lines_until_end(&mut conn).join("\n");
-    for command in ["PING", "LIST", "GET", "HISTORY", "HEALTH", "METRICS", "STATS", "QUIT"] {
+    for command in [
+        "PING", "LIST", "GET", "HISTORY", "HEALTH", "METRICS", "STATS", "QUIT",
+    ] {
         assert!(help.contains(command), "HELP must document {command}");
     }
 }

@@ -216,7 +216,9 @@ fn metrics_export_larger_than_one_frame_arrives_whole() {
     }
     let expected = state.prometheus();
     assert!(expected.len() > (2 << 20) + (64 << 10) + 28);
-    let large = reader.metrics().expect("an export over the pending-reply cap");
+    let large = reader
+        .metrics()
+        .expect("an export over the pending-reply cap");
     assert_eq!(stable(&large), stable(&expected));
     while sub.try_next().is_some() {}
     wait_for(Duration::from_secs(5), || sub.try_next()).expect("the subscription survived");
@@ -303,7 +305,10 @@ fn multiple_apps_share_one_collector() {
 
     let state = collector.state();
     let names = state.app_names();
-    assert_eq!(names, apps.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    assert_eq!(
+        names,
+        apps.iter().map(|s| s.to_string()).collect::<Vec<_>>()
+    );
     for app in apps {
         let snap = state.snapshot(app).expect("snapshot");
         assert_eq!(snap.total_beats, 50, "{app} delivered every beat");

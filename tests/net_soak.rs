@@ -88,9 +88,7 @@ fn soak_256_producers_16_observers() {
 
     // 256 producers, each its own TCP connection streaming batched beats.
     let backends: Vec<Arc<TcpBackend>> = (0..PRODUCERS)
-        .map(|i| {
-            Arc::new(TcpBackend::new(ingest.clone(), format!("soak-{i}")))
-        })
+        .map(|i| Arc::new(TcpBackend::new(ingest.clone(), format!("soak-{i}"))))
         .collect();
     for (i, backend) in backends.iter().enumerate() {
         for seq in 0..BEATS_PER_PRODUCER {

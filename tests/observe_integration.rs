@@ -171,7 +171,10 @@ fn pushed_health_transitions_drive_observation_without_polling() {
         .expect("known app");
     assert!(snap.total_beats >= 60);
     assert_eq!(state.queries_total(), queries_before + 1);
-    assert!(!stream.is_closed(), "subscription survives interleaved polls");
+    assert!(
+        !stream.is_closed(),
+        "subscription survives interleaved polls"
+    );
     assert_eq!(state.subscriptions().active(), 1);
 }
 
@@ -385,7 +388,10 @@ fn active_subscription_survives_idle_timeout_shorter_than_event_gap() {
 
     // The surviving subscription still works: a producer appears and its
     // first health assessment is pushed on the original connection.
-    let backend = Arc::new(TcpBackend::new(collector.ingest_addr().to_string(), "quiet-app"));
+    let backend = Arc::new(TcpBackend::new(
+        collector.ingest_addr().to_string(),
+        "quiet-app",
+    ));
     let hb = HeartbeatBuilder::new("quiet-app")
         .backend(Arc::clone(&backend) as Arc<dyn Backend>)
         .build()
@@ -510,8 +516,8 @@ fn one_observer_fn_runs_over_local_shm_and_remote_transports() {
 
     // And the local polling subscription synthesizes the same event shapes
     // the remote plane pushes.
-    let filter = ObserveFilter::new(Interest::SNAPSHOTS | Interest::HEALTH)
-        .min_interval(Duration::ZERO);
+    let filter =
+        ObserveFilter::new(Interest::SNAPSHOTS | Interest::HEALTH).min_interval(Duration::ZERO);
     let mut local_stream = hb.reader().subscribe(&filter).expect("local subscribe");
     let event = local_stream
         .wait_next(Duration::from_secs(1))

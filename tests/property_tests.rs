@@ -6,11 +6,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use app_heartbeats::heartbeats::stats;
 use app_heartbeats::heartbeats::{
     window, AtomicRing, BeatThreadId, HeartbeatBuilder, HistoryBuffer, ManualClock, MovingRate,
     MutexRing, Tag, TargetRate, TargetStatus,
 };
-use app_heartbeats::heartbeats::stats;
 use app_heartbeats::sim::{Amdahl, PhaseSchedule, SpeedupModel, SplitMix64};
 
 proptest! {

@@ -48,7 +48,10 @@ fn soak_1024_producers_across_4_shards() {
     for wave in 0..WAVES {
         let backends: Vec<Arc<TcpBackend>> = (0..WAVE_SIZE)
             .map(|i| {
-                Arc::new(TcpBackend::new(ingest.clone(), format!("shard-soak-{}", wave * WAVE_SIZE + i)))
+                Arc::new(TcpBackend::new(
+                    ingest.clone(),
+                    format!("shard-soak-{}", wave * WAVE_SIZE + i),
+                ))
             })
             .collect();
         for (i, backend) in backends.iter().enumerate() {
