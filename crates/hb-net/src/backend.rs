@@ -1,36 +1,37 @@
 //! [`TcpBackend`] — mirrors a heartbeat stream to a remote collector over
 //! TCP without ever blocking the producer's hot path.
 //!
-//! `on_beat` only pushes the record into a bounded queue and asks for a
-//! pump: the connection is a [`Handler`] on the process-wide client
-//! reactor, so a backend holds no thread of its own. When the collector is
-//! slow or down the queue fills and the *oldest* queued beats are shed and
-//! counted — the freshest telemetry is the most valuable, and the producer
-//! never stalls. A short-lived `hb-net-dial` thread connects: the hello,
-//! then the collector's [`Frame::HelloAck`] — a required handshake, not a
+//! `on_beat` only pushes the record into a bounded in-memory queue; a
+//! dedicated flusher thread drains the queue in batches, maintains the
+//! connection (including reconnection with backoff) and ships
+//! [`Frame`]s. When the collector is slow or down the queue fills and the
+//! backend sheds the *oldest* queued beats, counting every loss — the
+//! freshest telemetry is the most valuable, and the producer never stalls.
+//!
+//! On every (re)connect the flusher sends its hello and waits for the
+//! collector's [`Frame::HelloAck`] — a required handshake, not a
 //! negotiation: no ack, any other frame, or an ack advertising less than
-//! [`wire::VERSION`] is a failed connect (beats shed and counted, reason
-//! logged, retried after the backoff like an unreachable collector).
+//! [`wire::VERSION`] is a failed connect (batch shed and counted, reason
+//! logged, retried on the backoff like an unreachable collector).
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::io::{self, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use heartbeats::{Backend, BackendStats, BeatScope, HeartbeatRecord};
 
 use crate::error::{NetError, Result};
 use crate::frame::FrameDecoder;
-use crate::reactor::{self, Handler, OutBuf, PumpCause, PumpHandle};
 use crate::telemetry::Level;
 use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
 
-/// Bounds a connect, then a fresh connection's wait for the hello-ack: no
-/// fallback follows, so expiry has to mean a dead or foreign peer rather
-/// than a busy collector. It also bounds how long a drop blocks.
+/// How long a fresh connection waits for the collector's hello-ack. There
+/// is no fallback behind the wait, so expiry has to mean a dead or foreign
+/// peer rather than a busy collector: the same order as the socket's write
+/// timeout. It also bounds how long dropping a backend mid-handshake blocks.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Most records shipped per [`Frame::Beats`]; far below what one frame
@@ -72,69 +73,24 @@ struct Inner {
     target: Option<(f64, f64)>,
     target_dirty: bool,
     stop: bool,
-    link: Link,
-    dial: Option<JoinHandle<()>>,
-}
-
-/// Where the backend's connection stands.
-#[derive(Debug)]
-enum Link {
-    /// No connection: the next beat or target change dials.
-    Down,
-    /// A dial thread connects, naps or hands its link over: beats queue.
-    Dialing,
-    /// Served by the client reactor, which the handle asks for a pump.
-    Up(PumpHandle),
 }
 
 #[derive(Debug)]
 struct Shared {
-    addr: String,
-    app: String,
-    config: TcpBackendConfig,
     inner: Mutex<Inner>,
+    wake: Condvar,
     dropped: AtomicU64,
     sent: AtomicU64,
-}
-
-impl Shared {
-    fn new(addr: String, app: &str, config: TcpBackendConfig) -> Shared {
-        Shared {
-            addr,
-            app: wire::sanitize_app_name(app),
-            inner: Mutex::new(Inner {
-                queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
-                capacity: config.queue_capacity.max(1),
-                target: None,
-                target_dirty: false,
-                stop: false,
-                link: Link::Down,
-                dial: None,
-            }),
-            config,
-            dropped: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Sheds (and counts) up to `n` of the oldest queued beats.
-    fn shed(&self, inner: &mut Inner, n: usize) {
-        let n = n.min(inner.queue.len());
-        inner.queue.drain(..n);
-        self.dropped.fetch_add(n as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-    }
+    /// True while the flusher holds a connection whose handshake completed.
+    connected: AtomicBool,
 }
 
 /// A [`Backend`] that ships heartbeats to an `hb-collector` over TCP.
 ///
-/// The constructor does not require the collector to be up: the backend
-/// connects when it first has something to send and keeps retrying,
-/// buffering (and eventually shedding) beats in the meantime. All
-/// backpressure is visible through [`Backend::stats`].
+/// The constructor does not require the collector to be up: the flusher
+/// connects lazily and keeps retrying, buffering (and eventually shedding)
+/// beats in the meantime. All backpressure is visible through
+/// [`Backend::stats`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -153,12 +109,14 @@ impl Shared {
 ///     .build()
 ///     .unwrap();
 /// hb.heartbeat();
-/// hb.flush().unwrap(); // best effort: asks a live connection to ship
+/// hb.flush().unwrap(); // best effort: nudges the flusher thread
 /// assert_eq!(hb.total_beats(), 1);
 /// ```
 #[derive(Debug)]
 pub struct TcpBackend {
+    app: String,
     shared: Arc<Shared>,
+    flusher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TcpBackend {
@@ -178,17 +136,42 @@ impl TcpBackend {
         app: impl Into<String>,
         config: TcpBackendConfig,
     ) -> Self {
+        let addr = addr.into();
+        let app = wire::sanitize_app_name(&app.into());
+        let shared = Arc::new(Shared {
+            inner: Mutex::new(Inner {
+                queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
+                capacity: config.queue_capacity.max(1),
+                target: None,
+                target_dirty: false,
+                stop: false,
+            }),
+            wake: Condvar::new(),
+            dropped: AtomicU64::new(0),
+            sent: AtomicU64::new(0),
+            connected: AtomicBool::new(false),
+        });
+        let flusher = {
+            let shared = Arc::clone(&shared);
+            let app = app.clone();
+            std::thread::Builder::new()
+                .name(format!("hb-net-flusher-{app}"))
+                .spawn(move || flusher_loop(&shared, &addr, &app, &config))
+                .expect("failed to spawn hb-net flusher thread")
+        };
         TcpBackend {
-            shared: Arc::new(Shared::new(addr.into(), &app.into(), config)),
+            app,
+            shared,
+            flusher: Some(flusher),
         }
     }
 
     /// The application name announced to the collector.
     pub fn app(&self) -> &str {
-        &self.shared.app
+        &self.app
     }
 
-    /// Beats handed to the connection so far.
+    /// Beats successfully handed to the TCP stream so far.
     pub fn sent(&self) -> u64 {
         self.shared.sent.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
@@ -198,76 +181,69 @@ impl TcpBackend {
         self.shared.dropped.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
-    /// Whether a connection whose handshake completed is being served.
+    /// Whether the flusher currently holds a live connection.
     pub fn is_connected(&self) -> bool {
-        matches!(self.shared.lock().link, Link::Up(_))
+        self.shared.connected.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
-    /// [`is_connected`](Self::is_connected): only an acknowledged hello connects.
+    /// Whether the handshake completed on the live connection — the same
+    /// condition as [`is_connected`](Self::is_connected) now that there is
+    /// one wire version and a connection exists only once the collector
+    /// acknowledged it.
     pub fn negotiated_compact(&self) -> bool {
         self.is_connected()
     }
 
     /// Beats currently waiting in the queue.
     pub fn queue_len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// A live link is asked for a pump, a dead one dials; a dial thread that
-    /// cannot be spawned is a failed dial, shedding the queue.
-    fn kick(&self, mut inner: MutexGuard<'_, Inner>) {
-        match inner.link {
-            Link::Up(ref pump) => pump.request(),
-            Link::Dialing => {}
-            Link::Down => {
-                let shared = Arc::clone(&self.shared);
-                let thread =
-                    std::thread::Builder::new().name(format!("hb-net-dial-{}", shared.app));
-                match thread.spawn(move || dial(&shared)) {
-                    Ok(thread) => (inner.link, inner.dial) = (Link::Dialing, Some(thread)),
-                    Err(_) => self.shared.shed(&mut inner, usize::MAX),
-                }
-            }
-        }
+        self.shared
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queue
+            .len()
     }
 }
 
 impl Backend for TcpBackend {
     fn on_beat(&self, _app: &str, record: &HeartbeatRecord, scope: BeatScope) {
-        let mut inner = self.shared.lock();
+        let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.queue.len() >= inner.capacity {
             // Drop-oldest: fresh telemetry is worth more than stale.
-            self.shared.shed(&mut inner, 1);
+            inner.queue.pop_front();
+            self.shared.dropped.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         }
         inner.queue.push_back(WireBeat {
             record: *record,
             scope,
         });
-        self.kick(inner);
+        drop(inner);
+        self.shared.wake.notify_one();
     }
 
     fn on_target_change(&self, _app: &str, min_bps: f64, max_bps: f64) {
-        let mut inner = self.shared.lock();
+        let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.target = Some((min_bps, max_bps));
         inner.target_dirty = true;
-        self.kick(inner);
+        drop(inner);
+        self.shared.wake.notify_one();
     }
 
     fn flush(&self) -> heartbeats::Result<()> {
-        // Best effort: a live link gets a moment to drain, a dead one none.
+        // Best effort: give the flusher a moment to drain, but never block
+        // the caller on a dead collector.
         let deadline = Instant::now() + Duration::from_secs(1);
-        while Instant::now() < deadline {
-            match &*self.shared.lock() {
-                inner if inner.queue.is_empty() && !inner.target_dirty => break,
-                Inner {
-                    link: Link::Up(pump),
-                    ..
-                } => pump.request(),
-                _ => break,
+        loop {
+            let drained = {
+                let inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+                inner.queue.is_empty() && !inner.target_dirty
+            };
+            if drained || !self.is_connected() || Instant::now() >= deadline {
+                return Ok(());
             }
+            self.shared.wake.notify_one();
             std::thread::sleep(Duration::from_millis(1));
         }
-        Ok(())
     }
 
     fn stats(&self) -> BackendStats {
@@ -279,67 +255,147 @@ impl Backend for TcpBackend {
 }
 
 impl Drop for TcpBackend {
-    /// A live link ships the queue and says goodbye; without one the queue
-    /// is counted as dropped. Nothing waits on the kernel: a dial ends
-    /// within its connect and handshake bounds, and a link gets at most the
-    /// same 2 s for its last ship.
     fn drop(&mut self) {
-        self.shared.lock().stop = true;
-        let dial = self.shared.lock().dial.take();
-        if let Some(dial) = dial {
-            dial.thread().unpark(); // ends a backoff nap early
-            let _ = dial.join();
+        {
+            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.stop = true;
         }
-        if let Link::Up(pump) = &self.shared.lock().link {
-            pump.request();
+        self.shared.wake.notify_all();
+        if let Some(handle) = self.flusher.take() {
+            let _ = handle.join();
         }
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        while !matches!(self.shared.lock().link, Link::Down) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.shared.shed(&mut self.shared.lock(), usize::MAX);
     }
 }
 
-/// The `hb-net-dial` thread. A failed attempt sheds the beats it was made
-/// for and naps until a backoff after its start; beats queued meanwhile
-/// get the next attempt.
-fn dial(shared: &Arc<Shared>) {
+enum Work {
+    /// Drained work to ship.
+    Batch {
+        beats: Vec<WireBeat>,
+        target: Option<(f64, f64)>,
+    },
+    /// Stop requested and nothing left to ship.
+    Shutdown,
+}
+
+fn collect_work(shared: &Shared) -> Work {
+    let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
     loop {
-        let started = Instant::now();
-        let batch = shared.lock().queue.len();
-        if let Some(stream) = try_connect(&shared.addr, &shared.app, &shared.config) {
-            let handler = ShipHandler {
-                shared: Arc::clone(shared),
-                encoder: BatchEncoder::new(),
+        if !inner.queue.is_empty() || inner.target_dirty {
+            let n = inner.queue.len().min(BATCH_MAX);
+            let beats: Vec<WireBeat> = inner.queue.drain(..n).collect();
+            let target = if inner.target_dirty {
+                inner.target_dirty = false;
+                inner.target
+            } else {
+                None
             };
-            match reactor::install_on_client_reactor(stream, Box::new(handler)) {
-                Ok(()) => return,
-                Err(err) => crate::log!(Level::Warn, "no client reactor: {err}"),
+            return Work::Batch { beats, target };
+        }
+        if inner.stop {
+            return Work::Shutdown;
+        }
+        // Every transition out of "empty queue, no dirty target, not
+        // stopping" signals `wake` (`on_beat`, `on_target_change`,
+        // `flush`, drop), so an idle flusher parks indefinitely instead of
+        // spinning on a timed re-check — with hundreds of mostly-idle
+        // producers on one host, periodic wakeups alone were measurable
+        // scheduler load.
+        inner = shared.wake.wait(inner).unwrap_or_else(|e| e.into_inner());
+    }
+}
+
+fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfig) {
+    let mut connection: Option<TcpStream> = None;
+    let mut last_attempt: Option<Instant> = None;
+    let mut encoder = BatchEncoder::new();
+    loop {
+        let work = collect_work(shared);
+        let (beats, target) = match work {
+            Work::Batch { beats, target } => (beats, target),
+            Work::Shutdown => break,
+        };
+
+        // (Re)establish the connection, rate-limited by the backoff.
+        if connection.is_none() {
+            let due = last_attempt
+                .map(|t| t.elapsed() >= config.reconnect_backoff)
+                .unwrap_or(true);
+            if due {
+                last_attempt = Some(Instant::now());
+                connection = try_connect(addr, app, config);
+                if connection.is_some() {
+                    // Re-announce the goal after every (re)connect.
+                    let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+                    if inner.target.is_some() {
+                        inner.target_dirty = true;
+                    }
+                }
+                shared
+                    .connected
+                    .store(connection.is_some(), Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
             }
         }
-        shared.shed(&mut shared.lock(), batch);
-        let retry_at = started + shared.config.reconnect_backoff;
-        while Instant::now() < retry_at && !shared.lock().stop {
-            std::thread::park_timeout(retry_at.saturating_duration_since(Instant::now()));
-        }
-        let mut inner = shared.lock();
-        if inner.stop || inner.queue.is_empty() {
-            inner.link = Link::Down;
-            return;
+
+        let Some(stream) = connection.as_ref() else {
+            // Collector unreachable (or it refused the handshake): shed this
+            // batch (counted) and let the target stay pending for the next
+            // successful connect.
+            shared
+                .dropped
+                .fetch_add(beats.len() as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+            let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(t) = target {
+                inner.target = Some(t);
+                inner.target_dirty = true;
+            }
+            if inner.stop {
+                // The queue's remainder is accounted below; retrying per
+                // batch could cost one handshake wait each.
+                break;
+            }
+            // Avoid a hot spin while down: nap one backoff.
+            let _ = shared
+                .wake
+                .wait_timeout(inner, config.reconnect_backoff)
+                .unwrap_or_else(|e| e.into_inner());
+            continue;
+        };
+
+        let sent_len = beats.len() as u64;
+        match ship(stream, &mut encoder, &beats, target, shared) {
+            Ok(()) => {
+                shared.sent.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+            }
+            Err(_) => {
+                // The batch is lost with the connection; count it and retry
+                // the link on the next pass.
+                shared.dropped.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+                connection = None;
+                shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
+            }
         }
     }
+    // Orderly goodbye if we still hold a link.
+    if let Some(mut stream) = connection.as_ref() {
+        let _ = stream.write_all(&Frame::Bye.encode());
+    }
+    // Anything left in the queue at shutdown is lost; account for it.
+    let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+    let remaining = inner.queue.len() as u64;
+    if remaining > 0 {
+        inner.queue.clear();
+        shared.dropped.fetch_add(remaining, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+    }
+    shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
 }
 
-/// Connects, sends the hello and completes the handshake; a peer that
-/// accepts but fails it is logged, as it looks alive to all but this check.
+/// Connects, sends the hello and completes the handshake. A peer that
+/// accepts but fails the handshake is logged: unlike a refused connection
+/// it looks alive to everything but this check.
 fn try_connect(addr: &str, app: &str, config: &TcpBackendConfig) -> Option<TcpStream> {
-    let stream = addr
-        .to_socket_addrs()
-        .ok()?
-        .find_map(|sock| TcpStream::connect_timeout(&sock, HANDSHAKE_TIMEOUT).ok())?;
+    let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok();
-    stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
+    stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
     let hello = Frame::Hello(Hello {
         app: app.to_string(),
         pid: std::process::id(),
@@ -348,8 +404,7 @@ fn try_connect(addr: &str, app: &str, config: &TcpBackendConfig) -> Option<TcpSt
     let handshake = (&stream)
         .write_all(&hello.encode())
         .map_err(NetError::from)
-        .and_then(|()| await_hello_ack(&stream))
-        .and_then(|()| stream.set_nonblocking(true).map_err(NetError::from));
+        .and_then(|()| await_hello_ack(&stream));
     match handshake {
         Ok(()) => Some(stream),
         Err(err) => {
@@ -377,77 +432,28 @@ fn await_hello_ack(stream: &TcpStream) -> Result<()> {
     }
 }
 
-/// A backend's link on the client reactor. Each pump ships one frame (the
-/// encoder reuses its buffer) and asks again while beats remain, so other
-/// connections and pending reads are served between two such frames.
-struct ShipHandler {
-    shared: Arc<Shared>,
-    encoder: BatchEncoder,
-}
-
-impl ShipHandler {
-    /// Appends the unsent target, if any, and one beats frame of up to
-    /// [`BATCH_MAX`] of the oldest queued beats; asks for another pump
-    /// while beats remain, and returns whether they do.
-    fn ship_frame(&mut self, out: &mut OutBuf) -> bool {
-        let mut inner = self.shared.lock();
-        if let (true, Some((min_bps, max_bps))) = (inner.target_dirty, inner.target) {
-            Frame::Target { min_bps, max_bps }.encode_into(out.vec_mut());
+/// Ships one drained flush: an optional target frame plus the beats,
+/// coalesced into a single beats frame by the streaming [`BatchEncoder`].
+fn ship(
+    mut stream: &TcpStream,
+    encoder: &mut BatchEncoder,
+    beats: &[WireBeat],
+    target: Option<(f64, f64)>,
+    shared: &Shared,
+) -> io::Result<()> {
+    if let Some((min_bps, max_bps)) = target {
+        stream.write_all(&Frame::Target { min_bps, max_bps }.encode())?;
+    }
+    if !beats.is_empty() {
+        let dropped_total = shared.dropped.load(Ordering::Relaxed); // ordering: drop total piggybacks on the batch frame; cross-thread exactness is not required
+        encoder.begin_compact(dropped_total);
+        for beat in beats {
+            let pushed = encoder.push(beat);
+            debug_assert!(pushed, "BATCH_MAX records always fit one frame");
         }
-        inner.target_dirty = false;
-        let n = inner.queue.len().min(BATCH_MAX);
-        if n > 0 {
-            let dropped_total = self.shared.dropped.load(Ordering::Relaxed); // ordering: drop total piggybacks on the batch frame; cross-thread exactness is not required
-            self.encoder.begin_compact(dropped_total);
-            for beat in inner.queue.drain(..n) {
-                let pushed = self.encoder.push(&beat);
-                debug_assert!(pushed, "BATCH_MAX records always fit one frame");
-            }
-            self.shared.sent.fetch_add(n as u64, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-            out.extend_from_slice(self.encoder.finish());
-        }
-        let more = !inner.queue.is_empty();
-        if let (true, Link::Up(pump)) = (more, &inner.link) {
-            pump.request();
-        }
-        more
+        stream.write_all(encoder.finish())?;
     }
-}
-
-impl Handler for ShipHandler {
-    fn on_install(&mut self, pump: PumpHandle) {
-        pump.request(); // for what queued while dialing
-        let mut inner = self.shared.lock();
-        inner.target_dirty |= inner.target.is_some(); // each link re-announces it
-        inner.link = Link::Up(pump);
-    }
-
-    fn on_data(&mut self, input: &[u8], _out: &mut OutBuf) -> bool {
-        input.is_empty() // a collector writes nothing after the hello-ack
-    }
-
-    fn on_pump(&mut self, out: &mut OutBuf, pending_out: usize, _cause: PumpCause) -> bool {
-        if self.shared.lock().stop {
-            // Dropped, so nothing more is queued: ship it all, say goodbye.
-            while self.ship_frame(out) {}
-            Frame::Bye.encode_into(out.vec_mut());
-            return false;
-        }
-        // None while the last frame is unwritten: a slow collector's
-        // backlog stays in the queue, where overflow is shed and counted.
-        if pending_out == 0 {
-            self.ship_frame(out);
-        }
-        true
-    }
-
-    fn keep_alive(&self) -> bool {
-        true // a producer may fall silent for as long as it likes
-    }
-
-    fn on_close(&mut self) {
-        self.shared.lock().link = Link::Down; // the queue waits for the next link
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -538,145 +544,5 @@ mod tests {
         let start = Instant::now();
         backend.flush().unwrap();
         assert!(start.elapsed() < Duration::from_millis(500));
-    }
-
-    // The shipping handler, driven by hand: no reactor, no socket, no dial.
-
-    /// A backend's state with nothing queued, and no backend to dial for it.
-    fn shared() -> Arc<Shared> {
-        Arc::new(Shared::new(
-            "127.0.0.1:1".into(),
-            "ship",
-            TcpBackendConfig::default(),
-        ))
-    }
-
-    /// A fresh link over `shared`, installed with a detached pump.
-    fn installed(shared: &Arc<Shared>) -> (ShipHandler, PumpHandle) {
-        let mut handler = ShipHandler {
-            shared: Arc::clone(shared),
-            encoder: BatchEncoder::new(),
-        };
-        let pump = PumpHandle::detached();
-        handler.on_install(pump.clone());
-        assert!(pump.take_request(), "the install asks for a pump");
-        assert!(matches!(shared.lock().link, Link::Up(_)));
-        (handler, pump)
-    }
-
-    fn queue(shared: &Shared, seqs: std::ops::Range<u64>) {
-        shared.lock().queue.extend(seqs.map(|seq| WireBeat {
-            record: record(seq),
-            scope: BeatScope::Global,
-        }));
-    }
-
-    /// The frames one pump appended.
-    fn pump_once(handler: &mut ShipHandler, pending_out: usize) -> (bool, Vec<Frame>) {
-        let mut out = OutBuf::new();
-        let open = handler.on_pump(&mut out, pending_out, PumpCause::Wake);
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&out.iter_slices().collect::<Vec<_>>().concat());
-        let frames = std::iter::from_fn(|| decoder.next_frame().unwrap()).collect();
-        (open, frames)
-    }
-
-    /// The sequence numbers of a beats frame.
-    fn seqs(frame: &Frame) -> Vec<u64> {
-        match frame {
-            Frame::Beats(batch) => batch.beats.iter().map(|b| b.record.seq).collect(),
-            other => panic!("expected a beats frame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_backlog_leaves_one_frame_per_pump() {
-        let shared = shared();
-        let (mut handler, pump) = installed(&shared);
-        queue(&shared, 0..1_300);
-        for (pass, first, len) in [(0, 0, 512), (1, 512, 512), (2, 1_024, 276)] {
-            let (open, frames) = pump_once(&mut handler, 0);
-            assert!(open);
-            assert_eq!(frames.len(), 1, "pass {pass}");
-            assert_eq!(seqs(&frames[0]), (first..first + len).collect::<Vec<_>>());
-            assert_eq!(pump.take_request(), pass < 2, "pass {pass}: more queued");
-        }
-        assert_eq!(shared.sent.load(Ordering::Relaxed), 1_300);
-        assert!(shared.lock().queue.is_empty());
-    }
-
-    #[test]
-    fn nothing_is_appended_while_the_last_frame_is_unwritten() {
-        let shared = shared();
-        let (mut handler, pump) = installed(&shared);
-        queue(&shared, 0..10);
-        let (open, frames) = pump_once(&mut handler, 1);
-        assert!(open && frames.is_empty());
-        assert!(!pump.take_request(), "a backlog waits, it does not spin");
-        assert_eq!(shared.lock().queue.len(), 10);
-        assert_eq!(shared.sent.load(Ordering::Relaxed), 0);
-        let (_, frames) = pump_once(&mut handler, 0);
-        assert_eq!(seqs(&frames[0]), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn the_target_leads_and_is_announced_again_on_every_link() {
-        let shared = shared();
-        let target = Frame::Target {
-            min_bps: 10.0,
-            max_bps: 20.0,
-        };
-        {
-            let mut inner = shared.lock();
-            inner.target = Some((10.0, 20.0));
-            inner.target_dirty = true;
-        }
-        let (mut handler, _pump) = installed(&shared);
-        queue(&shared, 0..3);
-        let (_, frames) = pump_once(&mut handler, 0);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], target);
-        assert_eq!(seqs(&frames[1]), [0, 1, 2]);
-        queue(&shared, 3..4);
-        let (_, frames) = pump_once(&mut handler, 0);
-        assert_eq!(frames.len(), 1, "a sent target is not repeated");
-
-        // The link drops with a beat queued; it waits for the next link.
-        queue(&shared, 4..5);
-        handler.on_close();
-        assert!(matches!(shared.lock().link, Link::Down));
-        let (mut handler, _pump) = installed(&shared);
-        let (_, frames) = pump_once(&mut handler, 0);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], target);
-        assert_eq!(seqs(&frames[1]), [4]);
-    }
-
-    #[test]
-    fn any_inbound_frame_closes_the_link() {
-        let (mut handler, _pump) = installed(&shared());
-        let mut out = OutBuf::new();
-        assert!(handler.on_data(&[], &mut out), "the install's empty call");
-        let ack = Frame::HelloAck {
-            max_version: wire::VERSION,
-        };
-        assert!(!handler.on_data(&ack.encode(), &mut out));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn a_stop_ships_the_rest_then_says_goodbye() {
-        let shared = shared();
-        let (mut handler, _pump) = installed(&shared);
-        queue(&shared, 0..600);
-        shared.lock().stop = true;
-        // Even behind an unwritten frame: nothing can be queued after it.
-        let (open, frames) = pump_once(&mut handler, 1);
-        assert!(!open);
-        assert_eq!(frames.len(), 3);
-        assert_eq!(seqs(&frames[0]), (0..512).collect::<Vec<_>>());
-        assert_eq!(seqs(&frames[1]), (512..600).collect::<Vec<_>>());
-        assert_eq!(frames[2], Frame::Bye);
-        assert_eq!(shared.sent.load(Ordering::Relaxed), 600);
     }
 }

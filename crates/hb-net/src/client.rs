@@ -22,8 +22,8 @@
 //! the collector write [`Frame::Event`]s at its own pace, interleaved with
 //! query replies on the same socket. The first `subscribe` therefore
 //! upgrades the connection onto the process-wide **client reactor**: one
-//! thread, `hb-net-client`, shared by every subscribed reader and every
-//! [`TcpBackend`](crate::TcpBackend). It decodes every frame exactly once,
+//! [`Reactor`] thread, `hb-net-client`, spawned by the first `subscribe` and
+//! shared by every subscribed reader. It decodes every frame exactly once,
 //! routing events to their [`Subscription`] queues and handing every other
 //! frame, already decoded, to the synchronous query path waiting for it;
 //! it also writes the queries' requests, so no other thread touches the
@@ -46,7 +46,7 @@ use crate::error::{NetError, Result};
 use crate::frame::FrameDecoder;
 use crate::health::{HealthReport, HealthStatus};
 use crate::query::CollectorStats;
-use crate::reactor::{self, Handler, OutBuf, PumpCause, PumpHandle};
+use crate::reactor::{Handler, OutBuf, PumpCause, PumpHandle, Reactor, ReactorConfig};
 use crate::telemetry::{self, HistoSnapshot, LatencyHisto};
 use crate::wire::{self, EventFrame, EventPayload, Frame, HistoryChunk, SubStatus, SubscribeReq};
 
@@ -297,7 +297,6 @@ impl SubShared {
 
 /// A subscribed reader's connection on the client reactor. A corrupt
 /// stream closes it: there is no resynchronization.
-#[derive(Default)]
 struct DemuxHandler {
     decoder: FrameDecoder,
     shared: Arc<DemuxShared>,
@@ -349,13 +348,36 @@ impl Handler for DemuxHandler {
         !link.dead
     }
 
-    fn keep_alive(&self) -> bool {
-        true // subscriptions are legitimately silent between events
-    }
-
     fn on_close(&mut self) {
         self.shared.close_all();
     }
+}
+
+/// Installs a connection on the client reactor, which the first call spawns
+/// for the life of the process. A failed spawn is returned, not kept.
+fn install_on_client_reactor(stream: TcpStream, shared: Arc<DemuxShared>) -> Result<()> {
+    static CLIENT: Mutex<Option<Reactor>> = Mutex::new(None);
+    let mut client = CLIENT.lock().unwrap_or_else(|e| e.into_inner());
+    let reactor = match &mut *client {
+        Some(reactor) => reactor,
+        empty => empty.insert(Reactor::spawn_named(
+            Vec::new(),
+            ReactorConfig {
+                io_threads: 1,
+                idle_timeout: Duration::ZERO,
+                ..ReactorConfig::default()
+            },
+            Arc::new(AtomicU64::new(0)),
+            |_| "hb-net-client".into(),
+        )?),
+    };
+    let handler = DemuxHandler {
+        decoder: FrameDecoder::new(),
+        shared,
+        touched: Vec::new(),
+    };
+    reactor.installer(0)(stream, Box::new(handler));
+    Ok(())
 }
 
 impl RemoteReader {
@@ -458,9 +480,8 @@ impl RemoteReader {
             )));
         }
         stream.set_nonblocking(true)?;
-        let handler = DemuxHandler::default();
-        let shared = Arc::clone(&handler.shared);
-        reactor::install_on_client_reactor(stream, Box::new(handler))?;
+        let shared = Arc::new(DemuxShared::default());
+        install_on_client_reactor(stream, Arc::clone(&shared))?;
         // Switch the synchronous path onto the demuxed connection — one
         // socket now serves interleaved polls and pushes.
         *conn = Some(Conn::Demux(Arc::clone(&shared)));

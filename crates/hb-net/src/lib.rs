@@ -15,8 +15,8 @@
 //!   a reactor connection (its [`frame::FrameEvent`]s borrow beat payloads
 //!   in place) or reading a blocking socket up to a deadline.
 //! * [`TcpBackend`] — a [`heartbeats::Backend`] that buffers beats in a
-//!   bounded queue, shipped by the process-wide client reactor (no thread
-//!   per backend). The `on_beat` hot path never blocks: when the collector is slow or down the
+//!   bounded queue and ships batches from a background flusher thread. The
+//!   `on_beat` hot path never blocks: when the collector is slow or down the
 //!   oldest queued beats are shed and counted (`Backend::stats`).
 //! * [`Collector`] — a daemon accepting many concurrent producers,
 //!   maintaining a sharded per-app registry of windowed rates

@@ -546,7 +546,7 @@ impl Reactor {
 
     /// [`spawn`](Self::spawn) with the I/O threads named by shard index: the
     /// client reactor is no collector shard and must not look like one.
-    fn spawn_named(
+    pub(crate) fn spawn_named(
         listeners: Vec<ListenerSpec>,
         config: ReactorConfig,
         evicted: Arc<AtomicU64>,
@@ -673,32 +673,6 @@ impl Reactor {
             close_undelivered(waker);
         }
     }
-}
-
-/// Installs a connection this process opened on the process-wide client
-/// reactor (subscribed readers, producer backends): one listener-less shard,
-/// thread `hb-net-client`, spawned by the first call. Its idle timer reaps
-/// only closing connections, as these handlers keep live ones alive.
-pub(crate) fn install_on_client_reactor(
-    stream: TcpStream,
-    handler: Box<dyn Handler>,
-) -> io::Result<()> {
-    static CLIENT: Mutex<Option<Reactor>> = Mutex::new(None);
-    let mut client = CLIENT.lock().unwrap_or_else(|e| e.into_inner());
-    let reactor = match &mut *client {
-        Some(reactor) => reactor,
-        empty => empty.insert(Reactor::spawn_named(
-            Vec::new(),
-            ReactorConfig {
-                io_threads: 1,
-                ..ReactorConfig::default()
-            },
-            Arc::new(AtomicU64::new(0)),
-            |_| "hb-net-client".into(),
-        )?),
-    };
-    reactor.installer(0)(stream, handler);
-    Ok(())
 }
 
 /// Fires `on_close` for connections still parked in a shard's inbox.
@@ -2352,22 +2326,5 @@ mod tests {
         fired.clear();
         wheel.advance(t0 + tick * 11, |token, _| fired.push(token));
         assert_eq!(fired, vec![42]);
-    }
-
-    impl PumpHandle {
-        /// A handle no reactor serves, for driving a handler by hand.
-        pub(crate) fn detached() -> PumpHandle {
-            PumpHandle {
-                waker: Arc::new(Waker::new().expect("eventfd")),
-                token: 0,
-                armed: Arc::new(AtomicBool::new(false)),
-            }
-        }
-
-        /// Whether a pump was requested since the last call, disarming the
-        /// handle the way a shard does before it pumps.
-        pub(crate) fn take_request(&self) -> bool {
-            self.armed.swap(false, Ordering::AcqRel) // ordering: test-only disarm; pairs with the AcqRel swap in request()
-        }
     }
 }

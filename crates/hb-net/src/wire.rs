@@ -1815,13 +1815,13 @@ pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> R
 
 /// Streaming encoder for one [`Frame::Beats`] batch.
 ///
-/// A [`TcpBackend`](crate::TcpBackend) link drains one frame per pump;
-/// materializing a [`BeatBatch`] (a `Vec<WireBeat>`) just to encode it
-/// would copy every record twice. `BatchEncoder` instead appends beats
-/// straight into the frame's wire encoding and patches the header (payload
-/// length, CRC) when the batch is sealed — one frame per pump, zero
-/// intermediate structures. The internal buffer is reused across batches,
-/// so steady-state shipping does not allocate.
+/// The flusher in [`TcpBackend`](crate::TcpBackend) drains its queue once
+/// per flush; materializing a [`BeatBatch`] (a `Vec<WireBeat>`) just to
+/// encode it would copy every record twice. `BatchEncoder` instead appends
+/// beats straight into the frame's wire encoding and patches the header
+/// (payload length, CRC) when the batch is sealed — one frame per flush,
+/// zero intermediate structures. The internal buffer is reused across
+/// batches, so steady-state flushing does not allocate.
 ///
 /// ```
 /// use hb_net::wire::{BatchEncoder, Frame, WireBeat};

@@ -170,7 +170,7 @@ const HOT_CACHE_MAX: usize = 32;
 
 /// Dead entries are purged at least this often (in beats), so a dropped
 /// `Heartbeat`'s backends are released by threads that keep producing
-/// (backends may own sockets and connections that live until dropped).
+/// (backends may own sockets and flusher threads that run until dropped).
 const HOT_CACHE_PURGE_EVERY: u32 = 1024;
 
 /// Per-thread hot cache: the entries plus a purge countdown.

@@ -14,11 +14,6 @@
 //! 3. **Per-shard counters partition the aggregates** — summing the
 //!    per-shard connection and frame counters reproduces the collector's
 //!    aggregate counters exactly (nothing attributed twice or dropped).
-//!
-//! It also pins what a producer costs in threads: once a wave's backends
-//! have delivered, every one of their connections is served by the one
-//! process-wide `hb-net-client` thread, and no backend holds a thread of
-//! its own.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,22 +26,6 @@ const WAVES: usize = 8;
 const WAVE_SIZE: usize = PRODUCERS / WAVES;
 const BEATS_PER_PRODUCER: u64 = 20;
 const IO_THREADS: usize = 4;
-
-/// Counts live threads of this process whose name starts with `prefix`
-/// (Linux: thread names are exposed in /proc/self/task/\*/comm).
-fn threads_named(prefix: &str) -> usize {
-    let mut count = 0;
-    for entry in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
-        let mut path = entry.expect("task entry").path();
-        path.push("comm");
-        if let Ok(name) = std::fs::read_to_string(path) {
-            if name.trim_end().starts_with(prefix) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
 
 #[test]
 fn soak_1024_producers_across_4_shards() {
@@ -110,22 +89,6 @@ fn soak_1024_producers_across_4_shards() {
             assert_eq!(backend.dropped_beats(), 0);
             assert_eq!(backend.sent(), BEATS_PER_PRODUCER);
         }
-        // A dial thread exits right after handing its connection over, so
-        // it may still be listed for a moment after the beats landed.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while threads_named("hb-net-dial") > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "wave {wave}: dial threads outlived their connects"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(threads_named("hb-net-flusher"), 0, "wave {wave}");
-        assert_eq!(
-            threads_named("hb-net-client"),
-            1,
-            "wave {wave}: one client reactor serves every backend"
-        );
         drop(backends);
     }
 
