@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -28,10 +28,12 @@ use crate::frame::FrameDecoder;
 use crate::telemetry::Level;
 use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
 
-/// How long a fresh connection waits for the collector's hello-ack. There
-/// is no fallback behind the wait, so expiry has to mean a dead or foreign
-/// peer rather than a busy collector: the same order as the socket's write
-/// timeout. It also bounds how long dropping a backend mid-handshake blocks.
+/// Bounds each connect, then how long a fresh connection waits for the
+/// collector's hello-ack. There is no fallback behind the wait, so expiry
+/// has to mean a dead or foreign peer rather than a busy collector: the
+/// same order as the socket's write timeout. It also bounds how long
+/// dropping a backend mid-connect or mid-handshake blocks (an unbounded
+/// connect waits out the kernel's SYN retries, over two minutes).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Most records shipped per [`Frame::Beats`]; far below what one frame
@@ -393,7 +395,10 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
 /// accepts but fails the handshake is logged: unlike a refused connection
 /// it looks alive to everything but this check.
 fn try_connect(addr: &str, app: &str, config: &TcpBackendConfig) -> Option<TcpStream> {
-    let stream = TcpStream::connect(addr).ok()?;
+    let stream = addr
+        .to_socket_addrs()
+        .ok()?
+        .find_map(|sock| TcpStream::connect_timeout(&sock, HANDSHAKE_TIMEOUT).ok())?;
     stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
     let hello = Frame::Hello(Hello {

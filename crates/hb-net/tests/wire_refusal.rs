@@ -202,6 +202,40 @@ fn silent_listener_is_a_failed_connect() {
     );
 }
 
+/// A listener that never accepts, its accept queue full: the kernel drops
+/// every further SYN, so a connect to it is ended only by the producer's
+/// own bound, never by an answer. Dropping a backend stuck in that connect
+/// must return within the handshake bound, not after the kernel's SYN
+/// retries (over two minutes).
+#[test]
+fn a_stalled_connect_does_not_hold_a_dropped_backend() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut queued = Vec::new();
+    while let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+        queued.push(stream);
+        assert!(queued.len() < 100_000, "the accept queue never filled");
+    }
+
+    let backend = TcpBackend::new(addr.to_string(), "stalled-connect");
+    backend.on_beat("stalled-connect", &record(0), BeatScope::Global);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        drop(backend);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(15))
+        .expect("dropping the backend still blocked after 15 s");
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "drop mid-connect took {:?}",
+        started.elapsed()
+    );
+    drop(listener);
+}
+
 /// (ii) A listener that acknowledges an older version: refused at once,
 /// so the retry pace is the backoff itself.
 #[test]
