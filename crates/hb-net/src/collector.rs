@@ -246,18 +246,6 @@ pub struct AppSnapshot {
     pub alive: bool,
 }
 
-/// An event decided under the shard lock whose expensive parts (the batch
-/// copy) are deferred until after it drops.
-enum PendingEvent {
-    /// Fully built payload (snapshots, health transitions — scalar only).
-    Ready(EventPayload),
-    /// A raw-beats event; the batch is attached outside the lock.
-    Beats {
-        /// The producer's cumulative drop counter at this batch.
-        dropped_total: u64,
-    },
-}
-
 /// A resolved registry address: sanitized entry key plus shard index,
 /// computed once (at hello time on the network path) so per-batch ingest
 /// re-runs neither the name sanitizer nor the shard hash.
@@ -275,9 +263,9 @@ impl AppHandle {
 }
 
 /// Per-reactor-shard ingest attribution, feeding the
-/// `hb_collector_shard_*` Prometheus gauges. Their sums always equal the
-/// aggregate counters (pinned by tests): every producer connection and
-/// every decoded frame is attributed to exactly one shard.
+/// `hb_collector_shard_*` Prometheus gauges. Every producer connection and
+/// every decoded frame is attributed to exactly one shard, and the
+/// aggregate counters are these sums, so the two agree by construction.
 #[derive(Debug, Default)]
 struct ShardCounters {
     connections: AtomicU64,
@@ -295,8 +283,6 @@ pub struct CollectorState {
     /// `0` resolved to the available parallelism). An app whose registry
     /// partition is `p` is served by reactor shard `p % reactor_shards`.
     reactor_shards: usize,
-    connections_total: AtomicU64,
-    frames_total: AtomicU64,
     /// Beats accounted for by ingest — delivered beats plus newly reported
     /// producer-side drops. One relaxed add per batch; benches and tests
     /// spin on this instead of materializing full snapshots.
@@ -374,8 +360,6 @@ impl CollectorState {
             config,
             started: Instant::now(),
             reactor_shards,
-            connections_total: AtomicU64::new(0),
-            frames_total: AtomicU64::new(0),
             beats_accounted: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             cross_shard_ingest: AtomicU64::new(0),
@@ -440,8 +424,7 @@ impl CollectorState {
     }
 
     /// Per-reactor-shard `(connections, frames)` attribution, indexed by
-    /// shard. Sums equal `connections_total()` / `frames_total()` once all
-    /// accepted connections have been served (pinned by tests).
+    /// shard. `connections_total()` and `frames_total()` are their sums.
     pub fn shard_counters(&self) -> Vec<(u64, u64)> {
         self.shard_counters
             .iter()
@@ -454,11 +437,8 @@ impl CollectorState {
             .collect()
     }
 
-    /// Attributes one decoded producer frame to the calling reactor shard
-    /// alongside the aggregate count, keeping the per-shard gauge sums
-    /// exactly equal to `frames_total`.
+    /// Attributes one decoded producer frame to the calling reactor shard.
     fn count_frame(&self) {
-        self.frames_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         self.shard_counters[self.calling_shard()]
             .frames
             .fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
@@ -467,8 +447,7 @@ impl CollectorState {
     /// Attributes one producer connection to the calling reactor shard,
     /// exactly once per connection (`counted` lives in the handler): on its
     /// first `on_data` when the connection is served, or at `on_close` for
-    /// connections that never produced bytes. Keeps the per-shard sums
-    /// exactly equal to `connections_total`.
+    /// connections that never produced bytes.
     fn count_connection_once(&self, counted: &mut bool) {
         if !*counted {
             *counted = true;
@@ -574,30 +553,22 @@ impl CollectorState {
         self.ingest_resolved(handle.shard, &handle.key, dropped_total, beats);
     }
 
-    /// The shared ingest body behind both public entry points. When this
-    /// collector federates upward, the batch is also mirrored into the
-    /// [`UpstreamTap`] *after* the registry absorbed it — capture is one
-    /// bounded-queue push and never blocks ingest. Without an upstream the
-    /// wrapper is a single `Option` check and the iterator streams through
-    /// unmaterialized.
+    /// The one ingest body behind both public entry points. It resolves the
+    /// watchers once, absorbs straight off the caller's iterator under the
+    /// partition lock, and fans out after the unlock. The records outlive
+    /// the lock only when a raw-beats watcher matched or this collector
+    /// federates upward: then they are copied once, as they stream by, into
+    /// the `Vec` the beat events and the [`UpstreamTap`] share. The tap
+    /// mirrors every batch (empty ones included) *after* the registry
+    /// absorbed it — one bounded-queue push that never blocks ingest.
     fn ingest_resolved<I>(&self, shard_index: usize, key: &str, dropped_total: u64, beats: I)
     where
         I: IntoIterator<Item = WireBeat>,
     {
-        if let Some(tap) = &self.upstream_tap {
-            let beats: Vec<WireBeat> = beats.into_iter().collect();
-            self.ingest_resolved_inner(shard_index, key, dropped_total, beats.iter().copied());
-            tap.capture(key, dropped_total, beats);
-        } else {
-            self.ingest_resolved_inner(shard_index, key, dropped_total, beats);
-        }
-    }
-
-    /// [`ingest_resolved`](Self::ingest_resolved) minus the upstream tap.
-    fn ingest_resolved_inner<I>(&self, shard_index: usize, key: &str, dropped_total: u64, beats: I)
-    where
-        I: IntoIterator<Item = WireBeat>,
-    {
+        // hb-lint: hot-path — the steady-state ingest body up to the lock
+        // boundary; the counting-allocator test (tests/ingest_alloc.rs) pins
+        // a registered, unwatched app's batch to zero allocations.
+        //
         // Debug invariant: on a reactor thread, ingest should only ever run
         // on the app's home shard (hello-time migration put the connection
         // there). One TLS read when off the home path; soak tests pin zero.
@@ -607,130 +578,65 @@ impl CollectorState {
             }
         }
         let telemetry = self.stage_telemetry();
-        let watchers = self.subs.matching(key);
-        if watchers.is_empty() {
-            // hb-lint: hot-path — the steady-state ingest loop; the
-            // counting-allocator test (tests/ingest_alloc.rs) pins this
-            // branch to zero allocations once an app is registered.
-            //
-            // The common, zero-subscriber path: absorb straight off the
-            // iterator with no materialization. get_mut first: the common
-            // case (entry already exists) costs one lookup and zero
-            // allocation; only an app's first-ever batch pays the entry()
-            // insert with its owned key.
-            let started = telemetry.start();
-            let mut shard = self.shards[shard_index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = shard.get_mut(key) {
-                let accounted = Self::absorb(entry, dropped_total, beats);
-                drop(shard);
-                self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                telemetry.observe(&telemetry.ingest, started);
-                return;
-            }
-            let config = &self.config;
-            let entry = shard
-                .entry(key.to_string()) // hb-lint: allow(alloc): first-ever batch for a new app; one-time registration, off the steady-state path
-                .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config));
-            let accounted = Self::absorb(entry, dropped_total, beats);
-            drop(shard);
-            self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-            telemetry.observe(&telemetry.ingest, started);
-            return;
-            // hb-lint: end-hot-path
-        }
-        // Subscribed path. The batch is materialized only when some
-        // watcher actually wants the records; snapshot/health-only
-        // subscriptions (the alerting case) keep the zero-copy absorb —
-        // their events read entry scalars, never the records.
+        let mut watchers = self.subs.matching(key);
         let wants_beats = watchers
             .iter()
             .any(|watcher| watcher.wants(Interest::BEATS.bits()));
-        let mut pending = Vec::new();
-        if !wants_beats {
-            let mut mark = telemetry.start();
-            {
-                let mut shard = self.shards[shard_index]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                let config = &self.config;
-                let entry = match shard.get_mut(key) {
-                    Some(entry) => entry,
-                    None => shard.entry(key.to_string()).or_insert_with(|| {
-                        AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config)
-                    }),
-                };
-                let mut count = 0usize;
-                let accounted = Self::absorb(
-                    entry,
-                    dropped_total,
-                    beats.into_iter().inspect(|_| count += 1),
-                );
-                self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                self.collect_ingest_events(key, entry, count, &watchers, &mut pending);
-            }
-            // Lap the clock at the lock boundary: one read closes the
-            // ingest span and opens the fan-out span.
-            telemetry.lap(&telemetry.ingest, &mut mark);
-            if pending.is_empty() {
-                return;
-            }
-            for (watcher, event) in pending {
-                if let PendingEvent::Ready(payload) = event {
-                    self.deliver(&watcher, key, payload);
-                }
-                // PendingEvent::Beats is unreachable: no watcher asked.
-            }
-            telemetry.observe(&telemetry.fanout, mark);
-            return;
+        let keep = wants_beats || self.upstream_tap.is_some();
+        let beats = beats.into_iter();
+        // hb-lint: allow(alloc): an empty Vec allocates nothing; it is reserved only when the records are kept
+        let mut kept = Vec::new();
+        if keep {
+            kept.reserve(beats.size_hint().0);
         }
-        let beats: Vec<WireBeat> = beats.into_iter().collect();
+        let mut count = 0usize;
         let mut mark = telemetry.start();
-        {
+        let (accounted, due, producer_dropped) = {
             let mut shard = self.shards[shard_index]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            let config = &self.config;
+            // get_mut first: an existing entry costs one lookup and no
+            // allocation; only an app's first-ever batch pays the owned key.
             let entry = match shard.get_mut(key) {
                 Some(entry) => entry,
-                None => shard
-                    .entry(key.to_string())
-                    .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config)),
+                // hb-lint: allow(alloc): first-ever batch for a new app; one-time registration, off the steady-state path
+                None => self.entry_in(&mut shard, key.to_string()),
             };
-            let accounted = Self::absorb(entry, dropped_total, beats.iter().copied());
-            self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-            self.collect_ingest_events(key, entry, beats.len(), &watchers, &mut pending);
-        }
+            let beats = beats.inspect(|beat| {
+                count += 1;
+                if keep {
+                    kept.push(*beat);
+                }
+            });
+            let accounted = Self::absorb(entry, dropped_total, beats);
+            let due = self.due_events(key, entry, count, &watchers);
+            (accounted, due, entry.producer_dropped)
+        };
+        // Lap the clock at the lock boundary: one read closes the ingest
+        // span and opens the fan-out span.
         telemetry.lap(&telemetry.ingest, &mut mark);
-        // Encoding and enqueueing all happen outside the shard lock:
-        // fan-out work must not stall other producers of the same shard.
-        if pending.is_empty() {
-            return;
+        // hb-lint: end-hot-path
+        self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+                                                                      // Encoding and enqueueing all happen outside the shard lock:
+                                                                      // fan-out work must not stall other producers of the same shard.
+                                                                      // Ready events go first, in matched order; raw beats are never
+                                                                      // throttled (counts must stay exact for any subscriber fast enough
+                                                                      // to drain its queue) and go out through the encode-once path.
+        let fan_out = !due.is_empty() || (wants_beats && count > 0);
+        for (watcher, payload) in due {
+            self.deliver(watcher, key, payload);
         }
-        // Beat watchers fan out together through the encode-once path: the
-        // Event frame is serialized once per distinct sub_id into a shared
-        // Arc<[u8]> that every matching queue references — no
-        // per-subscriber batch clone or re-serialization. All Beats events
-        // of one batch share the drop counter read under the shard lock.
-        let mut beat_watchers: Vec<Arc<SubEntry>> = Vec::new();
-        let mut beats_dropped_total = 0;
-        for (watcher, event) in pending {
-            match event {
-                PendingEvent::Ready(payload) => {
-                    self.deliver(&watcher, key, payload);
-                }
-                PendingEvent::Beats { dropped_total } => {
-                    beats_dropped_total = dropped_total;
-                    beat_watchers.push(watcher);
-                }
-            }
-        }
-        if !beat_watchers.is_empty() {
+        if wants_beats && count > 0 {
+            watchers.retain(|watcher| watcher.wants(Interest::BEATS.bits()));
             self.subs
-                .deliver_beats(&beat_watchers, key, beats_dropped_total, &beats);
+                .deliver_beats(&watchers, key, producer_dropped, &kept);
         }
-        telemetry.observe(&telemetry.fanout, mark);
+        if fan_out {
+            telemetry.observe(&telemetry.fanout, mark);
+        }
+        if let Some(tap) = &self.upstream_tap {
+            tap.capture(key, dropped_total, kept);
+        }
     }
 
     /// Delivers one event toward `entry`'s subscriber, journaling it first
@@ -743,65 +649,59 @@ impl CollectorState {
         self.subs.deliver(entry, app, payload);
     }
 
-    /// Decides which events one absorbed batch owes each watching
-    /// subscription. Runs under the shard lock (it reads the live entry and
-    /// refreshes its health window), so it only *decides and snapshots
-    /// scalars* — batch copies, encoding and enqueueing wait for the unlock.
-    fn collect_ingest_events(
+    /// Decides which snapshot and health events one absorbed batch owes its
+    /// watchers, in matched order (raw beats are the caller's). Runs under
+    /// the shard lock (it reads the live entry and refreshes its health
+    /// window), so it only *decides and snapshots scalars* — encoding and
+    /// enqueueing wait for the unlock. Allocates only when an event is due.
+    fn due_events<'w>(
         &self,
         app: &str,
         entry: &mut AppEntry,
         batch_len: usize,
-        watchers: &[Arc<SubEntry>],
-        pending: &mut Vec<(Arc<SubEntry>, PendingEvent)>,
-    ) {
+        watchers: &'w [Arc<SubEntry>],
+    ) -> Vec<(&'w SubEntry, EventPayload)> {
+        let mut due = Vec::new();
         if batch_len == 0 {
             // Empty batches only refresh the producer drop counter; there
             // is no progress to announce.
-            return;
+            return due;
         }
         let now = Instant::now();
         for watcher in watchers {
-            // Raw beats are never throttled: counts must stay exact for any
-            // subscriber fast enough to drain its queue.
-            if watcher.wants(Interest::BEATS.bits()) {
-                pending.push((
-                    Arc::clone(watcher),
-                    PendingEvent::Beats {
-                        dropped_total: entry.producer_dropped,
-                    },
-                ));
-            }
             if watcher.wants(Interest::SNAPSHOTS.bits()) && watcher.due(Due::Snapshot, app, now) {
-                pending.push((
-                    Arc::clone(watcher),
-                    PendingEvent::Ready(EventPayload::Snapshot {
-                        total_beats: entry.total_beats,
-                        producer_dropped: entry.producer_dropped,
-                        rate_bps: entry.window.rate(),
-                        target: entry.target,
-                        alive: true, // the batch in hand is the proof
-                    }),
-                ));
+                let snapshot = EventPayload::Snapshot {
+                    total_beats: entry.total_beats,
+                    producer_dropped: entry.producer_dropped,
+                    rate_bps: entry.window.rate(),
+                    target: entry.target,
+                    alive: true, // the batch in hand is the proof
+                };
+                due.push((&**watcher, snapshot));
             }
             // Health transitions are detected *at ingest*, not when an
             // observer happens to poll: the assessment runs right where the
             // beat landed, and only actual transitions travel.
             if watcher.wants(Interest::HEALTH.bits()) && watcher.due(Due::Assess, app, now) {
                 let report = entry.health(&self.config.health);
-                if let Some(from) = watcher.health_transition(app, report.status) {
-                    pending.push((
-                        Arc::clone(watcher),
-                        PendingEvent::Ready(EventPayload::HealthTransition {
-                            from,
-                            to: report.status,
-                            reasons: report.reasons,
-                            window_beats: report.window_beats,
-                        }),
-                    ));
+                if let Some(transition) = Self::health_event(watcher, app, report) {
+                    due.push((&**watcher, transition));
                 }
             }
         }
+        due
+    }
+
+    /// The event `watcher` owes for `app`'s fresh health `report`: a
+    /// transition from the class it was last told, or nothing if unchanged.
+    fn health_event(watcher: &SubEntry, app: &str, report: HealthReport) -> Option<EventPayload> {
+        let from = watcher.health_transition(app, report.status)?;
+        Some(EventPayload::HealthTransition {
+            from,
+            to: report.status,
+            reasons: report.reasons,
+            window_beats: report.window_beats,
+        })
     }
 
     /// Re-assesses health for every subscription bound to `queue` without
@@ -832,13 +732,7 @@ impl CollectorState {
                 let Some(report) = self.health(&app) else {
                     continue;
                 };
-                if let Some(from) = entry.health_transition(&app, report.status) {
-                    let payload = EventPayload::HealthTransition {
-                        from,
-                        to: report.status,
-                        reasons: report.reasons,
-                        window_beats: report.window_beats,
-                    };
+                if let Some(payload) = Self::health_event(&entry, &app, report) {
                     self.deliver(&entry, &app, payload);
                 }
             }
@@ -920,16 +814,26 @@ impl CollectorState {
     /// reaches subscribers through subscription propagation alone.
     pub(crate) fn absorb_relayed(&self, key: String, dropped_total: u64, beats: Vec<WireBeat>) {
         let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
-        let config = &self.config;
-        let entry = shard
-            .entry(key.clone())
-            .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config));
+        let entry = self.entry_in(&mut shard, key.clone());
         let accounted = Self::absorb(entry, dropped_total, beats.iter().copied());
         drop(shard);
         self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         if let Some(tap) = &self.upstream_tap {
             tap.capture(&key, dropped_total, beats);
         }
+    }
+
+    /// `key`'s entry in its locked registry partition, registering the app
+    /// on first sight (its pid and window stay unknown until a Hello).
+    fn entry_in<'a>(
+        &self,
+        shard: &'a mut HashMap<String, AppEntry>,
+        key: String,
+    ) -> &'a mut AppEntry {
+        let config = &self.config;
+        shard
+            .entry(key)
+            .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config))
     }
 
     /// The shared per-record ingest loop: allocation-free (the history ring
@@ -979,10 +883,7 @@ impl CollectorState {
 
     pub(crate) fn target(&self, app: &str, min_bps: f64, max_bps: f64) {
         let mut shard = self.shard(app).lock().unwrap_or_else(|e| e.into_inner());
-        let config = &self.config;
-        let entry = shard
-            .entry(app.to_string())
-            .or_insert_with(|| AppEntry::new(0, heartbeats::DEFAULT_WINDOW as u32, config));
+        let entry = self.entry_in(&mut shard, app.to_string());
         entry.target = Some((min_bps, max_bps));
         entry.last_seen = Instant::now();
     }
@@ -1109,14 +1010,19 @@ impl CollectorState {
         apps
     }
 
-    /// Total producer connections accepted since start.
+    /// Total producer connections served since start: the sum of the
+    /// per-shard counts, each taken when a connection is installed on its
+    /// shard.
     pub fn connections_total(&self) -> u64 {
-        self.connections_total.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
+        self.shard_counters()
+            .iter()
+            .map(|(connections, _)| connections)
+            .sum()
     }
 
-    /// Total frames ingested since start.
+    /// Total frames ingested since start: the sum of the per-shard counts.
     pub fn frames_total(&self) -> u64 {
-        self.frames_total.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
+        self.shard_counters().iter().map(|(_, frames)| frames).sum()
     }
 
     /// Beats accounted for by ingest since start: records absorbed into the
@@ -1225,7 +1131,6 @@ impl Collector {
             factory: {
                 let state = Arc::clone(&state);
                 Arc::new(move |peer| {
-                    state.connections_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
                     crate::log!(Level::Debug, "producer connected peer={peer}");
                     Box::new(ProducerHandler::new(Arc::clone(&state))) as Box<dyn Handler>
                 })
@@ -2442,7 +2347,6 @@ mod tests {
         let mut handler = ProducerHandler::new(Arc::clone(&state));
         let mut out = OutBuf::new();
         assert!(handler.on_data(&input, &mut out));
-        state.connections_total.fetch_add(1, Ordering::Relaxed);
         handler.on_close();
 
         let counters = state.shard_counters();
