@@ -616,17 +616,19 @@ impl CollectorState {
         // span and opens the fan-out span.
         telemetry.lap(&telemetry.ingest, &mut mark);
         // hb-lint: end-hot-path
-        self.beats_accounted.fetch_add(accounted, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                                                                      // Encoding and enqueueing all happen outside the shard lock:
-                                                                      // fan-out work must not stall other producers of the same shard.
-                                                                      // Ready events go first, in matched order; raw beats are never
-                                                                      // throttled (counts must stay exact for any subscriber fast enough
-                                                                      // to drain its queue) and go out through the encode-once path.
-        let fan_out = !due.is_empty() || (wants_beats && count > 0);
+        // ordering: relaxed counter; read only for monitoring totals
+        self.beats_accounted.fetch_add(accounted, Ordering::Relaxed);
+        // Encoding and enqueueing all happen outside the shard lock:
+        // fan-out work must not stall other producers of the same shard.
+        // Ready events go first, in matched order. Raw beats are never
+        // throttled (counts must stay exact for any subscriber fast enough
+        // to drain its queue) and go out through the encode-once path.
+        let beat_events = wants_beats && count > 0;
+        let fan_out = beat_events || !due.is_empty();
         for (watcher, payload) in due {
             self.deliver(watcher, key, payload);
         }
-        if wants_beats && count > 0 {
+        if beat_events {
             watchers.retain(|watcher| watcher.wants(Interest::BEATS.bits()));
             self.subs
                 .deliver_beats(&watchers, key, producer_dropped, &kept);
@@ -662,9 +664,10 @@ impl CollectorState {
         watchers: &'w [Arc<SubEntry>],
     ) -> Vec<(&'w SubEntry, EventPayload)> {
         let mut due = Vec::new();
-        if batch_len == 0 {
+        if batch_len == 0 || watchers.is_empty() {
             // Empty batches only refresh the producer drop counter; there
-            // is no progress to announce.
+            // is no progress to announce (and unwatched apps skip the
+            // clock read).
             return due;
         }
         let now = Instant::now();
