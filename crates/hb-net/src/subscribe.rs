@@ -233,7 +233,7 @@ pub(crate) enum Due {
 }
 
 /// Per-application delivery state of one subscription.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct AppWatch {
     /// When a snapshot event was last emitted (rate limiting).
     last_snapshot: Option<Instant>,
@@ -241,16 +241,6 @@ struct AppWatch {
     last_assessed: Option<Instant>,
     /// The last health classification delivered, so only transitions emit.
     last_health: Option<HealthStatus>,
-}
-
-impl AppWatch {
-    fn new() -> Self {
-        AppWatch {
-            last_snapshot: None,
-            last_assessed: None,
-            last_health: None,
-        }
-    }
 }
 
 /// One registered subscription: a filter over the application namespace
@@ -334,17 +324,17 @@ impl SubEntry {
     /// (re-)assessment ([`Due::Assess`]) is due for `app` under the
     /// minimum interval, and records the time when it is.
     pub(crate) fn due(&self, what: Due, app: &str, now: Instant) -> bool {
-        let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
-        let watch = watches.entry(app.to_string()).or_insert_with(AppWatch::new);
-        let last = match what {
-            Due::Snapshot => &mut watch.last_snapshot,
-            Due::Assess => &mut watch.last_assessed,
-        };
-        let due = last.is_none_or(|at| now.duration_since(at) >= self.min_interval);
-        if due {
-            *last = Some(now);
-        }
-        due
+        self.with_watch(app, |watch| {
+            let last = match what {
+                Due::Snapshot => &mut watch.last_snapshot,
+                Due::Assess => &mut watch.last_assessed,
+            };
+            let due = last.is_none_or(|at| now.duration_since(at) >= self.min_interval);
+            if due {
+                *last = Some(now);
+            }
+            due
+        })
     }
 
     /// Records `status` as the latest delivered classification for `app`,
@@ -357,9 +347,7 @@ impl SubEntry {
         app: &str,
         status: HealthStatus,
     ) -> Option<HealthStatus> {
-        let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
-        let watch = watches.entry(app.to_string()).or_insert_with(AppWatch::new);
-        match watch.last_health {
+        self.with_watch(app, |watch| match watch.last_health {
             None => {
                 watch.last_health = Some(status);
                 // A first report of NoSignal is not news.
@@ -370,6 +358,15 @@ impl SubEntry {
                 Some(previous)
             }
             Some(_) => None,
+        })
+    }
+
+    /// Runs `f` on `app`'s watch, allocating its key only on a first visit.
+    fn with_watch<R>(&self, app: &str, f: impl FnOnce(&mut AppWatch) -> R) -> R {
+        let mut watches = self.watches.lock().unwrap_or_else(|e| e.into_inner());
+        match watches.get_mut(app) {
+            Some(watch) => f(watch),
+            None => f(watches.entry(app.to_string()).or_default()),
         }
     }
 
